@@ -9,7 +9,7 @@ the alternative.
 """
 
 from .basis import BasisTerm, design_matrix, intercept, product, raw, square
-from .data import Dataset, ObservedSample
+from .data import Dataset
 from .exceptions import (
     DegenerateVariance,
     EmptyDataset,
@@ -56,7 +56,6 @@ from .numerics import (
     normal_cdf,
     normal_quantile,
     solve_spd,
-    standard_normals,
 )
 from .score import (
     ScoreTestResult,

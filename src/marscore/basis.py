@@ -39,18 +39,6 @@ class BasisTerm:
             return x[:, self.i] ** 2
         return x[:, self.i] * x[:, self.j]
 
-    def label(self, names: list[str] | None = None) -> str:
-        def name(idx):
-            return names[idx] if names is not None else f"x{idx}"
-
-        if self.kind == "intercept":
-            return "1"
-        if self.kind == "raw":
-            return name(self.i)
-        if self.kind == "square":
-            return f"{name(self.i)}^2"
-        return f"{name(self.i)}*{name(self.j)}"
-
 
 def intercept() -> BasisTerm:
     return BasisTerm("intercept")

@@ -86,6 +86,26 @@ def _add_output_flags(parser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 
 
+def _add_simulation_flags(parser) -> None:
+    """Flags shared by ``simulate`` and ``power-curve``."""
+    parser.add_argument("--example", type=int, choices=[1, 2], required=True)
+    parser.add_argument("--n", type=_positive_int, default=1000)
+    parser.add_argument("--reps", type=_positive_int, default=2000)
+    parser.add_argument("--alpha", type=_alpha, default=0.05)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted and ignored: replications run serially")
+    parser.add_argument("--bz", type=float, default=0.5, help="example 1: outcome coefficient on Z")
+    parser.add_argument("--c0", type=float, default=0.5, help="example 1: probit intercept")
+    parser.add_argument("--c2", type=float, default=0.0, help="example 1: coefficient on U")
+    parser.add_argument("--w", choices=list(W_VARIANTS), default="identity")
+    parser.add_argument("--xi", type=_fixed_length_floats("--xi", 4), default=(-1.0, 1.0, 0.5, 0.0),
+                        help="example 2: outcome truth (xi1,xi2,xi3,xi4)")
+    parser.add_argument("--beta", type=_fixed_length_floats("--beta", 2), default=(0.85, 0.0),
+                        help="example 2: propensity truth (beta0,beta1)")
+    _add_output_flags(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marscore",
@@ -109,40 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(t)
 
     s = sub.add_parser("simulate", help="replicate a simulation study design")
-    s.add_argument("--example", type=int, choices=[1, 2], required=True)
-    s.add_argument("--n", type=_positive_int, default=1000)
-    s.add_argument("--reps", type=_positive_int, default=2000)
-    s.add_argument("--alpha", type=_alpha, default=0.05)
-    s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--threads", type=_positive_int, default=1)
-    s.add_argument("--bz", type=float, default=0.5, help="example 1: outcome coefficient on Z")
-    s.add_argument("--c0", type=float, default=0.5, help="example 1: probit intercept")
+    _add_simulation_flags(s)
     s.add_argument("--c1", type=float, default=0.0, help="example 1: coefficient on w(Y)")
-    s.add_argument("--c2", type=float, default=0.0, help="example 1: coefficient on U")
-    s.add_argument("--w", choices=list(W_VARIANTS), default="identity")
-    s.add_argument("--xi", type=_fixed_length_floats("--xi", 4), default=(-1.0, 1.0, 0.5, 0.0),
-                   help="example 2: outcome truth (xi1,xi2,xi3,xi4)")
-    s.add_argument("--beta", type=_fixed_length_floats("--beta", 2), default=(0.85, 0.0),
-                   help="example 2: propensity truth (beta0,beta1)")
     s.add_argument("--gamma", type=float, default=0.0, help="example 2: MNAR departure")
-    _add_output_flags(s)
 
     pc = sub.add_parser("power-curve", help="rejection rates over a grid of departures")
-    pc.add_argument("--example", type=int, choices=[1, 2], required=True)
     pc.add_argument("--grid", type=_comma_floats, required=True,
                     help="grid of c1 (example 1) or gamma (example 2) values")
-    pc.add_argument("--n", type=_positive_int, default=1000)
-    pc.add_argument("--reps", type=_positive_int, default=2000)
-    pc.add_argument("--alpha", type=_alpha, default=0.05)
-    pc.add_argument("--seed", type=_seed, default=0)
-    pc.add_argument("--threads", type=_positive_int, default=1)
-    pc.add_argument("--bz", type=float, default=0.5)
-    pc.add_argument("--c0", type=float, default=0.5)
-    pc.add_argument("--c2", type=float, default=0.0)
-    pc.add_argument("--w", choices=list(W_VARIANTS), default="identity")
-    pc.add_argument("--xi", type=_fixed_length_floats("--xi", 4), default=(-1.0, 1.0, 0.5, 0.0))
-    pc.add_argument("--beta", type=_fixed_length_floats("--beta", 2), default=(0.85, 0.0))
-    _add_output_flags(pc)
+    _add_simulation_flags(pc)
     return parser
 
 
@@ -180,17 +174,20 @@ def _simulation_config(args):
     )
 
 
-def _cmd_test(args) -> int:
-    columns = ColumnSpec(
-        outcome_column=args.outcome,
-        covariate_columns=args.covariates,
-        propensity_columns=args.propensity,
-        mean_basis_spec=getattr(args, "mean_basis", None),
-        logvar_basis_spec=args.logvar_basis,
-    )
-    config = RunConfig(
-        columns=columns, variants=args.variants, alpha=args.alpha, group_by=args.group_by
-    )
+def _cmd_test(args, parser) -> int:
+    try:
+        columns = ColumnSpec(
+            outcome_column=args.outcome,
+            covariate_columns=args.covariates,
+            propensity_columns=args.propensity,
+            mean_basis_spec=args.mean_basis,
+            logvar_basis_spec=args.logvar_basis,
+        )
+        config = RunConfig(
+            columns=columns, variants=args.variants, alpha=args.alpha, group_by=args.group_by
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     keep = (args.group_by,) if args.group_by else ()
     data = read_csv(args.data, columns, keep_columns=keep)
     print(f"read {data.n} rows from {args.data}; missing fraction {data.missing_fraction:.4f}")
@@ -222,9 +219,7 @@ def _print_study(report) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _simulation_config(args)
-    report = run_rejection_study(
-        cfg, args.reps, alpha=args.alpha, base_seed=args.seed, threads=args.threads
-    )
+    report = run_rejection_study(cfg, args.reps, alpha=args.alpha, base_seed=args.seed)
     print(f"config: {cfg.to_dict()}")
     _print_study(report)
     if args.output:
@@ -235,9 +230,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_power_curve(args) -> int:
     cfg = _simulation_config(args)
-    reports = power_curve(
-        cfg, args.grid, args.reps, alpha=args.alpha, base_seed=args.seed, threads=args.threads
-    )
+    reports = power_curve(cfg, args.grid, args.reps, alpha=args.alpha, base_seed=args.seed)
     param = "c1" if args.example == 1 else "gamma"
     for rep in reports:
         print(f"{param}={rep.grid_value:g}: ", end="")
@@ -255,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         if args.command == "test":
-            return _cmd_test(args)
+            return _cmd_test(args, parser)
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_power_curve(args)

@@ -13,32 +13,8 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ObservedSample:
-    """One record: indicator ``d``, outcome ``y`` (present iff ``d == 1``),
-    covariate vector ``x`` with ``x[0] == 1``."""
-
-    d: int
-    y: float | None
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.d not in (0, 1):
-            raise ValueError(f"d must be 0 or 1, got {self.d}")
-        if (self.y is not None) != (self.d == 1):
-            raise ValueError("y must be present if and only if d == 1")
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("x must be a nonempty vector")
-        if x[0] != 1.0:
-            raise ValueError("first covariate component must be the constant 1")
-        if not np.all(np.isfinite(x)) or (self.y is not None and not np.isfinite(self.y)):
-            raise ValueError("all present values must be finite")
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Immutable array-backed collection of :class:`ObservedSample` rows.
+    """Immutable array-backed collection of partially observed rows.
 
     Attributes
     ----------
@@ -81,19 +57,6 @@ class Dataset:
         object.__setattr__(self, "y_complete", y)
 
     @classmethod
-    def from_samples(cls, samples) -> "Dataset":
-        samples = list(samples)
-        if not samples:
-            raise ValueError("need at least one sample")
-        p = samples[0].x.size
-        if any(s.x.size != p for s in samples):
-            raise ValueError("all covariate vectors must share one dimension")
-        x = np.vstack([s.x for s in samples])
-        d = np.array([s.d for s in samples], dtype=np.int8)
-        y = np.array([s.y for s in samples if s.d == 1], dtype=float)
-        return cls(x=x, d=d, y_complete=y)
-
-    @classmethod
     def from_generated(cls, x: np.ndarray, d: np.ndarray, y_full: np.ndarray) -> "Dataset":
         """Build from a simulated full outcome vector, erasing y where d == 0."""
         d = np.asarray(d)
@@ -125,23 +88,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> ObservedSample:
-        i = int(i)
-        if self.d[i] == 1:
-            pos = int(np.searchsorted(self.complete_idx, i))
-            return ObservedSample(1, float(self.y_complete[pos]), self.x[i])
-        return ObservedSample(0, None, self.x[i])
-
-    def samples(self):
-        """Iterate rows as :class:`ObservedSample` values."""
-        pos = 0
-        for i in range(self.n):
-            if self.d[i] == 1:
-                yield ObservedSample(1, float(self.y_complete[pos]), self.x[i])
-                pos += 1
-            else:
-                yield ObservedSample(0, None, self.x[i])
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New dataset holding the given rows (order preserved)."""

@@ -2,9 +2,9 @@
 
 Input files are UTF-8, comma-delimited, with a mandatory header row. A blank
 or ``NA`` outcome cell marks the row's outcome as missing; covariate cells
-must always be present and numeric. The constant intercept column is
-synthesized here, never read from the file. JSON reports carry a top-level
-``schema_version``.
+must always be present. Every present cell must be a finite number. The
+constant intercept column is synthesized here, never read from the file.
+JSON reports carry a top-level ``schema_version``.
 """
 
 from __future__ import annotations
@@ -195,11 +195,23 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
                 labels[col].append("" if value is None else value.strip())
         if not x_rows:
             raise EmptyDataset(f"{path} contains no data rows")
-    return Dataset(
-        x=np.array(x_rows, dtype=float),
-        d=np.array(d_list, dtype=np.int8),
-        y_complete=np.array(y_list, dtype=float),
-        labels={c: tuple(v) for c, v in labels.items()},
+    x = np.array(x_rows, dtype=float)
+    d = np.array(d_list, dtype=np.int8)
+    y = np.array(y_list, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        _reject_non_finite(x, d, y, spec)
+    return Dataset(x=x, d=d, y_complete=y, labels={c: tuple(v) for c, v in labels.items()})
+
+
+def _reject_non_finite(x, d, y, spec: ColumnSpec) -> None:
+    """Raise NonNumericCell naming the first cell that parsed to nan or +-inf."""
+    cells = x.copy()  # column 0 (the intercept) now holds the outcome
+    cells[:, 0] = 0.0
+    cells[d == 1, 0] = y
+    row, col = np.argwhere(~np.isfinite(cells))[0]
+    name = spec.outcome_column if col == 0 else spec.covariate_columns[col - 1]
+    raise NonNumericCell(
+        f"row {row + 2}, column {name!r}: {float(cells[row, col])} is not a finite number"
     )
 
 
@@ -291,34 +303,29 @@ def run_configured_tests(data: Dataset, config: RunConfig) -> list[GroupTestReco
     records = []
     for label, subset in groups:
         pf = fit_propensity_null(subset, columns=spec.propensity_column_indices())
-        diagnostics = {
-            "propensity_converged": pf.converged,
-            "propensity_iterations": pf.iterations,
-            "beta_hat": pf.beta_hat.tolist(),
-        }
-        if "S1" in config.variants:
-            of = fit_outcome_parametric(subset, spec.family())
-            diag = dict(diagnostics)
-            diag.update(
-                {"outcome_converged": of.converged, "outcome_iterations": of.iterations,
-                 "xi_hat": of.xi_hat.tolist()}
-            )
+        for variant in ("S1", "S2"):
+            if variant not in config.variants:
+                continue
+            diagnostics = {
+                "propensity_converged": pf.converged,
+                "propensity_iterations": pf.iterations,
+                "beta_hat": pf.beta_hat.tolist(),
+            }
+            if variant == "S1":
+                fit = fit_outcome_parametric(subset, spec.family())
+                statistic, variance = score_statistic_s1, variance_s1
+                diagnostics.update(
+                    {"outcome_converged": fit.converged, "outcome_iterations": fit.iterations,
+                     "xi_hat": fit.xi_hat.tolist()}
+                )
+            else:
+                fit = fit_location(subset, spec.mean_basis())
+                statistic, variance = score_statistic_s2, variance_s2
+                diagnostics["theta_hat"] = fit.theta_hat.tolist()
             result = test_report(
-                score_statistic_s1(subset, pf, of), variance_s1(subset, pf, of), subset.n
+                statistic(subset, pf, fit), variance(subset, pf, fit), subset.n
             )
-            records.append(
-                GroupTestRecord(label, result, subset.missing_fraction, diag)
-            )
-        if "S2" in config.variants:
-            lf = fit_location(subset, spec.mean_basis())
-            diag = dict(diagnostics)
-            diag["theta_hat"] = lf.theta_hat.tolist()
-            result = test_report(
-                score_statistic_s2(subset, pf, lf), variance_s2(subset, pf, lf), subset.n
-            )
-            records.append(
-                GroupTestRecord(label, result, subset.missing_fraction, diag)
-            )
+            records.append(GroupTestRecord(label, result, subset.missing_fraction, diagnostics))
     return records
 
 

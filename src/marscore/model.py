@@ -29,7 +29,7 @@ from .exceptions import (
     Separation,
     SingularMatrix,
 )
-from .numerics import gauss_hermite_nodes, solve_spd
+from .numerics import cholesky_spd, gauss_hermite_nodes, solve_spd
 
 _MAX_ITER = 100
 _GRAD_RTOL = 1e-8
@@ -38,9 +38,8 @@ _VARIANCE_FLOOR = 1e-12
 
 
 def _check_full_rank(design: np.ndarray, what: str) -> None:
-    gram = design.T @ design / design.shape[0]
     try:
-        solve_spd(gram, np.zeros(gram.shape[0]))
+        cholesky_spd(design.T @ design / design.shape[0])
     except SingularMatrix as exc:
         raise RankDeficientDesign(f"{what} design is rank deficient: {exc}") from exc
 
@@ -390,11 +389,6 @@ class LocationFit:
     def n(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def residual_pairs(self) -> list[tuple[int, float]]:
-        """Residuals as (row index, value) pairs over complete cases."""
-        return [(int(i), float(r)) for i, r in zip(self.complete_idx, self.residuals)]
-
     def residual_second_moment(self) -> float:
         """Mean squared complete-case residual (estimates Var(eps | D=1))."""
         return float(np.mean(self.residuals**2))
@@ -410,17 +404,7 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
         )
     g = design_matrix(mean_basis, data.x[complete])
     _check_full_rank(g, "location")
-    theta = solve_spd(g.T @ g, g.T @ data.y_complete)
-    g_all = design_matrix(mean_basis, data.x)
-    mu = g_all @ theta
-    return LocationFit(
-        theta_hat=theta,
-        mean_basis=mean_basis,
-        design_all=g_all,
-        mu=mu,
-        residuals=data.y_complete - mu[complete],
-        complete_idx=complete,
-    )
+    return location_fit_at(data, mean_basis, solve_spd(g.T @ g, g.T @ data.y_complete))
 
 
 def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:

@@ -128,7 +128,3 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.Philox(seq))
 
-
-def standard_normals(stream: RngStream, n: int) -> np.ndarray:
-    """First ``n`` standard normal draws of ``stream``."""
-    return stream.generator().standard_normal(n)

@@ -13,6 +13,7 @@ averages; the standardized statistic is compared to the standard normal.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,6 @@ from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
 from .model import LocationFit, ParametricOutcomeFit, PropensityFit
 from .numerics import normal_cdf, normal_quantile, quad_form_inv, solve_spd
-
-_REL_TOL = 1e-12
 
 
 def _check_same_data(data: Dataset, *fits) -> None:
@@ -49,7 +48,7 @@ class VarianceComponentsS1:
     variant = "S1"
 
     def assemble(self) -> float:
-        """Recompute sigma^2 from the stored components."""
+        """Compute sigma^2 from the stored components."""
         return (
             self.A2_hat
             + self.B2_hat
@@ -89,15 +88,14 @@ class VarianceComponentsS2:
 
     variant = "S2"
 
+    def _projected(self) -> float:
+        """A2 + B4 - A1' A^{-1} A1, shared by every S2 quantity below."""
+        return self.A2_hat + self.B4_hat - quad_form_inv(self.A_hat, self.A1_hat)
+
     def assemble(self) -> float:
+        """Compute sigma^2 from the stored components."""
         z = solve_spd(self.C1_hat, self.B3_hat)
-        return (
-            self.A2_hat
-            + self.B4_hat
-            - quad_form_inv(self.A_hat, self.A1_hat)
-            + float(z @ self.C2_hat @ z)
-            - 2.0 * float(z @ self.C3_hat)
-        )
+        return self._projected() + float(z @ self.C2_hat @ z) - 2.0 * float(z @ self.C3_hat)
 
     def cross_term(self) -> float:
         """The B3' C1^{-1} C3 term entering the local-power shift."""
@@ -105,12 +103,7 @@ class VarianceComponentsS2:
 
     def noncentrality_base(self) -> float:
         """Local-alternative mean shift per unit gamma0."""
-        return (
-            self.A2_hat
-            + self.B4_hat
-            - quad_form_inv(self.A_hat, self.A1_hat)
-            - self.cross_term()
-        )
+        return self._projected() - self.cross_term()
 
     def reduced_sigma_sq(self, residual_variance: float) -> float:
         """Homoskedastic reduction of sigma^2 given Var(eps | D=1).
@@ -118,12 +111,7 @@ class VarianceComponentsS2:
         Valid when the location-model errors are independent of the
         covariates among complete cases; a diagnostic, not the default.
         """
-        return (
-            self.A2_hat
-            + self.B4_hat
-            - quad_form_inv(self.A_hat, self.A1_hat)
-            - quad_form_inv(self.C1_hat, self.B3_hat) * residual_variance
-        )
+        return self._projected() - quad_form_inv(self.C1_hat, self.B3_hat) * residual_variance
 
     def to_dict(self) -> dict:
         return {
@@ -168,28 +156,37 @@ class ScoreTestResult:
         }
 
 
-def score_statistic_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> float:
-    """Score statistic with the parametric outcome model plugged in.
-
-    Complete rows contribute ``(1 - pi) * y``; missing rows contribute
-    ``-pi * E[Y | x]`` under the fitted outcome model.
-    """
-    _check_same_data(data, pf, of)
-    complete = data.complete_idx
+def _score_statistic(data: Dataset, pf: PropensityFit, fit, plug_in: np.ndarray) -> float:
+    """Complete rows contribute ``(1 - pi) * y``; missing rows contribute
+    ``-pi`` times the plug-in conditional mean."""
+    _check_same_data(data, pf, fit)
+    observed_part = float((1.0 - pf.pi[data.complete_idx]) @ data.y_complete)
     missing = data.missing_idx
-    observed_part = float((1.0 - pf.pi[complete]) @ data.y_complete)
-    missing_part = float(pf.pi[missing] @ of.m1[missing])
+    missing_part = float(pf.pi[missing] @ plug_in[missing])
     return observed_part - missing_part
+
+
+def score_statistic_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> float:
+    """Score statistic with the parametric outcome mean ``E[Y | x]`` plugged in."""
+    return _score_statistic(data, pf, of, of.m1)
 
 
 def score_statistic_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> float:
     """Score statistic with the least-squares location model plugged in."""
-    _check_same_data(data, pf, lf)
-    complete = data.complete_idx
-    missing = data.missing_idx
-    observed_part = float((1.0 - pf.pi[complete]) @ data.y_complete)
-    missing_part = float(pf.pi[missing] @ lf.mu[missing])
-    return observed_part - missing_part
+    return _score_statistic(data, pf, lf, lf.mu)
+
+
+def _checked(components):
+    """Store the assembled sigma^2 in ``components``; raise if it is not positive."""
+    sigma_sq = components.assemble()
+    components = dataclasses.replace(components, sigma_sq_hat=float(sigma_sq))
+    if not sigma_sq > 0.0:
+        raise NegativeVariance(
+            f"assembled {components.variant} variance {sigma_sq:.6e} is not positive; "
+            "model misuse or violated regularity conditions",
+            components=components,
+        )
+    return components
 
 
 def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> VarianceComponentsS1:
@@ -202,16 +199,9 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     """
     _check_same_data(data, pf, of)
     n = data.n
-    x = pf.design
     pi = pf.pi
     m1 = of.m1
-    m2 = of.m2
     w = pi * (1.0 - pi)
-
-    a_hat = x.T @ (x * w[:, None]) / n
-    a1_hat = x.T @ (w * m1) / n
-    a2_hat = float(np.sum(pi * (1.0 - pi) ** 2 * m2) / n)
-    b2_hat = float(np.sum(pi**2 * (1.0 - pi) * m1**2) / n)
 
     bm = of.mean_design_all
     bv = of.logvar_design_all
@@ -221,81 +211,44 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     b_hat = np.zeros((qm + qv, qm + qv))
     b_hat[:qm, :qm] = bm.T @ (bm * (pi / of.var)[:, None]) / n
     b_hat[qm:, qm:] = 0.5 * bv.T @ (bv * pi[:, None]) / n
-    b1_hat = np.concatenate([bm.T @ w / n, np.zeros(qv)])
 
-    sigma_sq = (
-        a2_hat + b2_hat - quad_form_inv(a_hat, a1_hat) - quad_form_inv(b_hat, b1_hat)
-    )
-    components = VarianceComponentsS1(
-        A_hat=a_hat,
+    return _checked(VarianceComponentsS1(
+        A_hat=pf.info_matrix,
         B_hat=b_hat,
-        A1_hat=a1_hat,
-        B1_hat=b1_hat,
-        A2_hat=a2_hat,
-        B2_hat=b2_hat,
-        sigma_sq_hat=float(sigma_sq),
-    )
-    if not sigma_sq > 0.0:
-        raise NegativeVariance(
-            f"assembled S1 variance {sigma_sq:.6e} is not positive; "
-            "model misuse or violated regularity conditions",
-            components=components,
-        )
-    return components
+        A1_hat=pf.design.T @ (w * m1) / n,
+        B1_hat=np.concatenate([bm.T @ w / n, np.zeros(qv)]),
+        A2_hat=float(np.sum(pi * (1.0 - pi) ** 2 * of.m2) / n),
+        B2_hat=float(np.sum(pi**2 * (1.0 - pi) * m1**2) / n),
+        sigma_sq_hat=np.nan,
+    ))
 
 
 def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceComponentsS2:
     """Assemble the S2 variance estimator (heteroskedasticity-robust)."""
     _check_same_data(data, pf, lf)
     n = data.n
-    x = pf.design
     pi = pf.pi
     mu = lf.mu
     g = lf.design_all
     complete = lf.complete_idx
     r2 = lf.residuals**2
     w = pi * (1.0 - pi)
-
-    a_hat = x.T @ (x * w[:, None]) / n
-    a1_hat = x.T @ (w * mu) / n
-    # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
-    a2_hat = float(
-        (np.sum(pi * mu**2 * (1.0 - pi) ** 2) + np.sum((1.0 - pi[complete]) ** 2 * r2)) / n
-    )
-
-    b3_hat = g.T @ w / n
-    b4_hat = float(np.sum(pi**2 * (1.0 - pi) * mu**2) / n)
-    c1_hat = g.T @ (g * pi[:, None]) / n
     gc = g[complete]
-    c2_hat = gc.T @ (gc * r2[:, None]) / n
-    c3_hat = gc.T @ ((1.0 - pi[complete]) * r2) / n
 
-    z = solve_spd(c1_hat, b3_hat)
-    sigma_sq = (
-        a2_hat
-        + b4_hat
-        - quad_form_inv(a_hat, a1_hat)
-        + float(z @ c2_hat @ z)
-        - 2.0 * float(z @ c3_hat)
-    )
-    components = VarianceComponentsS2(
-        A_hat=a_hat,
-        A1_hat=a1_hat,
-        A2_hat=a2_hat,
-        B3_hat=b3_hat,
-        B4_hat=b4_hat,
-        C1_hat=c1_hat,
-        C2_hat=c2_hat,
-        C3_hat=c3_hat,
-        sigma_sq_hat=float(sigma_sq),
-    )
-    if not sigma_sq > 0.0:
-        raise NegativeVariance(
-            f"assembled S2 variance {sigma_sq:.6e} is not positive; "
-            "model misuse or violated regularity conditions",
-            components=components,
-        )
-    return components
+    return _checked(VarianceComponentsS2(
+        A_hat=pf.info_matrix,
+        A1_hat=pf.design.T @ (w * mu) / n,
+        # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
+        A2_hat=float(
+            (np.sum(pi * mu**2 * (1.0 - pi) ** 2) + np.sum((1.0 - pi[complete]) ** 2 * r2)) / n
+        ),
+        B3_hat=g.T @ w / n,
+        B4_hat=float(np.sum(pi**2 * (1.0 - pi) * mu**2) / n),
+        C1_hat=g.T @ (g * pi[:, None]) / n,
+        C2_hat=gc.T @ (gc * r2[:, None]) / n,
+        C3_hat=gc.T @ ((1.0 - pi[complete]) * r2) / n,
+        sigma_sq_hat=np.nan,
+    ))
 
 
 def test_report(statistic: float, components, n: int) -> ScoreTestResult:

@@ -11,14 +11,13 @@ Two generator families:
   quadratic mean and log-linear variance, logistic missingness
   ``pi(beta0 + beta1 * x + gamma * y)``; ``gamma = 0`` is the null.
 
-Replication ``r`` of a study always uses ``stream_id = r``, so results are
-identical under any execution schedule and for any thread count.
+Replication ``r`` of a study always uses ``stream_id = r``, so any single
+replication can be re-run from ``(base_seed, r)`` alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,13 +169,23 @@ def example2_location_basis() -> tuple:
     return (raw(1), square(1))
 
 
-def default_models(cfg) -> tuple[GaussianOutcomeFamily, tuple, tuple | None]:
-    """Outcome family, location basis, and propensity columns for a config."""
+def default_models(cfg, family=None, location_basis=None, propensity_columns=None) -> tuple:
+    """Outcome family, location basis, and propensity columns for a config.
+
+    Each argument left as ``None`` takes the design's default. The Example-1
+    propensity default is ``(1, U)``; Example 2 uses every covariate column.
+    """
     if isinstance(cfg, Example1Config):
-        return example1_family(), example1_location_basis(), example1_propensity_columns()
-    if isinstance(cfg, Example2Config):
-        return example2_family(), example2_location_basis(), None
-    raise TypeError(f"unknown config type {type(cfg).__name__}")
+        family = family or example1_family()
+        location_basis = location_basis or example1_location_basis()
+        if propensity_columns is None:
+            propensity_columns = example1_propensity_columns()
+    elif isinstance(cfg, Example2Config):
+        family = family or example2_family()
+        location_basis = location_basis or example2_location_basis()
+    else:
+        raise TypeError(f"unknown config type {type(cfg).__name__}")
+    return family, location_basis, propensity_columns
 
 
 def generate(cfg, stream: RngStream) -> Dataset:
@@ -264,17 +273,12 @@ class RejectionRateReport:
         return rows
 
 
-_UNSET = object()
-
-
 def run_single_replication(cfg, stream: RngStream, family=None, location_basis=None,
-                           propensity_columns=_UNSET):
+                           propensity_columns=None):
     """Generate one dataset and run both tests; returns the two reports."""
-    default_family, default_basis, default_columns = default_models(cfg)
-    family = family or default_family
-    location_basis = location_basis or default_basis
-    if propensity_columns is _UNSET:
-        propensity_columns = default_columns
+    family, location_basis, propensity_columns = default_models(
+        cfg, family, location_basis, propensity_columns
+    )
     data = generate(cfg, stream)
     pf = fit_propensity_null(data, columns=propensity_columns)
     of = fit_outcome_parametric(data, family)
@@ -289,25 +293,19 @@ def run_rejection_study(
     replications: int,
     alpha: float = 0.05,
     base_seed: int = 0,
-    threads: int = 1,
     family=None,
     location_basis=None,
-    propensity_columns=_UNSET,
+    propensity_columns=None,
     keep_details: bool = False,
 ) -> RejectionRateReport:
     """Estimate empirical rejection rates of both tests over replications.
 
     Replication ``r`` owns stream ``(base_seed, r)``; failed fits are counted
-    and excluded from the denominator. Aggregation is order-independent, so
-    identical inputs give identical reports at any thread count.
+    and excluded from the denominator. Models left as ``None`` take the
+    design defaults of :func:`default_models`.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
-    default_family, default_basis, default_columns = default_models(cfg)
-    family = family or default_family
-    location_basis = location_basis or default_basis
-    if propensity_columns is _UNSET:
-        propensity_columns = default_columns
 
     stat_s1 = np.full(replications, np.nan)
     sig_s1 = np.full(replications, np.nan)
@@ -316,25 +314,16 @@ def run_rejection_study(
     sig_s2 = np.full(replications, np.nan)
     z_s2 = np.full(replications, np.nan)
     failed = np.zeros(replications, dtype=bool)
-
-    def one(r: int) -> None:
+    for r in range(replications):
         try:
             r1, r2 = run_single_replication(
-                cfg, RngStream(base_seed, r), family=family,
-                location_basis=location_basis, propensity_columns=propensity_columns,
+                cfg, RngStream(base_seed, r), family, location_basis, propensity_columns
             )
         except MarscoreError:
             failed[r] = True
-            return
+            continue
         stat_s1[r], sig_s1[r], z_s1[r] = r1.statistic, r1.sigma_sq_hat, r1.z
         stat_s2[r], sig_s2[r], z_s2[r] = r2.statistic, r2.sigma_sq_hat, r2.z
-
-    if threads <= 1:
-        for r in range(replications):
-            one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(replications)))
 
     ok = ~failed
     n_ok = int(ok.sum())
@@ -373,10 +362,9 @@ def power_curve(
     replications: int,
     alpha: float = 0.05,
     base_seed: int = 0,
-    threads: int = 1,
     family=None,
     location_basis=None,
-    propensity_columns=_UNSET,
+    propensity_columns=None,
 ) -> list[RejectionRateReport]:
     """One rejection study per grid value of the departure parameter.
 
@@ -388,40 +376,27 @@ def power_curve(
     if not grid:
         raise ValueError("grid must be nonempty")
     param = "c1" if isinstance(cfg, Example1Config) else "gamma"
-    reports = []
-    for value in grid:
-        point_cfg = dataclasses.replace(cfg, **{param: value})
-        reports.append(
-            run_rejection_study(
-                point_cfg,
-                replications,
-                alpha=alpha,
-                base_seed=base_seed,
-                threads=threads,
-                family=family,
-                location_basis=location_basis,
-                propensity_columns=propensity_columns,
-            )
+    return [
+        run_rejection_study(
+            dataclasses.replace(cfg, **{param: value}),
+            replications,
+            alpha=alpha,
+            base_seed=base_seed,
+            family=family,
+            location_basis=location_basis,
+            propensity_columns=propensity_columns,
         )
-    return reports
+        for value in grid
+    ]
+
+
+_TABLE_COLUMNS = ("variant", "rate", "se", "replications", "fit_failure_count")
 
 
 def power_table(reports) -> list[dict]:
     """Plot-ready rows: (grid value, variant, rate, se) per report."""
-    rows = []
-    for rep in reports:
-        for variant, rate, se in (
-            ("S1", rep.rate_s1, rep.se_s1),
-            ("S2", rep.rate_s2, rep.se_s2),
-        ):
-            rows.append(
-                {
-                    "grid_value": rep.grid_value,
-                    "variant": variant,
-                    "rate": rate,
-                    "se": se,
-                    "replications": rep.replications,
-                    "fit_failure_count": rep.fit_failure_count,
-                }
-            )
-    return rows
+    return [
+        {"grid_value": rep.grid_value, **{k: row[k] for k in _TABLE_COLUMNS}}
+        for rep in reports
+        for row in rep.report_rows()
+    ]

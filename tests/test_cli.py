@@ -134,6 +134,34 @@ class TestTestSubcommand:
         assert err.startswith("error:")
         assert "IoFailure" in err
 
+    def test_non_finite_cell_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y\n0.5,1.0\ninf,2.0\n-0.5,\n", encoding="utf-8")
+        code = main(["test", "--data", str(path), "--outcome", "y", "--covariates", "x"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: NonNumericCell: row 3, column 'x'")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--covariates", "x", "--mean-basis", "1,zz"],
+            ["--covariates", "x", "--variants", "s3"],
+            ["--covariates", "x", "--propensity", "q"],
+            ["--covariates", "x,x"],
+            ["--covariates", "x,y"],
+        ],
+        ids=["undeclared-term", "unknown-variant", "undeclared-propensity",
+             "repeated-covariate", "outcome-as-covariate"],
+    )
+    def test_bad_spec_exits_2(self, tmp_path, capsys, flags):
+        data_path = make_trial_csv(tmp_path, n=50)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["test", "--data", str(data_path), "--outcome", "y", *flags])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_column_exits_1(self, tmp_path, capsys):
         data_path = make_trial_csv(tmp_path)
         code = main([

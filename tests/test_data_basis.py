@@ -2,33 +2,13 @@ import numpy as np
 import pytest
 
 from marscore.basis import design_matrix, intercept, product, raw, square
-from marscore.data import Dataset, ObservedSample
+from marscore.data import Dataset
 
 
 def small_dataset():
     x = np.array([[1.0, 0.5], [1.0, -1.0], [1.0, 2.0], [1.0, 0.0]])
     d = np.array([1, 0, 1, 0])
     return Dataset(x=x, d=d, y_complete=np.array([2.0, -1.0]))
-
-
-class TestObservedSample:
-    def test_roundtrip(self):
-        s = ObservedSample(1, 2.5, np.array([1.0, 3.0]))
-        assert s.y == 2.5
-
-    def test_missing_has_no_outcome(self):
-        with pytest.raises(ValueError):
-            ObservedSample(0, 1.0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            ObservedSample(1, None, np.array([1.0]))
-
-    def test_intercept_enforced(self):
-        with pytest.raises(ValueError):
-            ObservedSample(0, None, np.array([2.0, 1.0]))
-
-    def test_finite_enforced(self):
-        with pytest.raises(ValueError):
-            ObservedSample(1, np.nan, np.array([1.0]))
 
 
 class TestDataset:
@@ -39,22 +19,6 @@ class TestDataset:
         assert data.missing_fraction == 0.5
         assert list(data.complete_idx) == [0, 2]
         assert list(data.missing_idx) == [1, 3]
-
-    def test_samples_iterate_in_order(self):
-        data = small_dataset()
-        rows = list(data.samples())
-        assert [s.d for s in rows] == [1, 0, 1, 0]
-        assert rows[0].y == 2.0 and rows[2].y == -1.0
-        assert rows[1].y is None
-        assert data[2].y == -1.0
-
-    def test_from_samples(self):
-        rows = [
-            ObservedSample(1, 1.0, np.array([1.0, 2.0])),
-            ObservedSample(0, None, np.array([1.0, -1.0])),
-        ]
-        data = Dataset.from_samples(rows)
-        assert data.n == 2 and data.y_complete.tolist() == [1.0]
 
     def test_from_generated_erases_missing(self):
         x = np.column_stack([np.ones(3), np.arange(3.0)])
@@ -107,8 +71,3 @@ class TestBasis:
         with pytest.raises(ValueError):
             BasisTerm("cubic", 1)
 
-    def test_labels(self):
-        assert intercept().label() == "1"
-        assert raw(1).label(["", "u"]) == "u"
-        assert square(1).label(["", "u"]) == "u^2"
-        assert product(1, 2).label(["", "u", "z"]) == "u*z"

@@ -82,6 +82,22 @@ class TestReadCsv:
         with pytest.raises(NonNumericCell, match="'y'"):
             read_csv(path, SPEC)
 
+    @pytest.mark.parametrize(
+        "line, where",
+        [
+            ("nan,0.1,0.2", "row 3, column 'y'"),
+            ("1.0,inf,0.2", "row 3, column 'u'"),
+            ("1.0,0.1,-inf", "row 3, column 'z'"),
+            ("1.0,NaN,-Infinity", "row 3, column 'u'"),
+        ],
+        ids=["nan-outcome", "inf-covariate", "minus-inf-covariate", "first-of-two"],
+    )
+    def test_non_finite_cell_is_non_numeric(self, tmp_path, line, where):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["y,u,z", "1.0,0.1,0.2", line])
+        with pytest.raises(NonNumericCell, match=f"{where}: .* is not a finite number"):
+            read_csv(path, SPEC)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
         write_lines(path, ["y,u", "1.0,0.1"])
@@ -273,6 +289,20 @@ class TestRunConfiguredTests:
         for r in records:
             assert 0.0 <= r.result.p_value <= 1.0
             assert r.result.n == 600
+
+    def test_diagnostics_keys_in_order(self, tmp_path):
+        path = self.build_csv(tmp_path)
+        spec = ColumnSpec(
+            outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2")
+        )
+        config = RunConfig(columns=spec, variants=("s2", "s1"), alpha=0.05)
+        records = run_configured_tests(read_csv(path, spec), config)
+        propensity = ["propensity_converged", "propensity_iterations", "beta_hat"]
+        assert [r.result.variant for r in records] == ["S1", "S2"]
+        assert list(records[0].diagnostics) == propensity + [
+            "outcome_converged", "outcome_iterations", "xi_hat"
+        ]
+        assert list(records[1].diagnostics) == propensity + ["theta_hat"]
 
     def test_variant_subset(self, tmp_path):
         path = self.build_csv(tmp_path)

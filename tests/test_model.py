@@ -192,7 +192,6 @@ class TestFitLocation:
         fit = fit_location(data, (raw(1),))
         assert fit.theta_hat[0] == pytest.approx(3.0, abs=1e-12)
         assert np.max(np.abs(fit.residuals)) < 1e-12
-        assert fit.residual_pairs[0][0] == 0
 
     def test_example1_mar_recovers_mean(self):
         cfg = Example1Config(n=100_000, b_z=0.5, c1=0.0, c2=0.5)

@@ -10,7 +10,6 @@ from marscore.numerics import (
     normal_cdf,
     normal_quantile,
     solve_spd,
-    standard_normals,
 )
 from tests.oracles import gaussian_moment
 
@@ -136,22 +135,22 @@ class TestGaussHermite:
 
 class TestRngStream:
     def test_deterministic(self):
-        a = standard_normals(RngStream(1, 0), 3)
-        b = standard_normals(RngStream(1, 0), 3)
+        a = RngStream(1, 0).generator().standard_normal(3)
+        b = RngStream(1, 0).generator().standard_normal(3)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = standard_normals(RngStream(1, 0), 8)
-        b = standard_normals(RngStream(1, 1), 8)
+        a = RngStream(1, 0).generator().standard_normal(8)
+        b = RngStream(1, 1).generator().standard_normal(8)
         assert not np.array_equal(a, b)
 
     def test_cross_stream_correlation(self):
-        a = standard_normals(RngStream(1, 0), 100_000)
-        b = standard_normals(RngStream(1, 1), 100_000)
+        a = RngStream(1, 0).generator().standard_normal(100_000)
+        b = RngStream(1, 1).generator().standard_normal(100_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
     def test_moments(self):
-        draws = standard_normals(RngStream(123, 7), 1_000_000)
+        draws = RngStream(123, 7).generator().standard_normal(1_000_000)
         assert abs(draws.mean()) < 0.005
         assert abs(draws.var() - 1.0) < 0.01
 

@@ -96,16 +96,14 @@ class TestExample2Generator:
 
 
 class TestRejectionStudy:
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_runs(self):
         cfg = Example2Config(n=300, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0, gamma=0.0)
-        serial = run_rejection_study(cfg, 40, base_seed=7, threads=1, keep_details=True)
-        threaded = run_rejection_study(cfg, 40, base_seed=7, threads=4, keep_details=True)
-        assert serial.to_dict() == threaded.to_dict()
+        first = run_rejection_study(cfg, 40, base_seed=7, keep_details=True)
+        second = run_rejection_study(cfg, 40, base_seed=7, keep_details=True)
+        assert first.to_dict() == second.to_dict()
+        assert np.array_equal(first.details.stat_s1, second.details.stat_s1, equal_nan=True)
         assert np.array_equal(
-            serial.details.stat_s1, threaded.details.stat_s1, equal_nan=True
-        )
-        assert np.array_equal(
-            serial.details.sigma_sq_s2, threaded.details.sigma_sq_s2, equal_nan=True
+            first.details.sigma_sq_s2, second.details.sigma_sq_s2, equal_nan=True
         )
 
     def test_matches_single_replications(self):
@@ -156,6 +154,14 @@ class TestPowerCurve:
         rows = power_table(curve)
         assert len(rows) == 4
         assert {r["variant"] for r in rows} == {"S1", "S2"}
+        keys = ("variant", "rate", "se", "replications", "fit_failure_count")
+        projected = [
+            {"grid_value": rep.grid_value, **{k: row[k] for k in keys}}
+            for rep in curve
+            for row in rep.report_rows()
+        ]
+        assert rows == projected
+        assert list(rows[0]) == ["grid_value", *keys]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
