@@ -22,7 +22,6 @@ from .exceptions import (
     NegativeVariance,
     NoConvergence,
     NonNumericCell,
-    OrderOutOfRange,
     RankDeficientDesign,
     Separation,
     SingularMatrix,
@@ -48,11 +47,9 @@ from .model import (
     location_fit_at,
     outcome_fit_at,
     outcome_moment_gradients,
-    outcome_moments,
 )
 from .numerics import (
     RngStream,
-    gauss_hermite_nodes,
     normal_cdf,
     normal_quantile,
     solve_spd,

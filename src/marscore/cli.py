@@ -183,9 +183,7 @@ def _cmd_test(args, parser) -> int:
             mean_basis_spec=args.mean_basis,
             logvar_basis_spec=args.logvar_basis,
         )
-        config = RunConfig(
-            columns=columns, variants=args.variants, alpha=args.alpha, group_by=args.group_by
-        )
+        config = RunConfig(columns=columns, variants=args.variants, group_by=args.group_by)
     except ValueError as exc:
         parser.error(str(exc))
     keep = (args.group_by,) if args.group_by else ()

@@ -14,10 +14,6 @@ class SingularMatrix(MarscoreError):
     """A matrix that must be positive definite failed factorization."""
 
 
-class OrderOutOfRange(MarscoreError):
-    """Quadrature order outside the supported range."""
-
-
 class RankDeficientDesign(MarscoreError):
     """A design matrix does not have full column rank (or too few rows)."""
 

@@ -20,7 +20,6 @@ from .basis import BasisTerm, intercept, product, raw, square
 from .data import Dataset
 from .exceptions import (
     EmptyDataset,
-    InvalidAlpha,
     IoFailure,
     MissingColumn,
     MissingCovariate,
@@ -127,12 +126,9 @@ class RunConfig:
 
     columns: ColumnSpec
     variants: tuple = ("S1", "S2")
-    alpha: float = 0.05
     group_by: str | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidAlpha(f"alpha must be in (0, 1), got {self.alpha}")
         variants = tuple(v.upper() for v in self.variants)
         if not variants or any(v not in ("S1", "S2") for v in variants):
             raise ValueError(f"variants must be a nonempty subset of S1/S2, got {self.variants}")

@@ -9,12 +9,12 @@ Three fits, all requiring estimation only under the missing-at-random null:
 * :func:`fit_location` — least-squares mean model on complete cases.
 
 The Gaussian family exposes closed-form conditional moments and the
-moment/information gradients the plug-in variance estimators need; a
-Gauss-Hermite fallback covers families without closed forms.
+moment/information gradients the plug-in variance estimators need.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +29,53 @@ from .exceptions import (
     Separation,
     SingularMatrix,
 )
-from .numerics import cholesky_spd, gauss_hermite_nodes, solve_spd
+from .numerics import cholesky_spd, solve_spd
 
 _MAX_ITER = 100
 _GRAD_RTOL = 1e-8
 _SEPARATION_BOUND = 30.0
 _VARIANCE_FLOOR = 1e-12
+_HALVINGS = 30
+# Rounding noise of a summed log-likelihood, in ulps of its magnitude; a
+# predicted Newton gain below it cannot be confirmed by comparing values.
+_NOISE_ULPS = 256
 
 
-def _check_full_rank(design: np.ndarray, what: str) -> None:
+@contextmanager
+def _rank_verdict(what: str):
+    """Report a singular Gram matrix as rank deficiency of the ``what`` design."""
     try:
-        cholesky_spd(design.T @ design / design.shape[0])
+        yield
     except SingularMatrix as exc:
         raise RankDeficientDesign(f"{what} design is rank deficient: {exc}") from exc
+
+
+def _halving_search(what: str, x, step, grad, loglik: float, evaluate):
+    """Step-halving search along the Newton ``step`` at ``x``.
+
+    ``evaluate(cand)`` returns ``(loglik_cand, extra)``; the first of 30
+    halvings whose log-likelihood is at least ``loglik`` is returned as
+    ``(cand, loglik_cand, extra)``. The test is non-strict: near the optimum
+    the Newton gain is below float resolution while the gradient still
+    collapses. A trial that overflows is rejected through its -inf
+    log-likelihood, so overflow is not reported.
+
+    If every halving fails and the predicted gain ``grad @ step / 2`` is
+    within the rounding noise of ``loglik``, the comparisons were noise and
+    the full step is taken; otherwise the search raises ``NoConvergence``.
+    """
+    with np.errstate(over="ignore"):
+        scale = 1.0
+        for _ in range(_HALVINGS):
+            cand = x + scale * step
+            loglik_cand, extra = evaluate(cand)
+            if loglik_cand >= loglik:
+                return cand, loglik_cand, extra
+            scale *= 0.5
+        if 0.5 * (grad @ step) <= _NOISE_ULPS * np.spacing(abs(loglik)):
+            cand = x + step
+            return (cand, *evaluate(cand))
+    raise NoConvergence(f"{what} line search stalled before reaching gradient tolerance")
 
 
 def _loglik_bernoulli(eta: np.ndarray, d: np.ndarray) -> float:
@@ -59,7 +93,6 @@ class PropensityFit:
     converged: bool
     pi: np.ndarray  # fitted observation probabilities, all rows
     design: np.ndarray  # propensity design, all rows
-    columns: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -89,10 +122,8 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     """
     if columns is None:
         design = data.x
-        columns_out = None
     else:
-        columns_out = tuple(int(c) for c in columns)
-        design = np.ascontiguousarray(data.x[:, columns_out])
+        design = np.ascontiguousarray(data.x[:, [int(c) for c in columns]])
     d = data.d.astype(float)
     n, p = design.shape
     n1 = data.n_complete
@@ -102,7 +133,13 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
             + ("observed" if n1 == n else "missing")
             + "; the null propensity MLE does not exist"
         )
-    _check_full_rank(design, "propensity")
+    # checked before the loop, which can stop before its first solve
+    with _rank_verdict("propensity"):
+        cholesky_spd(design.T @ design / n)
+
+    def evaluate(cand):
+        eta_cand = design @ cand
+        return _loglik_bernoulli(eta_cand, d), eta_cand
 
     beta = np.zeros(p)
     eta = design @ beta
@@ -118,21 +155,7 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         weights = pi * (1.0 - pi)
         hessian = design.T @ (design * weights[:, None])
         step = solve_spd(hessian, grad)
-        scale = 1.0
-        for _ in range(30):
-            cand = beta + scale * step
-            eta_cand = design @ cand
-            loglik_cand = _loglik_bernoulli(eta_cand, d)
-            # non-strict: near the optimum the Newton gain is below float
-            # resolution while the gradient still collapses
-            if loglik_cand >= loglik:
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence(
-                "propensity line search stalled before reaching gradient tolerance"
-            )
-        beta, eta, loglik = cand, eta_cand, loglik_cand
+        beta, loglik, eta = _halving_search("propensity", beta, step, grad, loglik, evaluate)
         pi = expit(eta)
         if np.max(np.abs(beta)) > _SEPARATION_BOUND:
             raise Separation(
@@ -160,7 +183,6 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         converged=True,
         pi=pi,
         design=design,
-        columns=columns_out,
     )
 
 
@@ -206,16 +228,6 @@ class GaussianOutcomeFamily:
     def logvar_design(self, x: np.ndarray) -> np.ndarray:
         return design_matrix(self.logvar_basis, x)
 
-    def density(self, y, x_row: np.ndarray, xi: np.ndarray):
-        """Conditional density f(y | x_row) at the given parameter."""
-        xi_m, xi_v = self.split(xi)
-        row = np.atleast_2d(np.asarray(x_row, dtype=float))
-        m = float(self.mean_design(row)[0] @ xi_m)
-        v = float(np.exp(self.logvar_design(row)[0] @ xi_v))
-        y = np.asarray(y, dtype=float)
-        out = np.exp(-((y - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class ParametricOutcomeFit:
@@ -253,6 +265,27 @@ def _gaussian_loglik(s, r2_over_v, n_complete) -> float:
     return float(-0.5 * (n_complete * np.log(2.0 * np.pi) + s.sum() + r2_over_v.sum()))
 
 
+def _outcome_fit(data, family, xi, bm_all, bv_all, iterations) -> ParametricOutcomeFit:
+    """The family at ``xi``, with moments over the all-row designs."""
+    xi_m, xi_v = family.split(xi)
+    m1 = bm_all @ xi_m
+    var = np.exp(bv_all @ xi_v)
+    complete = data.complete_idx
+    r = data.y_complete - m1[complete]
+    loglik = _gaussian_loglik(np.log(var[complete]), r * r / var[complete], complete.size)
+    return ParametricOutcomeFit(
+        family=family,
+        xi_hat=xi,
+        loglik=loglik,
+        converged=True,
+        iterations=iterations,
+        mean_design_all=bm_all,
+        logvar_design_all=bv_all,
+        m1=m1,
+        var=var,
+    )
+
+
 def outcome_fit_at(data: Dataset, family: GaussianOutcomeFamily, xi) -> ParametricOutcomeFit:
     """Evaluate the family at a given parameter without optimizing.
 
@@ -260,26 +293,9 @@ def outcome_fit_at(data: Dataset, family: GaussianOutcomeFamily, xi) -> Parametr
     machinery; the returned fit is marked converged.
     """
     xi = np.asarray(xi, dtype=float)
-    xi_m, xi_v = family.split(xi)
     bm_all = family.mean_design(data.x)
     bv_all = family.logvar_design(data.x)
-    m1 = bm_all @ xi_m
-    var = np.exp(bv_all @ xi_v)
-    complete = data.complete_idx
-    r = data.y_complete - m1[complete]
-    s_c = np.log(var[complete])
-    loglik = _gaussian_loglik(s_c, r * r / var[complete], complete.size)
-    return ParametricOutcomeFit(
-        family=family,
-        xi_hat=xi,
-        loglik=loglik,
-        converged=True,
-        iterations=0,
-        mean_design_all=bm_all,
-        logvar_design_all=bv_all,
-        m1=m1,
-        var=var,
-    )
+    return _outcome_fit(data, family, xi, bm_all, bv_all, iterations=0)
 
 
 def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> ParametricOutcomeFit:
@@ -295,24 +311,21 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         raise RankDeficientDesign(
             f"need at least dim_xi + 1 = {family.dim_xi + 1} complete cases, have {nc}"
         )
-    xc = data.x[complete]
     yc = data.y_complete
-    bm = family.mean_design(xc)
-    bv = family.logvar_design(xc)
     bm_all = family.mean_design(data.x)
     bv_all = family.logvar_design(data.x)
-    _check_full_rank(bm, "outcome mean")
-    _check_full_rank(bv, "outcome log-variance")
+    bm = bm_all[complete]
+    bv = bv_all[complete]
+    tol = _GRAD_RTOL * data.n
 
-    n = data.n
-    tol = _GRAD_RTOL * n
-
-    xi_m = solve_spd(bm.T @ bm, bm.T @ yc)
+    with _rank_verdict("outcome mean"):
+        xi_m = solve_spd(bm.T @ bm, bm.T @ yc)
     r = yc - bm @ xi_m
     s2 = float(np.mean(r * r))
     # project log residual variance onto the log-variance basis as a start
     target = np.log(max(s2, 1e-300))
-    xi_v = solve_spd(bv.T @ bv, bv.T @ np.full(nc, target))
+    with _rank_verdict("outcome log-variance"):
+        xi_v = solve_spd(bv.T @ bv, bv.T @ np.full(nc, target))
 
     def _floor_check(xi_v_cand):
         s_all = bv_all @ xi_v_cand
@@ -322,6 +335,12 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                 mean_coef=xi_m.copy(),
                 row=int(np.argmin(s_all)),
             )
+
+    def evaluate(cand_v):
+        # profile log-likelihood in xi_v at the current mean residuals r
+        s_cand = bv @ cand_v
+        u_cand = r * r * np.exp(-s_cand)
+        return _gaussian_loglik(s_cand, u_cand, nc), (s_cand, u_cand)
 
     _floor_check(xi_v)
     s_c = bv @ xi_v
@@ -338,16 +357,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         hess_v = 0.5 * bv.T @ (bv * u[:, None])
         step = solve_spd(hess_v, grad_v)
         loglik = _gaussian_loglik(s_c, u, nc)
-        scale = 1.0
-        for _ in range(30):
-            cand_v = xi_v + scale * step
-            s_cand = bv @ cand_v
-            u_cand = r * r * np.exp(-s_cand)
-            loglik_cand = _gaussian_loglik(s_cand, u_cand, nc)
-            if loglik_cand >= loglik:
-                break
-            scale *= 0.5
-        xi_v, s_c, u = cand_v, s_cand, u_cand
+        xi_v, _, (s_c, u) = _halving_search("outcome", xi_v, step, grad_v, loglik, evaluate)
         _floor_check(xi_v)
 
         grad_m = bm.T @ (r * np.exp(-s_c))
@@ -357,21 +367,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     else:
         raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
 
-    xi = np.concatenate([xi_m, xi_v])
-    m1 = bm_all @ xi[: family.dim_mean]
-    var = np.exp(bv_all @ xi[family.dim_mean :])
-    loglik = _gaussian_loglik(s_c, u, nc)
-    return ParametricOutcomeFit(
-        family=family,
-        xi_hat=xi,
-        loglik=loglik,
-        converged=True,
-        iterations=iterations,
-        mean_design_all=bm_all,
-        logvar_design_all=bv_all,
-        m1=m1,
-        var=var,
-    )
+    return _outcome_fit(data, family, np.concatenate([xi_m, xi_v]), bm_all, bv_all, iterations)
 
 
 @dataclass(frozen=True)
@@ -403,8 +399,9 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
             f"need at least {len(mean_basis) + 1} complete cases, have {complete.size}"
         )
     g = design_matrix(mean_basis, data.x[complete])
-    _check_full_rank(g, "location")
-    return location_fit_at(data, mean_basis, solve_spd(g.T @ g, g.T @ data.y_complete))
+    with _rank_verdict("location"):
+        theta = solve_spd(g.T @ g, g.T @ data.y_complete)
+    return location_fit_at(data, mean_basis, theta)
 
 
 def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:
@@ -422,31 +419,6 @@ def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:
         residuals=data.y_complete - mu[complete],
         complete_idx=complete,
     )
-
-
-def outcome_moments(fit: ParametricOutcomeFit, x, method: str = "closed", order: int = 30):
-    """First and second conditional moments of the outcome at covariate ``x``.
-
-    ``method="closed"`` uses the Gaussian closed forms; ``"quadrature"``
-    integrates the family density by Gauss-Hermite (the path a registered
-    non-Gaussian family would take).
-    """
-    row = np.atleast_2d(np.asarray(x, dtype=float))
-    xi_m, xi_v = fit.family.split(fit.xi_hat)
-    m = float(fit.family.mean_design(row)[0] @ xi_m)
-    v = float(np.exp(fit.family.logvar_design(row)[0] @ xi_v))
-    if method == "closed":
-        return m, m * m + v
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    nodes, weights = gauss_hermite_nodes(order)
-    sigma = np.sqrt(v)
-    y = m + np.sqrt(2.0) * sigma * nodes
-    dens = fit.family.density(y, row[0], fit.xi_hat)
-    total_w = weights * np.exp(nodes * nodes) * np.sqrt(2.0) * sigma
-    m1 = float(np.sum(total_w * y * dens))
-    m2 = float(np.sum(total_w * y * y * dens))
-    return m1, m2
 
 
 def outcome_moment_gradients(fit: ParametricOutcomeFit, x):

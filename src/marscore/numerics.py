@@ -1,5 +1,5 @@
-"""Numerical substrate: small SPD linear algebra, normal CDF, Gauss-Hermite
-quadrature, and reproducible random streams.
+"""Numerical substrate: small SPD linear algebra, normal CDF, and
+reproducible random streams.
 
 Everything here is a pure function of its inputs. Streams are counter-based
 (Philox keyed by ``(seed, stream_id)``), so replication ``r`` of a Monte Carlo
@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import solve_triangular
 from scipy.special import erfc, ndtri
 
-from .exceptions import OrderOutOfRange, SingularMatrix
+from .exceptions import SingularMatrix
 
 # Relative pivot floor for Cholesky; below this the matrix is treated as
 # singular rather than silently factored.
@@ -89,20 +88,6 @@ def normal_quantile(p):
     p = np.asarray(p, dtype=float)
     out = ndtri(p)
     return float(out) if out.ndim == 0 else out
-
-
-def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the weight function ``exp(-t**2)`` on the line.
-
-    The rule is exact for polynomials of degree ``2 * order - 1``; weights
-    sum to ``sqrt(pi)``.
-    """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise OrderOutOfRange(f"order must be an integer, got {order!r}")
-    if order < 1 or order > 200:
-        raise OrderOutOfRange(f"order must be in [1, 200], got {order}")
-    nodes, weights = hermgauss(int(order))
-    return nodes, weights
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, log_expit
 
-from marscore.numerics import gauss_hermite_nodes
+from marscore.model import outcome_fit_at
 
 
 def observed_loglik(data, pf, of, gamma, order=60):
@@ -23,7 +24,7 @@ def observed_loglik(data, pf, of, gamma, order=60):
     rows contribute log of the quadrature-evaluated integral
     int {1 - pi(x'b + gamma y)} f(y | x) dy.
     """
-    nodes, weights = gauss_hermite_nodes(order)
+    nodes, weights = hermgauss(order)
     eta = pf.design @ pf.beta_hat
     complete, missing = data.complete_idx, data.missing_idx
     y = data.y_complete
@@ -54,18 +55,43 @@ def gaussian_moment(j: int) -> float:
     return math.sqrt(math.pi) * math.factorial(2 * m) / (math.factorial(m) * 4**m)
 
 
+def gaussian_density(family, y, x_row, xi):
+    """Conditional density f(y | x_row) of a Gaussian outcome family at xi,
+    for an array of outcomes y."""
+    xi_m, xi_v = family.split(xi)
+    row = np.atleast_2d(np.asarray(x_row, dtype=float))
+    m = float(family.mean_design(row)[0] @ xi_m)
+    v = float(np.exp(family.logvar_design(row)[0] @ xi_v))
+    return np.exp(-((y - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
+
+
+def quadrature_moments(fit, x, order=30):
+    """First and second conditional moments of the outcome at covariate x,
+    by Gauss-Hermite integration of the family density (no closed forms)."""
+    row = np.atleast_2d(np.asarray(x, dtype=float))
+    xi_m, xi_v = fit.family.split(fit.xi_hat)
+    m = float(fit.family.mean_design(row)[0] @ xi_m)
+    v = float(np.exp(fit.family.logvar_design(row)[0] @ xi_v))
+    nodes, weights = hermgauss(order)
+    sigma = np.sqrt(v)
+    y = m + np.sqrt(2.0) * sigma * nodes
+    dens = gaussian_density(fit.family, y, row[0], fit.xi_hat)
+    total_w = weights * np.exp(nodes * nodes) * np.sqrt(2.0) * sigma
+    m1 = float(np.sum(total_w * y * dens))
+    m2 = float(np.sum(total_w * y * y * dens))
+    return m1, m2
+
+
 def fd_mean_gradient(family, data, xi, x, step=1e-5, order=30):
     """Finite-difference gradient of int y f(y|x, xi) dy in xi, with the
     integral evaluated by quadrature at each perturbed parameter."""
-    from marscore.model import outcome_fit_at, outcome_moments
-
     xi = np.asarray(xi, dtype=float)
     grad = np.zeros(xi.size)
     for j in range(xi.size):
         bump = np.zeros(xi.size)
         bump[j] = step
-        up = outcome_moments(outcome_fit_at(data, family, xi + bump), x, method="quadrature", order=order)[0]
-        down = outcome_moments(outcome_fit_at(data, family, xi - bump), x, method="quadrature", order=order)[0]
+        up = quadrature_moments(outcome_fit_at(data, family, xi + bump), x, order=order)[0]
+        down = quadrature_moments(outcome_fit_at(data, family, xi - bump), x, order=order)[0]
         grad[j] = (up - down) / (2.0 * step)
     return grad
 
@@ -78,11 +104,11 @@ def fd_integrated_hessian(family, xi, x, step=1e-4, order=40):
     xi_m, xi_v = family.split(xi)
     m = float(family.mean_design(row)[0] @ xi_m)
     v = float(np.exp(family.logvar_design(row)[0] @ xi_v))
-    nodes, weights = gauss_hermite_nodes(order)
+    nodes, weights = hermgauss(order)
     yy = m + np.sqrt(2.0 * v) * nodes
 
     def integrated_logdensity(xi_prime):
-        dens = family.density(yy, row[0], xi_prime)
+        dens = gaussian_density(family, yy, row[0], xi_prime)
         return float(weights @ np.log(dens) / np.sqrt(np.pi))
 
     q = xi.size
@@ -116,7 +142,7 @@ def example2_population_components(xi_true, beta0, beta1, order=100):
     of ``variance_s1(...).sigma_sq_hat``, ``variance_s2(...).sigma_sq_hat``
     and ``variance_s2(...).noncentrality_base()``.
     """
-    nodes, weights = gauss_hermite_nodes(order)
+    nodes, weights = hermgauss(order)
     x = math.sqrt(2.0) * nodes
     prob = weights / math.sqrt(math.pi)
 

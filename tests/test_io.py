@@ -280,7 +280,7 @@ class TestRunConfiguredTests:
             mean_basis_spec=("x", "x^2"),
             logvar_basis_spec=("1", "x"),
         )
-        config = RunConfig(columns=spec, variants=("s1", "s2"), alpha=0.05, group_by="arm")
+        config = RunConfig(columns=spec, variants=("s1", "s2"), group_by="arm")
         data = read_csv(path, spec, keep_columns=("arm",))
         records = run_configured_tests(data, config)
         assert len(records) == 4  # 2 groups x 2 variants
@@ -295,7 +295,7 @@ class TestRunConfiguredTests:
         spec = ColumnSpec(
             outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2")
         )
-        config = RunConfig(columns=spec, variants=("s2", "s1"), alpha=0.05)
+        config = RunConfig(columns=spec, variants=("s2", "s1"))
         records = run_configured_tests(read_csv(path, spec), config)
         propensity = ["propensity_converged", "propensity_iterations", "beta_hat"]
         assert [r.result.variant for r in records] == ["S1", "S2"]
@@ -309,14 +309,7 @@ class TestRunConfiguredTests:
         spec = ColumnSpec(
             outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2")
         )
-        config = RunConfig(columns=spec, variants=("s2",), alpha=0.05)
+        config = RunConfig(columns=spec, variants=("s2",))
         data = read_csv(path, spec)
         records = run_configured_tests(data, config)
         assert [r.result.variant for r in records] == ["S2"]
-
-    def test_alpha_validated(self):
-        spec = ColumnSpec(outcome_column="y", covariate_columns=("x",))
-        from marscore.exceptions import InvalidAlpha
-
-        with pytest.raises(InvalidAlpha):
-            RunConfig(columns=spec, alpha=1.5)

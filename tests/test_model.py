@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import expit, logit
 
+import marscore
 from marscore.basis import intercept, raw, square
 from marscore.data import Dataset
 from marscore.exceptions import (
@@ -18,7 +24,6 @@ from marscore.model import (
     location_fit_at,
     outcome_fit_at,
     outcome_moment_gradients,
-    outcome_moments,
 )
 from marscore.numerics import RngStream, solve_spd
 from marscore.sim import (
@@ -30,7 +35,7 @@ from marscore.sim import (
     generate_example1,
     generate_example2,
 )
-from tests.oracles import fd_integrated_hessian, fd_mean_gradient
+from tests.oracles import fd_integrated_hessian, fd_mean_gradient, quadrature_moments
 
 GRAD_RTOL = 1e-8
 
@@ -98,6 +103,34 @@ class TestFitPropensityNull:
         data = dataset_from_full([x, 2 * x], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0])
         with pytest.raises(RankDeficientDesign):
             fit_propensity_null(data)
+
+    def test_collinear_design_with_zero_start_gradient_raises(self):
+        # the gradient at beta = 0 is exactly zero, so Newton stops before any solve
+        x = np.array([1.0, 1.0, 2.0, 2.0])
+        data = dataset_from_full([x, 2 * x], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0])
+        with pytest.raises(RankDeficientDesign):
+            fit_propensity_null(data)
+
+    def test_rounding_noise_stall_converges_with_one_blas_thread(self):
+        # Near the optimum the full step's predicted gain (about 4e-11) lies below
+        # the rounding noise of this 100 000-term log-likelihood, and with one
+        # BLAS thread every halving compares worse; the fit must still converge.
+        script = (
+            "from marscore.model import fit_propensity_null\n"
+            "from marscore.numerics import RngStream\n"
+            "from marscore.sim import Example1Config, generate_example1\n"
+            "data = generate_example1(Example1Config(n=100_000, b_z=0.5, c2=0.25), RngStream(2, 0))\n"
+            "fit = fit_propensity_null(data, columns=(0, 1))\n"
+            "grad = fit.design.T @ (data.d - fit.pi)\n"
+            "print(abs(grad).max() <= 1e-8 * data.n)\n"
+        )
+        src = str(Path(marscore.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "True"
 
     def test_column_subset(self):
         rng = np.random.default_rng(4)
@@ -184,6 +217,18 @@ class TestFitOutcomeParametric:
         with pytest.raises(RankDeficientDesign):
             fit_outcome_parametric(data, homoskedastic_family())
 
+    @pytest.mark.parametrize("mean_basis, logvar_basis, what", [
+        ((intercept(), raw(1), raw(2)), (intercept(),), "outcome mean"),
+        ((intercept(), raw(1)), (intercept(), raw(1), raw(2)), "outcome log-variance"),
+    ], ids=["mean", "log-variance"])
+    def test_collinear_terms_raise(self, mean_basis, logvar_basis, what):
+        x = np.array([-1.0, -0.5, 0.2, 0.7, 1.1, 1.6, 0.4, -0.3])
+        y = np.array([0.3, -1.2, 0.8, 2.0, -0.4, 1.1, 0.0, 0.0])
+        data = dataset_from_full([x, 2 * x], [1] * 6 + [0, 0], y)
+        family = GaussianOutcomeFamily(mean_basis, logvar_basis)
+        with pytest.raises(RankDeficientDesign, match=what):
+            fit_outcome_parametric(data, family)
+
 
 class TestFitLocation:
     def test_exact_fit(self):
@@ -232,24 +277,22 @@ def synthetic_fit(xi, family=None, x_value=0.7):
 class TestOutcomeMoments:
     def test_standard_normal(self):
         fit = synthetic_fit([0.0, 0.0])
-        assert outcome_moments(fit, np.array([1.0])) == (0.0, 1.0)
+        assert (fit.m1[0], fit.m2[0]) == (0.0, 1.0)
 
     def test_mean_two_var_three(self):
         fit = synthetic_fit([2.0, np.log(3.0)])
-        m1, m2 = outcome_moments(fit, np.array([1.0]))
-        assert m1 == pytest.approx(2.0)
-        assert m2 == pytest.approx(7.0)
+        assert fit.m1[0] == pytest.approx(2.0)
+        assert fit.m2[0] == pytest.approx(7.0)
 
     def test_quadrature_matches_closed_form(self):
         rng = np.random.default_rng(8)
         family = GaussianOutcomeFamily((raw(1), square(1)), (intercept(), raw(1)))
-        data = dataset_from_full([[0.3]], [1], [0.1])
         for _ in range(20):
             xi = np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.5, 2)])
             x = np.array([1.0, rng.normal()])
-            fit = outcome_fit_at(data, family, xi)
-            closed = outcome_moments(fit, x)
-            quad = outcome_moments(fit, x, method="quadrature", order=30)
+            fit = outcome_fit_at(dataset_from_full([[x[1]]], [1], [0.1]), family, xi)
+            closed = fit.m1[0], fit.m2[0]
+            quad = quadrature_moments(fit, x, order=30)
             assert quad[0] == pytest.approx(closed[0], abs=1e-10 * (1 + abs(closed[0])))
             assert quad[1] == pytest.approx(closed[1], abs=1e-10 * (1 + abs(closed[1])))
 

@@ -1,8 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
+from marscore.exceptions import DegenerateVariance
 from marscore.numerics import RngStream, normal_cdf
 from marscore.sim import (
     Example1Config,
@@ -128,6 +130,14 @@ class TestRejectionStudy:
         assert not report.failure_warning
         flagged = dataclasses.replace(report, fit_failure_count=1)
         assert flagged.failure_warning
+
+    def test_overflowing_trial_step_is_silent(self):
+        # a trial of the outcome fit's variance search overflows exp(-s); it is
+        # rejected through its -inf log-likelihood, and the fit then fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateVariance):
+                run_single_replication(Example2Config(n=15), RngStream(2, 1441))
 
     def test_example1_null_z_rarely_outside_4(self):
         cfg = Example1Config(n=1000, b_z=0.5, c1=0.0, c2=0.25)
