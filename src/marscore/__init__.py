@@ -28,6 +28,7 @@ from .exceptions import (
 )
 from .io import (
     ColumnSpec,
+    GroupTestFailure,
     GroupTestRecord,
     RunConfig,
     group_by,
@@ -72,7 +73,6 @@ from .sim import (
     generate_example1,
     generate_example2,
     power_curve,
-    power_table,
     run_rejection_study,
 )
 

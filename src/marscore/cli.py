@@ -13,7 +13,7 @@ import re
 import sys
 
 from .exceptions import MarscoreError
-from .io import ColumnSpec, RunConfig, read_csv, run_configured_tests, write_report
+from .io import ColumnSpec, GroupTestFailure, RunConfig, read_csv, run_configured_tests, write_report
 from .sim import (
     Example1Config,
     Example2Config,
@@ -191,9 +191,12 @@ def _cmd_test(args, parser) -> int:
     print(f"read {data.n} rows from {args.data}; missing fraction {data.missing_fraction:.4f}")
     records = run_configured_tests(data, config)
     for rec in records:
+        group = "" if rec.group is None else f"group={rec.group} "
+        if isinstance(rec, GroupTestFailure):
+            print(f"{group}variant={rec.variant} missing={rec.missing_fraction:.4f} -> error: {rec.error}")
+            continue
         res = rec.result
         decision = "reject H0 (evidence of MNAR)" if res.reject(args.alpha) else "fail to reject H0 (MAR)"
-        group = "" if rec.group is None else f"group={rec.group} "
         print(
             f"{group}variant={res.variant} n={res.n} "
             f"missing={rec.missing_fraction:.4f} statistic={res.statistic:.6g} "
@@ -229,9 +232,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_power_curve(args) -> int:
     cfg = _simulation_config(args)
     reports = power_curve(cfg, args.grid, args.reps, alpha=args.alpha, base_seed=args.seed)
-    param = "c1" if args.example == 1 else "gamma"
     for rep in reports:
-        print(f"{param}={rep.grid_value:g}: ", end="")
+        print(f"{cfg.departure}={rep.grid_value:g}: ", end="")
         _print_study(rep)
     if args.output:
         write_report(reports, args.output, args.format)

@@ -86,9 +86,6 @@ class Dataset:
     def missing_fraction(self) -> float:
         return 1.0 - self.n_complete / self.n
 
-    def __len__(self) -> int:
-        return self.n
-
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New dataset holding the given rows (order preserved)."""
         rows = np.asarray(rows, dtype=int)

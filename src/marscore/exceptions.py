@@ -76,4 +76,4 @@ class EmptyDataset(MarscoreError):
 
 
 class IoFailure(MarscoreError):
-    """Report serialization failed."""
+    """An input file could not be read or decoded, or an output could not be written."""

@@ -1,10 +1,11 @@
 """CSV ingestion, run configuration, and report serialization.
 
-Input files are UTF-8, comma-delimited, with a mandatory header row. A blank
-or ``NA`` outcome cell marks the row's outcome as missing; covariate cells
-must always be present. Every present cell must be a finite number. The
-constant intercept column is synthesized here, never read from the file.
-JSON reports carry a top-level ``schema_version``.
+Input files are UTF-8 (a leading byte-order mark is skipped), comma-delimited,
+with a mandatory header row. A blank or ``NA`` outcome cell marks the row's
+outcome as missing; covariate cells must always be present. Every present
+cell must be a finite number. The constant intercept column is synthesized
+here, never read from the file. JSON reports carry a top-level
+``schema_version``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from collections import defaultdict
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .data import Dataset
 from .exceptions import (
     EmptyDataset,
     IoFailure,
+    MarscoreError,
     MissingColumn,
     MissingCovariate,
     NonNumericCell,
@@ -139,64 +143,76 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
     """Read a dataset; blank/NA outcome cells become missing rows.
 
     ``keep_columns`` names string columns (e.g. a grouping variable) carried
-    through verbatim in ``Dataset.labels``.
+    through, stripped of surrounding whitespace, in ``Dataset.labels``.
     """
     keep_columns = tuple(keep_columns)
     try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        needed = [spec.outcome_column, *spec.covariate_columns, *keep_columns]
-        for col in needed:
-            if col not in header:
-                raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
-        d_list: list[int] = []
-        y_list: list[float] = []
-        x_rows: list[list[float]] = []
-        labels: dict[str, list] = {c: [] for c in keep_columns}
-        for line_no, row in enumerate(reader, start=2):
-            cell = row.get(spec.outcome_column)
-            cell = "" if cell is None else cell.strip()
-            if cell.lower() in _NA_STRINGS:
-                d_list.append(0)
-            else:
-                try:
-                    y_list.append(float(cell))
-                except ValueError:
-                    raise NonNumericCell(
-                        f"row {line_no}, column {spec.outcome_column!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                d_list.append(1)
-            x_row = [1.0]
-            for col in spec.covariate_columns:
-                cell = row.get(col)
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            for col in (spec.outcome_column, *spec.covariate_columns, *keep_columns):
+                if col not in header:
+                    raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
+            d_list: list[int] = []
+            y_list: list[float] = []
+            x_rows: list[list[float]] = []
+            labels: dict[str, list] = {c: [] for c in keep_columns}
+            for line_no, row in enumerate(reader, start=2):
+                cell = row.get(spec.outcome_column)
                 cell = "" if cell is None else cell.strip()
                 if cell.lower() in _NA_STRINGS:
-                    raise MissingCovariate(
-                        f"row {line_no}, column {col!r}: covariates may never be missing"
-                    )
-                try:
-                    x_row.append(float(cell))
-                except ValueError:
-                    raise NonNumericCell(
-                        f"row {line_no}, column {col!r}: cannot parse {cell!r} as a number"
-                    ) from None
-            x_rows.append(x_row)
-            for col in keep_columns:
-                value = row.get(col)
-                labels[col].append("" if value is None else value.strip())
-        if not x_rows:
-            raise EmptyDataset(f"{path} contains no data rows")
+                    d_list.append(0)
+                else:
+                    try:
+                        y_list.append(float(cell))
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"row {line_no}, column {spec.outcome_column!r}: "
+                            f"cannot parse {cell!r} as a number"
+                        ) from None
+                    d_list.append(1)
+                x_row = [1.0]
+                for col in spec.covariate_columns:
+                    cell = row.get(col)
+                    cell = "" if cell is None else cell.strip()
+                    if cell.lower() in _NA_STRINGS:
+                        raise MissingCovariate(
+                            f"row {line_no}, column {col!r}: covariates may never be missing"
+                        )
+                    try:
+                        x_row.append(float(cell))
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"row {line_no}, column {col!r}: cannot parse {cell!r} as a number"
+                        ) from None
+                x_rows.append(x_row)
+                for col in keep_columns:
+                    value = row.get(col)
+                    labels[col].append("" if value is None else value.strip())
+            if not x_rows:
+                raise EmptyDataset(f"{path} contains no data rows")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise IoFailure(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
     x = np.array(x_rows, dtype=float)
     d = np.array(d_list, dtype=np.int8)
     y = np.array(y_list, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         _reject_non_finite(x, d, y, spec)
     return Dataset(x=x, d=d, y_complete=y, labels={c: tuple(v) for c, v in labels.items()})
+
+
+def _undecodable_offset(path) -> int:
+    """File offset of the first byte that is not valid UTF-8."""
+    with open(path, "rb") as handle:
+        try:
+            handle.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return exc.start
+    return -1
 
 
 def _reject_non_finite(x, d, y, spec: ColumnSpec) -> None:
@@ -222,20 +238,33 @@ def write_dataset_csv(data: Dataset, path, outcome_column: str, covariate_column
         raise ValueError(
             f"need {data.p - 1} covariate names for this dataset, got {len(covariate_columns)}"
         )
+    with _replacing(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*covariate_columns, outcome_column, *data.labels.keys()])
+        y_iter = iter(data.y_complete)
+        for i in range(data.n):
+            cells = [repr(float(v)) for v in data.x[i, 1:]]
+            cells.append(repr(float(next(y_iter))) if data.d[i] == 1 else "")
+            cells.extend(str(data.labels[c][i]) for c in data.labels)
+            writer.writerow(cells)
+
+
+@contextmanager
+def _replacing(path):
+    """Write through ``<path>.tmp``, renamed over ``path`` once complete.
+
+    The temporary file never outlives the call; an OSError becomes IoFailure.
+    """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([*covariate_columns, outcome_column, *data.labels.keys()])
-            y_iter = iter(data.y_complete)
-            for i in range(data.n):
-                cells = [repr(float(v)) for v in data.x[i, 1:]]
-                cells.append(repr(float(next(y_iter))) if data.d[i] == 1 else "")
-                cells.extend(str(data.labels[c][i]) for c in data.labels)
-                writer.writerow(cells)
+            yield handle
         os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            os.unlink(tmp)
 
 
 def group_by(data: Dataset, group_column: str) -> list[tuple[str, Dataset]]:
@@ -248,15 +277,10 @@ def group_by(data: Dataset, group_column: str) -> list[tuple[str, Dataset]]:
             f"group column {group_column!r} was not kept at ingestion "
             f"(available: {sorted(data.labels)})"
         )
-    values = data.labels[group_column]
-    order: list[str] = []
-    members: dict[str, list[int]] = {}
-    for i, v in enumerate(values):
-        if v not in members:
-            members[v] = []
-            order.append(v)
+    members: dict[str, list[int]] = defaultdict(list)  # keeps first-appearance order
+    for i, v in enumerate(data.labels[group_column]):
         members[v].append(i)
-    return [(label, data.subset(np.array(members[label]))) for label in order]
+    return [(label, data.subset(np.array(rows))) for label, rows in members.items()]
 
 
 @dataclass(frozen=True)
@@ -289,40 +313,78 @@ class GroupTestRecord:
         ]
 
 
-def run_configured_tests(data: Dataset, config: RunConfig) -> list[GroupTestRecord]:
-    """Run the configured score tests, per group when grouping is requested."""
+@dataclass(frozen=True)
+class GroupTestFailure:
+    """A (group, variant) cell whose fits or test raised; ``error`` is
+    ``"<Class>: <message>"``."""
+
+    group: str | None
+    missing_fraction: float
+    variant: str
+    error: str
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def report_rows(self) -> list[dict]:
+        return [{**self.to_dict(), "group": "" if self.group is None else self.group}]
+
+
+def run_configured_tests(data: Dataset, config: RunConfig) -> list[GroupTestRecord | GroupTestFailure]:
+    """Run the configured score tests, per group when grouping is requested.
+
+    A MarscoreError in one (group, variant) cell becomes that cell's
+    :class:`GroupTestFailure`; the other cells still run. If every cell
+    fails, the first error is raised.
+    """
     spec = config.columns
     if config.group_by is not None:
         groups = group_by(data, config.group_by)
     else:
         groups = [(None, data)]
-    records = []
+    records, errors = [], []
     for label, subset in groups:
-        pf = fit_propensity_null(subset, columns=spec.propensity_column_indices())
+        try:
+            pf = fit_propensity_null(subset, columns=spec.propensity_column_indices())
+        except MarscoreError as exc:
+            pf = exc
         for variant in ("S1", "S2"):
             if variant not in config.variants:
                 continue
-            diagnostics = {
-                "propensity_converged": pf.converged,
-                "propensity_iterations": pf.iterations,
-                "beta_hat": pf.beta_hat.tolist(),
-            }
-            if variant == "S1":
-                fit = fit_outcome_parametric(subset, spec.family())
-                statistic, variance = score_statistic_s1, variance_s1
-                diagnostics.update(
-                    {"outcome_converged": fit.converged, "outcome_iterations": fit.iterations,
-                     "xi_hat": fit.xi_hat.tolist()}
-                )
-            else:
-                fit = fit_location(subset, spec.mean_basis())
-                statistic, variance = score_statistic_s2, variance_s2
-                diagnostics["theta_hat"] = fit.theta_hat.tolist()
-            result = test_report(
-                statistic(subset, pf, fit), variance(subset, pf, fit), subset.n
-            )
-            records.append(GroupTestRecord(label, result, subset.missing_fraction, diagnostics))
+            try:
+                records.append(_test_cell(label, subset, variant, pf, spec))
+            except MarscoreError as exc:
+                errors.append(exc)
+                error = f"{type(exc).__name__}: {exc}"
+                records.append(GroupTestFailure(label, subset.missing_fraction, variant, error))
+    if len(errors) == len(records):
+        raise errors[0]
     return records
+
+
+def _test_cell(label, subset: Dataset, variant: str, pf, spec: ColumnSpec) -> GroupTestRecord:
+    """One variant's fit and test on one group, given its propensity fit
+    (or the error that fit raised)."""
+    if isinstance(pf, MarscoreError):
+        raise pf
+    diagnostics = {
+        "propensity_converged": pf.converged,
+        "propensity_iterations": pf.iterations,
+        "beta_hat": pf.beta_hat.tolist(),
+    }
+    if variant == "S1":
+        fit = fit_outcome_parametric(subset, spec.family())
+        statistic, variance = score_statistic_s1, variance_s1
+        diagnostics.update(
+            {"outcome_converged": fit.converged, "outcome_iterations": fit.iterations,
+             "xi_hat": fit.xi_hat.tolist()}
+        )
+    else:
+        fit = fit_location(subset, spec.mean_basis())
+        statistic, variance = score_statistic_s2, variance_s2
+        diagnostics["theta_hat"] = fit.theta_hat.tolist()
+    result = test_report(statistic(subset, pf, fit), variance(subset, pf, fit), subset.n)
+    return GroupTestRecord(label, result, subset.missing_fraction, diagnostics)
 
 
 def write_report(results, path, format: str = "json") -> None:
@@ -332,35 +394,15 @@ def write_report(results, path, format: str = "json") -> None:
         raise ValueError("no results to write")
     if format not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
-    tmp = f"{path}.tmp"
-    try:
+    with _replacing(path) as handle:
         if format == "json":
             payload = {"schema_version": SCHEMA_VERSION, "results": [r.to_dict() for r in results]}
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
         else:
             rows = [row for r in results for row in r.report_rows()]
-            fields: list[str] = []
+            fields = dict.fromkeys(key for row in rows for key in row)  # union, first-seen order
+            writer = csv.DictWriter(handle, fieldnames=list(fields), restval="")
+            writer.writeheader()
             for row in rows:
-                for key in row:
-                    if key not in fields:
-                        fields.append(key)
-            with open(tmp, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.DictWriter(handle, fieldnames=fields, restval="")
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow({k: _format_cell(v) for k, v in row.items()})
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -48,6 +48,8 @@ W_VARIANTS = ("identity", "quad04", "indicator")
 class Example1Config:
     """Generator settings for the instrumented trivariate-normal design."""
 
+    departure = "c1"  # the field a power curve varies
+
     n: int
     b_z: float = 0.5
     c1: float = 0.0
@@ -76,6 +78,8 @@ class Example1Config:
 @dataclass(frozen=True)
 class Example2Config:
     """Generator settings for the no-instrument quadratic-mean design."""
+
+    departure = "gamma"
 
     n: int
     xi_true: tuple = (-1.0, 1.0, 0.5, 0.0)
@@ -169,23 +173,17 @@ def example2_location_basis() -> tuple:
     return (raw(1), square(1))
 
 
-def default_models(cfg, family=None, location_basis=None, propensity_columns=None) -> tuple:
-    """Outcome family, location basis, and propensity columns for a config.
+def default_models(cfg) -> tuple:
+    """Outcome family, location basis, and propensity columns of the design.
 
-    Each argument left as ``None`` takes the design's default. The Example-1
-    propensity default is ``(1, U)``; Example 2 uses every covariate column.
+    Example 1 fits the propensity on ``(1, U)``; Example 2 uses every
+    covariate column (``None``).
     """
     if isinstance(cfg, Example1Config):
-        family = family or example1_family()
-        location_basis = location_basis or example1_location_basis()
-        if propensity_columns is None:
-            propensity_columns = example1_propensity_columns()
-    elif isinstance(cfg, Example2Config):
-        family = family or example2_family()
-        location_basis = location_basis or example2_location_basis()
-    else:
-        raise TypeError(f"unknown config type {type(cfg).__name__}")
-    return family, location_basis, propensity_columns
+        return example1_family(), example1_location_basis(), example1_propensity_columns()
+    if isinstance(cfg, Example2Config):
+        return example2_family(), example2_location_basis(), None
+    raise TypeError(f"unknown config type {type(cfg).__name__}")
 
 
 def generate(cfg, stream: RngStream) -> Dataset:
@@ -233,10 +231,8 @@ class RejectionRateReport:
 
     @property
     def grid_value(self) -> float:
-        """Departure parameter of the config (c1 for Example 1, gamma for 2)."""
-        if isinstance(self.config, Example1Config):
-            return self.config.c1
-        return self.config.gamma
+        """The config's departure parameter (``config.departure``)."""
+        return getattr(self.config, self.config.departure)
 
     def to_dict(self) -> dict:
         return {
@@ -255,33 +251,30 @@ class RejectionRateReport:
     def report_rows(self) -> list[dict]:
         """Flat rows (one per test variant) for CSV output."""
         common = self.config.to_dict()
-        rows = []
-        for variant, rate, se in (("S1", self.rate_s1, self.se_s1), ("S2", self.rate_s2, self.se_s2)):
-            row = dict(common)
-            row.update(
-                {
-                    "variant": variant,
-                    "rate": rate,
-                    "se": se,
-                    "replications": self.replications,
-                    "alpha": self.alpha,
-                    "fit_failure_count": self.fit_failure_count,
-                    "base_seed": self.base_seed,
-                }
-            )
-            rows.append(row)
-        return rows
+        return [
+            {
+                **common,
+                "variant": variant,
+                "rate": rate,
+                "se": se,
+                "replications": self.replications,
+                "alpha": self.alpha,
+                "fit_failure_count": self.fit_failure_count,
+                "base_seed": self.base_seed,
+            }
+            for variant, rate, se in (("S1", self.rate_s1, self.se_s1), ("S2", self.rate_s2, self.se_s2))
+        ]
 
 
-def run_single_replication(cfg, stream: RngStream, family=None, location_basis=None,
-                           propensity_columns=None):
-    """Generate one dataset and run both tests; returns the two reports."""
-    family, location_basis, propensity_columns = default_models(
-        cfg, family, location_basis, propensity_columns
-    )
+def run_single_replication(cfg, stream: RngStream, family=None):
+    """Generate one dataset and run both tests; returns the two reports.
+
+    ``family`` replaces the design's outcome family when given.
+    """
+    design_family, location_basis, propensity_columns = default_models(cfg)
     data = generate(cfg, stream)
     pf = fit_propensity_null(data, columns=propensity_columns)
-    of = fit_outcome_parametric(data, family)
+    of = fit_outcome_parametric(data, family or design_family)
     lf = fit_location(data, location_basis)
     r1 = test_report(score_statistic_s1(data, pf, of), variance_s1(data, pf, of), data.n)
     r2 = test_report(score_statistic_s2(data, pf, lf), variance_s2(data, pf, lf), data.n)
@@ -294,54 +287,37 @@ def run_rejection_study(
     alpha: float = 0.05,
     base_seed: int = 0,
     family=None,
-    location_basis=None,
-    propensity_columns=None,
     keep_details: bool = False,
 ) -> RejectionRateReport:
     """Estimate empirical rejection rates of both tests over replications.
 
     Replication ``r`` owns stream ``(base_seed, r)``; failed fits are counted
-    and excluded from the denominator. Models left as ``None`` take the
-    design defaults of :func:`default_models`.
+    and excluded from the denominator. The models are the design's
+    (:func:`default_models`), with ``family`` replacing its outcome family
+    when given.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
 
-    stat_s1 = np.full(replications, np.nan)
-    sig_s1 = np.full(replications, np.nan)
-    z_s1 = np.full(replications, np.nan)
-    stat_s2 = np.full(replications, np.nan)
-    sig_s2 = np.full(replications, np.nan)
-    z_s2 = np.full(replications, np.nan)
+    traces = np.full((6, replications), np.nan)  # the six StudyDetails traces, in field order
     failed = np.zeros(replications, dtype=bool)
     for r in range(replications):
         try:
-            r1, r2 = run_single_replication(
-                cfg, RngStream(base_seed, r), family, location_basis, propensity_columns
-            )
+            r1, r2 = run_single_replication(cfg, RngStream(base_seed, r), family)
         except MarscoreError:
             failed[r] = True
             continue
-        stat_s1[r], sig_s1[r], z_s1[r] = r1.statistic, r1.sigma_sq_hat, r1.z
-        stat_s2[r], sig_s2[r], z_s2[r] = r2.statistic, r2.sigma_sq_hat, r2.z
+        traces[:, r] = (r1.statistic, r1.sigma_sq_hat, r1.z, r2.statistic, r2.sigma_sq_hat, r2.z)
 
-    ok = ~failed
+    details = StudyDetails(*traces, failed=failed)
+    ok = details.ok()
     n_ok = int(ok.sum())
     if n_ok == 0:
         raise MarscoreError("every replication failed to fit; nothing to aggregate")
     # p < alpha is exactly |z| > z_crit for the two-sided normal p-value
     z_crit = normal_quantile(1.0 - alpha / 2.0)
-    rej1 = np.abs(z_s1[ok]) > z_crit
-    rej2 = np.abs(z_s2[ok]) > z_crit
-    rate1 = float(rej1.mean())
-    rate2 = float(rej2.mean())
-    details = None
-    if keep_details:
-        details = StudyDetails(
-            stat_s1=stat_s1, sigma_sq_s1=sig_s1, z_s1=z_s1,
-            stat_s2=stat_s2, sigma_sq_s2=sig_s2, z_s2=z_s2,
-            failed=failed,
-        )
+    rate1 = float((np.abs(details.z_s1[ok]) > z_crit).mean())
+    rate2 = float((np.abs(details.z_s2[ok]) > z_crit).mean())
     return RejectionRateReport(
         config=cfg,
         replications=replications,
@@ -352,7 +328,7 @@ def run_rejection_study(
         se_s2=float(np.sqrt(rate2 * (1.0 - rate2) / n_ok)),
         fit_failure_count=int(failed.sum()),
         base_seed=base_seed,
-        details=details,
+        details=details if keep_details else None,
     )
 
 
@@ -362,41 +338,22 @@ def power_curve(
     replications: int,
     alpha: float = 0.05,
     base_seed: int = 0,
-    family=None,
-    location_basis=None,
-    propensity_columns=None,
 ) -> list[RejectionRateReport]:
     """One rejection study per grid value of the departure parameter.
 
-    The grid varies ``c1`` for Example 1 and ``gamma`` for Example 2. All
-    grid points share the same base seed (common random numbers), which
-    smooths the estimated power curve.
+    The grid varies ``cfg.departure`` (``c1`` for Example 1, ``gamma`` for
+    Example 2). All grid points share the same base seed (common random
+    numbers), which smooths the estimated power curve.
     """
     grid = [float(v) for v in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
-    param = "c1" if isinstance(cfg, Example1Config) else "gamma"
     return [
         run_rejection_study(
-            dataclasses.replace(cfg, **{param: value}),
+            dataclasses.replace(cfg, **{cfg.departure: value}),
             replications,
             alpha=alpha,
             base_seed=base_seed,
-            family=family,
-            location_basis=location_basis,
-            propensity_columns=propensity_columns,
         )
         for value in grid
-    ]
-
-
-_TABLE_COLUMNS = ("variant", "rate", "se", "replications", "fit_failure_count")
-
-
-def power_table(reports) -> list[dict]:
-    """Plot-ready rows: (grid value, variant, rate, se) per report."""
-    return [
-        {"grid_value": rep.grid_value, **{k: row[k] for k in _TABLE_COLUMNS}}
-        for rep in reports
-        for row in rep.report_rows()
     ]

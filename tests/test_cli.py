@@ -1,3 +1,4 @@
+import codecs
 import json
 
 import pytest
@@ -161,6 +162,74 @@ class TestTestSubcommand:
             main(["test", "--data", str(data_path), "--outcome", "y", *flags])
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, name",
+        [
+            (b"x,y\n0.5,1.0\n0.7,\xff\n", "IoFailure"),
+            (b'x,y\n0.5,"' + b"1" * 200_000 + b'"\n', "IoFailure"),
+            (None, "IoFailure"),
+            (b"x,y\n0.5,1.0\nnan,2.0\n", "NonNumericCell"),
+        ],
+        ids=["non-utf8-byte", "oversized-field", "directory", "nan-cell"],
+    )
+    def test_malformed_input_is_one_line_error(self, tmp_path, capsys, content, name):
+        path = tmp_path / "in.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code = main(["test", "--data", str(path), "--outcome", "y", "--covariates", "x"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {name}: ")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain = make_trial_csv(tmp_path, n=300)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        reports = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.json"
+            code = main(["test", "--data", str(path), "--outcome", "y", "--covariates", "x",
+                         "--output", str(out)])
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_failed_group_is_reported_and_others_run(self, tmp_path, capsys):
+        # group B has no missing outcome, so its propensity MLE does not exist
+        rows = ["x,y,g"]
+        for i in range(200):
+            x = (i % 17) / 8.0 - 1.0
+            missing = i % 2 == 0 and i % 7 < 2
+            rows.append(f"{x},{'' if missing else 1.0 + x + (i % 5) / 4.0},{'AB'[i % 2]}")
+        path = tmp_path / "groups.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        args = ["test", "--data", str(path), "--outcome", "y", "--covariates", "x"]
+        out = tmp_path / "r.json"
+        assert main([*args, "--group-by", "g", "--output", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert [(r["group"], r["variant"], "z" in r) for r in results] == [
+            ("A", "S1", True), ("A", "S2", True), ("B", "S1", False), ("B", "S2", False),
+        ]
+        error = "Separation: all outcomes are observed; the null propensity MLE does not exist"
+        assert results[2] == {"group": "B", "missing_fraction": 0.0, "variant": "S1", "error": error}
+        stdout = capsys.readouterr().out
+        assert f"group=B variant=S2 missing=0.0000 -> error: {error}\n" in stdout
+
+        table = tmp_path / "r.csv"
+        assert main([*args, "--group-by", "g", "--output", str(table), "--format", "csv"]) == 0
+        assert table.read_text().splitlines()[0].endswith(",p_value,error")
+
+        # every cell failed: exit 1 with the first error, as a one-group run
+        only_b = tmp_path / "b.csv"
+        only_b.write_text("\n".join(rows[:1] + rows[2::2]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["test", "--data", str(only_b), "--outcome", "y", "--covariates", "x",
+                     "--group-by", "g"]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_bad_column_exits_1(self, tmp_path, capsys):
         data_path = make_trial_csv(tmp_path)

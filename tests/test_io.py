@@ -1,17 +1,24 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marscore.data import Dataset
 from marscore.exceptions import (
     EmptyDataset,
+    IoFailure,
+    MarscoreError,
     MissingColumn,
     MissingCovariate,
     NonNumericCell,
 )
 from marscore.io import (
     ColumnSpec,
+    GroupTestFailure,
     GroupTestRecord,
     RunConfig,
     group_by,
@@ -139,6 +146,29 @@ class TestReadCsv:
         for a, b in zip(before, after):
             assert b == pytest.approx(a, abs=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_write_then_read_reproduces_dataset(self, draw):
+        n = draw.draw(st.integers(1, 40), label="n")
+        p = draw.draw(st.integers(1, 3), label="covariates")
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        x = draw.draw(st.lists(st.lists(finite, min_size=p, max_size=p), min_size=n, max_size=n))
+        d = draw.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        y = draw.draw(st.lists(finite, min_size=sum(d), max_size=sum(d)))
+        # read_csv strips cells, so labels carry no surrounding whitespace
+        text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6)
+        labels = draw.draw(st.lists(text.filter(lambda v: v == v.strip()), min_size=n, max_size=n))
+        data = Dataset(x=np.column_stack([np.ones(n), np.array(x)]), d=d, y_complete=y, labels={"g": labels})
+        names = tuple(f"c{j}" for j in range(p))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rt.csv"
+            write_dataset_csv(data, path, outcome_column="y", covariate_columns=names)
+            back = read_csv(path, ColumnSpec(outcome_column="y", covariate_columns=names), keep_columns=("g",))
+        assert np.array_equal(back.x, data.x)
+        assert np.array_equal(back.d, data.d)
+        assert np.array_equal(back.y_complete, data.y_complete)
+        assert back.labels == {"g": tuple(labels)}
+
 
 class TestGroupBy:
     def grouped_dataset(self):
@@ -227,6 +257,18 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             write_report([fixture_record(0.5)], tmp_path / "x", format="xml")
 
+    @pytest.mark.parametrize("writer", ["write_report", "write_dataset_csv"])
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, writer):
+        target = tmp_path / "out"
+        target.mkdir()  # renaming a file over a directory fails
+        with pytest.raises(IoFailure, match="cannot write"):
+            if writer == "write_report":
+                write_report([fixture_record(0.5)], target, format="csv")
+            else:
+                data = Dataset(x=np.ones((2, 2)), d=[1, 0], y_complete=[0.5])
+                write_dataset_csv(data, target, outcome_column="y", covariate_columns=("x",))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
 
 class TestColumnSpec:
     def test_outcome_cannot_be_covariate(self):
@@ -313,3 +355,58 @@ class TestRunConfiguredTests:
         data = read_csv(path, spec)
         records = run_configured_tests(data, config)
         assert [r.result.variant for r in records] == ["S2"]
+
+    def test_failed_group_becomes_error_records(self):
+        cfg = Example2Config(n=300, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
+        data = generate_example2(cfg, RngStream(55, 0))
+        # group B holds only observed rows, so its propensity MLE does not exist
+        labels = tuple("B" if d == 1 and i % 3 == 1 else "A" for i, d in enumerate(data.d))
+        data = Dataset(x=data.x, d=data.d, y_complete=data.y_complete, labels={"g": labels})
+        spec = ColumnSpec(outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2"))
+        records = run_configured_tests(data, RunConfig(columns=spec, group_by="g"))
+        assert [(r.group, type(r)) for r in records] == [
+            ("A", GroupTestRecord), ("A", GroupTestRecord),
+            ("B", GroupTestFailure), ("B", GroupTestFailure),
+        ]
+        assert records[2].to_dict() == {
+            "group": "B",
+            "missing_fraction": 0.0,
+            "variant": "S1",
+            "error": "Separation: all outcomes are observed; the null propensity MLE does not exist",
+        }
+        only_b = data.subset(np.flatnonzero(np.array(labels) == "B"))
+        with pytest.raises(MarscoreError, match="all outcomes are observed"):
+            run_configured_tests(only_b, RunConfig(columns=spec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300),
+           weights=st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    def test_grouped_run_matches_each_subset_alone(self, seed, n, weights):
+        cfg = Example2Config(n=n, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.25)
+        data = generate_example2(cfg, RngStream(seed, 0))
+        rng = np.random.default_rng(seed)
+        names = np.array(["a", "b", "c", "d"][: len(weights)])
+        labels = rng.choice(names, size=n, p=np.array(weights) / sum(weights))
+        data = Dataset(x=data.x, d=data.d, y_complete=data.y_complete, labels={"g": tuple(labels)})
+        spec = ColumnSpec(outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2"))
+
+        def outcome(ds, group_by=None):
+            """to_dict() records, or the error raised when every cell failed."""
+            try:
+                return [r.to_dict() for r in run_configured_tests(ds, RunConfig(spec, group_by=group_by))]
+            except MarscoreError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        grouped = outcome(data, "g")
+        alone = {g: outcome(data.subset(np.flatnonzero(labels == g))) for g in dict.fromkeys(labels)}
+        if isinstance(grouped, str):  # every cell of every group failed
+            assert grouped == next(iter(alone.values()))
+            assert all(isinstance(v, str) for v in alone.values())
+            return
+        for g, want in alone.items():
+            got = [{**r, "group": None} for r in grouped if r["group"] == g]
+            if isinstance(want, str):  # every cell of this group failed; the first error was raised
+                assert all("error" in r for r in got)
+                assert got[0]["error"] == want
+            else:
+                assert got == want

@@ -12,7 +12,6 @@ from marscore.sim import (
     generate_example1,
     generate_example2,
     power_curve,
-    power_table,
     run_rejection_study,
     run_single_replication,
     w_function,
@@ -161,17 +160,6 @@ class TestPowerCurve:
         cfg = Example1Config(n=300, b_z=1.0, c2=0.0)
         curve = power_curve(cfg, [0.0, 0.3], 20, base_seed=9)
         assert [r.grid_value for r in curve] == [0.0, 0.3]
-        rows = power_table(curve)
-        assert len(rows) == 4
-        assert {r["variant"] for r in rows} == {"S1", "S2"}
-        keys = ("variant", "rate", "se", "replications", "fit_failure_count")
-        projected = [
-            {"grid_value": rep.grid_value, **{k: row[k] for k in keys}}
-            for rep in curve
-            for row in rep.report_rows()
-        ]
-        assert rows == projected
-        assert list(rows[0]) == ["grid_value", *keys]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
