@@ -174,7 +174,7 @@ def _simulation_config(args):
     )
 
 
-def _cmd_test(args, parser) -> int:
+def _cmd_test(args, parser) -> list:
     try:
         columns = ColumnSpec(
             outcome_column=args.outcome,
@@ -202,10 +202,7 @@ def _cmd_test(args, parser) -> int:
             f"missing={rec.missing_fraction:.4f} statistic={res.statistic:.6g} "
             f"z={res.z:.4f} p={res.p_value:.4f} -> {decision} at alpha={args.alpha}"
         )
-    if args.output:
-        write_report(records, args.output, args.format)
-        print(f"report written to {args.output}")
-    return 0
+    return records
 
 
 def _print_study(report) -> None:
@@ -218,27 +215,21 @@ def _print_study(report) -> None:
         print("warning: more than 1% of replications failed to fit", file=sys.stderr)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list:
     cfg = _simulation_config(args)
     report = run_rejection_study(cfg, args.reps, alpha=args.alpha, base_seed=args.seed)
     print(f"config: {cfg.to_dict()}")
     _print_study(report)
-    if args.output:
-        write_report([report], args.output, args.format)
-        print(f"report written to {args.output}")
-    return 0
+    return [report]
 
 
-def _cmd_power_curve(args) -> int:
+def _cmd_power_curve(args) -> list:
     cfg = _simulation_config(args)
     reports = power_curve(cfg, args.grid, args.reps, alpha=args.alpha, base_seed=args.seed)
     for rep in reports:
         print(f"{cfg.departure}={rep.grid_value:g}: ", end="")
         _print_study(rep)
-    if args.output:
-        write_report(reports, args.output, args.format)
-        print(f"report written to {args.output}")
-    return 0
+    return reports
 
 
 def main(argv=None) -> int:
@@ -248,16 +239,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         if args.command == "test":
-            return _cmd_test(args, parser)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_power_curve(args)
+            records = _cmd_test(args, parser)
+        elif args.command == "simulate":
+            records = _cmd_simulate(args)
+        else:
+            records = _cmd_power_curve(args)
+        if args.output:
+            write_report(records, args.output, args.format)
+            print(f"report written to {args.output}")
     except MarscoreError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: IoFailure: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entry() -> None:

@@ -91,7 +91,7 @@ class Dataset:
         rows = np.asarray(rows, dtype=int)
         mask_complete = self.d[rows] == 1
         full_pos = np.cumsum(self.d) - 1
-        labels = {k: tuple(np.asarray(v, dtype=object)[rows]) for k, v in self.labels.items()}
+        labels = {k: tuple([v[i] for i in rows.tolist()]) for k, v in self.labels.items()}
         return Dataset(
             x=self.x[rows],
             d=self.d[rows],

@@ -98,11 +98,6 @@ class PropensityFit:
     def n(self) -> int:
         return self.design.shape[0]
 
-    def standard_errors(self) -> np.ndarray:
-        """Conventional logistic SEs from the inverse information."""
-        inv = solve_spd(self.info_matrix, np.eye(self.info_matrix.shape[0]))
-        return np.sqrt(np.diag(inv) / self.n)
-
 
 def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     """Maximize the null propensity likelihood over beta.
@@ -246,14 +241,6 @@ class ParametricOutcomeFit:
     @property
     def n(self) -> int:
         return self.m1.shape[0]
-
-    @property
-    def mean_coef(self) -> np.ndarray:
-        return self.xi_hat[: self.family.dim_mean]
-
-    @property
-    def logvar_coef(self) -> np.ndarray:
-        return self.xi_hat[self.family.dim_mean :]
 
     @property
     def m2(self) -> np.ndarray:
@@ -421,23 +408,34 @@ def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:
     )
 
 
+def gaussian_information(bm, bv, var, grad_weights, info_weights):
+    """Weighted row sums of the Gaussian family's mean gradient and Fisher information.
+
+    Row ``i`` has mean basis ``bm[i]``, log-variance basis ``bv[i]`` and
+    variance ``var[i]``. Its mean gradient in xi is ``bm[i]`` padded with
+    zeros for the log-variance coefficients; its Fisher information is block
+    diagonal, ``bm bmᵀ / var`` and ``½ bv bvᵀ``. Returns the
+    ``grad_weights``-weighted sum of the gradients and the
+    ``info_weights``-weighted sum of the informations.
+    """
+    qm, qv = bm.shape[1], bv.shape[1]
+    info = np.zeros((qm + qv, qm + qv))
+    info[:qm, :qm] = bm.T @ (bm * (info_weights / var)[:, None])
+    info[qm:, qm:] = 0.5 * bv.T @ (bv * info_weights[:, None])
+    return np.concatenate([bm.T @ grad_weights, np.zeros(qv)]), info
+
+
 def outcome_moment_gradients(fit: ParametricOutcomeFit, x):
     """Gradient of the conditional mean in xi, and the model-integrated
     Hessian of the log density, at covariate ``x``.
 
-    For the Gaussian family the mean gradient is the mean-basis vector padded
-    with zeros for the log-variance coefficients, and the integrated Hessian
+    The one-row view of :func:`gaussian_information`: the integrated Hessian
     is the negative Fisher information at ``(x, xi_hat)``.
     """
     row = np.atleast_2d(np.asarray(x, dtype=float))
     family = fit.family
-    b = family.mean_design(row)[0]
-    c = family.logvar_design(row)[0]
+    bv = family.logvar_design(row)
     _, xi_v = family.split(fit.xi_hat)
-    v = float(np.exp(c @ xi_v))
-    qm, qv = family.dim_mean, family.dim_logvar
-    grad_m1 = np.concatenate([b, np.zeros(qv)])
-    hess = np.zeros((qm + qv, qm + qv))
-    hess[:qm, :qm] = -np.outer(b, b) / v
-    hess[qm:, qm:] = -0.5 * np.outer(c, c)
-    return grad_m1, hess
+    one = np.ones(1)
+    grad_m1, info = gaussian_information(family.mean_design(row), bv, np.exp(bv @ xi_v), one, one)
+    return grad_m1, -info

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
-from .model import LocationFit, ParametricOutcomeFit, PropensityFit
+from .model import LocationFit, ParametricOutcomeFit, PropensityFit, gaussian_information
 from .numerics import normal_cdf, normal_quantile, quad_form_inv, solve_spd
 
 
@@ -31,6 +31,15 @@ def _check_same_data(data: Dataset, *fits) -> None:
                 f"fit covers {fit.n} rows but dataset has {data.n}; "
                 "fits must come from the dataset under test"
             )
+
+
+def _components_dict(components) -> dict:
+    """Report form of variance components: fields in declaration order, arrays as lists."""
+    out = {}
+    for f in dataclasses.fields(components):
+        value = getattr(components, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,16 +69,7 @@ class VarianceComponentsS1:
         """Local-alternative mean shift per unit gamma0 (equals sigma^2 for S1)."""
         return self.sigma_sq_hat
 
-    def to_dict(self) -> dict:
-        return {
-            "A_hat": self.A_hat.tolist(),
-            "B_hat": self.B_hat.tolist(),
-            "A1_hat": self.A1_hat.tolist(),
-            "B1_hat": self.B1_hat.tolist(),
-            "A2_hat": self.A2_hat,
-            "B2_hat": self.B2_hat,
-            "sigma_sq_hat": self.sigma_sq_hat,
-        }
+    to_dict = _components_dict
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,7 @@ class VarianceComponentsS2:
         """
         return self._projected() - quad_form_inv(self.C1_hat, self.B3_hat) * residual_variance
 
-    def to_dict(self) -> dict:
-        return {
-            "A_hat": self.A_hat.tolist(),
-            "A1_hat": self.A1_hat.tolist(),
-            "A2_hat": self.A2_hat,
-            "B3_hat": self.B3_hat.tolist(),
-            "B4_hat": self.B4_hat,
-            "C1_hat": self.C1_hat.tolist(),
-            "C2_hat": self.C2_hat.tolist(),
-            "C3_hat": self.C3_hat.tolist(),
-            "sigma_sq_hat": self.sigma_sq_hat,
-        }
+    to_dict = _components_dict
 
 
 @dataclass(frozen=True)
@@ -193,30 +182,23 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     """Assemble the S1 variance estimator from sample averages.
 
     All conditional-outcome integrals use the Gaussian closed forms: the
-    first and second conditional moments, the mean-gradient (mean-basis
-    vector, zero in the log-variance block), and the integrated Hessian
-    (negative Fisher information).
+    first and second conditional moments, and from
+    :func:`~marscore.model.gaussian_information` the mean gradient
+    (``B1_hat``, weighted by pi (1 - pi)) and minus the integrated Hessian
+    (``B_hat``, the pi-weighted Fisher information).
     """
     _check_same_data(data, pf, of)
     n = data.n
     pi = pf.pi
     m1 = of.m1
     w = pi * (1.0 - pi)
-
-    bm = of.mean_design_all
-    bv = of.logvar_design_all
-    qm = of.family.dim_mean
-    qv = of.family.dim_logvar
-    # minus the pi-weighted integrated Hessian: block diagonal Fisher form
-    b_hat = np.zeros((qm + qv, qm + qv))
-    b_hat[:qm, :qm] = bm.T @ (bm * (pi / of.var)[:, None]) / n
-    b_hat[qm:, qm:] = 0.5 * bv.T @ (bv * pi[:, None]) / n
+    b1_hat, b_hat = gaussian_information(of.mean_design_all, of.logvar_design_all, of.var, w, pi)
 
     return _checked(VarianceComponentsS1(
         A_hat=pf.info_matrix,
-        B_hat=b_hat,
+        B_hat=b_hat / n,
         A1_hat=pf.design.T @ (w * m1) / n,
-        B1_hat=np.concatenate([bm.T @ w / n, np.zeros(qv)]),
+        B1_hat=b1_hat / n,
         A2_hat=float(np.sum(pi * (1.0 - pi) ** 2 * of.m2) / n),
         B2_hat=float(np.sum(pi**2 * (1.0 - pi) * m1**2) / n),
         sigma_sq_hat=np.nan,

@@ -346,6 +346,24 @@ class TestRunConfiguredTests:
         ]
         assert list(records[1].diagnostics) == propensity + ["theta_hat"]
 
+    def test_report_component_keys_in_order(self, tmp_path):
+        # schema 1: the components of each variant serialise in this order
+        path = self.build_csv(tmp_path)
+        spec = ColumnSpec(
+            outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2")
+        )
+        records = run_configured_tests(read_csv(path, spec), RunConfig(columns=spec))
+        report = tmp_path / "report.json"
+        write_report(records, report, format="json")
+        s1, s2 = json.loads(report.read_text())["results"]
+        assert list(s1["components"]) == [
+            "A_hat", "B_hat", "A1_hat", "B1_hat", "A2_hat", "B2_hat", "sigma_sq_hat"
+        ]
+        assert list(s2["components"]) == [
+            "A_hat", "A1_hat", "A2_hat", "B3_hat", "B4_hat", "C1_hat", "C2_hat", "C3_hat",
+            "sigma_sq_hat",
+        ]
+
     def test_variant_subset(self, tmp_path):
         path = self.build_csv(tmp_path)
         spec = ColumnSpec(

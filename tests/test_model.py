@@ -45,6 +45,12 @@ def dataset_from_full(x_cols, d, y):
     return Dataset.from_generated(x, np.asarray(d, dtype=np.int8), np.asarray(y, dtype=float))
 
 
+def propensity_standard_errors(fit):
+    """Conventional logistic SEs from the inverse averaged information."""
+    k = fit.info_matrix.shape[0]
+    return np.sqrt(np.diag(solve_spd(fit.info_matrix, np.eye(k))) / fit.n)
+
+
 class TestFitPropensityNull:
     def test_intercept_only_half_observed(self):
         data = dataset_from_full([], [1, 1, 0, 0], [1.0, 2.0, 0.0, 0.0])
@@ -59,7 +65,7 @@ class TestFitPropensityNull:
         d = (rng.random(n) < 0.5).astype(np.int8)
         data = dataset_from_full([x1, x2], d, np.zeros(n))
         fit = fit_propensity_null(data)
-        se = fit.standard_errors()
+        se = propensity_standard_errors(fit)
         assert abs(fit.beta_hat[1]) < 3 * se[1]
         assert abs(fit.beta_hat[2]) < 3 * se[2]
         assert abs(fit.beta_hat[0] - logit(d.mean())) < 3 * se[0]
@@ -68,7 +74,7 @@ class TestFitPropensityNull:
         cfg = Example2Config(n=100_000, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(11, 0))
         fit = fit_propensity_null(data)
-        se = fit.standard_errors()
+        se = propensity_standard_errors(fit)
         assert abs(fit.beta_hat[0] - 0.85) < 3 * se[0]
         assert abs(fit.beta_hat[1] - 0.0) < 3 * se[1]
 
@@ -174,9 +180,10 @@ class TestFitOutcomeParametric:
         cov = solve_spd(bm.T @ bm, np.eye(3)) * np.exp(0.5)
         se_mean = np.sqrt(np.diag(cov))
         se_logvar = np.sqrt(2.0 / data.n_complete)
-        for got, want, se in zip(fit.mean_coef, (2.0, -1.0, 1.0), se_mean):
+        xi_mean, xi_logvar = fit.family.split(fit.xi_hat)
+        for got, want, se in zip(xi_mean, (2.0, -1.0, 1.0), se_mean):
             assert abs(got - want) < 3 * se
-        assert abs(fit.logvar_coef[0] - 0.5) < 3 * se_logvar
+        assert abs(xi_logvar[0] - 0.5) < 3 * se_logvar
 
     def test_example2_truth_under_mar(self):
         cfg = Example2Config(n=100_000, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
@@ -252,7 +259,8 @@ class TestFitLocation:
         data = generate_example1(cfg, RngStream(16, 0))
         of = fit_outcome_parametric(data, example1_family())
         lf = fit_location(data, example1_location_basis())
-        assert np.max(np.abs(of.mean_coef - lf.theta_hat)) < 1e-8
+        xi_mean, _ = of.family.split(of.xi_hat)
+        assert np.max(np.abs(xi_mean - lf.theta_hat)) < 1e-8
 
     def test_normal_equations(self):
         cfg = Example1Config(n=3000, b_z=0.5, c1=0.1, c2=0.25)

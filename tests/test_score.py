@@ -20,6 +20,7 @@ from marscore.model import (
     fit_propensity_null,
     location_fit_at,
     outcome_fit_at,
+    outcome_moment_gradients,
 )
 from marscore.numerics import RngStream, normal_cdf
 from marscore.score import (
@@ -185,6 +186,23 @@ class TestVarianceS1:
         comp = variance_s1(data, pf, of)
         assert comp.assemble() == pytest.approx(comp.sigma_sq_hat, rel=1e-12)
         assert comp.sigma_sq_hat > 0
+
+    def test_b_components_sum_the_moment_gradients(self):
+        # ties S1's B_hat and B1_hat to the per-row formulas that criterion 11
+        # checks against finite differences
+        cfg = Example2Config(n=400, xi_true=(1, 1, 0.5, 1), beta0=0.5, beta1=0.5, gamma=0.25)
+        data = generate_example2(cfg, RngStream(24, 0))
+        pf = fit_propensity_null(data)
+        of = fit_outcome_parametric(data, example2_family())
+        comp = variance_s1(data, pf, of)
+        b_sum = np.zeros_like(comp.B_hat)
+        b1_sum = np.zeros_like(comp.B1_hat)
+        for x, pi in zip(data.x, pf.pi):
+            grad, hess = outcome_moment_gradients(of, x)
+            b_sum -= pi * hess
+            b1_sum += pi * (1.0 - pi) * grad
+        np.testing.assert_allclose(comp.B_hat, b_sum / data.n, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(comp.B1_hat, b1_sum / data.n, rtol=1e-12, atol=0)
 
 
 class TestVarianceS2:
