@@ -16,6 +16,8 @@ import os
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .score import (
 SCHEMA_VERSION = 1
 
 _NA_STRINGS = {"", "na"}
+_BLOCK_ROWS = 4096  # records parsed per step
 
 
 def parse_term(term: str, covariate_names) -> BasisTerm:
@@ -144,65 +147,123 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
 
     ``keep_columns`` names string columns (e.g. a grouping variable) carried
     through, stripped of surrounding whitespace, in ``Dataset.labels``.
+    Blank lines are skipped, cells past the header's width are ignored, and a
+    short row reads as blank cells. A selected column that the header names
+    twice is an error. Rows are parsed one block of records at a time, a
+    column per step, so the transient cost is one block's cells.
     """
     keep_columns = tuple(keep_columns)
+    line = 0  # the line number DictReader reported for a parse error
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            line = reader.line_num
+            at = {}
             for col in (spec.outcome_column, *spec.covariate_columns, *keep_columns):
                 if col not in header:
                     raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
-            d_list: list[int] = []
-            y_list: list[float] = []
-            x_rows: list[list[float]] = []
-            labels: dict[str, list] = {c: [] for c in keep_columns}
-            for line_no, row in enumerate(reader, start=2):
-                cell = row.get(spec.outcome_column)
-                cell = "" if cell is None else cell.strip()
-                if cell.lower() in _NA_STRINGS:
-                    d_list.append(0)
-                else:
-                    try:
-                        y_list.append(float(cell))
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"row {line_no}, column {spec.outcome_column!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
-                    d_list.append(1)
-                x_row = [1.0]
-                for col in spec.covariate_columns:
-                    cell = row.get(col)
-                    cell = "" if cell is None else cell.strip()
-                    if cell.lower() in _NA_STRINGS:
-                        raise MissingCovariate(
-                            f"row {line_no}, column {col!r}: covariates may never be missing"
-                        )
-                    try:
-                        x_row.append(float(cell))
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"row {line_no}, column {col!r}: cannot parse {cell!r} as a number"
-                        ) from None
-                x_rows.append(x_row)
-                for col in keep_columns:
-                    value = row.get(col)
-                    labels[col].append("" if value is None else value.strip())
-            if not x_rows:
+                if header.count(col) > 1:
+                    raise IoFailure(
+                        f"cannot parse {path}, line 1: column {col!r} appears more than once in the header"
+                    )
+                at[col] = header.index(col)
+            parts, rows, failure = [], [], None
+            after_record = True
+            try:
+                for row in reader:
+                    # DictReader placed a parse error at the last record read
+                    # or, past it, at the first blank line after that record
+                    if row or after_record:
+                        line = reader.line_num
+                    after_record = bool(row)
+                    if after_record:
+                        rows.append(row)
+                        if len(rows) == _BLOCK_ROWS:
+                            first_row = 2 + _BLOCK_ROWS * len(parts)
+                            parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
+                            rows = []
+            except (csv.Error, UnicodeDecodeError) as exc:
+                failure = exc  # a bad cell in a record read before it comes first
+            if rows:
+                first_row = 2 + _BLOCK_ROWS * len(parts)
+                parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
+            if failure is not None:
+                raise failure
+            if not parts:
                 raise EmptyDataset(f"{path} contains no data rows")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
-        raise IoFailure(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
+        raise IoFailure(f"cannot parse {path}, line {line}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
-    x = np.array(x_rows, dtype=float)
-    d = np.array(d_list, dtype=np.int8)
-    y = np.array(y_list, dtype=float)
+    d, y, x, labels = zip(*parts)
+    x = np.concatenate(x)
+    d = np.concatenate(d)
+    y = np.concatenate(y)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         _reject_non_finite(x, d, y, spec)
-    return Dataset(x=x, d=d, y_complete=y, labels={c: tuple(v) for c, v in labels.items()})
+    return Dataset(
+        x=x, d=d, y_complete=y,
+        labels={c: tuple(chain.from_iterable(block[c] for block in labels)) for c in keep_columns},
+    )
+
+
+def _parse_block(rows, first_row: int, at: dict, spec: ColumnSpec, keep_columns: tuple):
+    """``(d, y, x, labels)`` of one block of records, the first numbered
+    ``first_row``.
+
+    Raises the block's first bad cell in row-major order: the outcome before
+    the covariates, the covariates in spec order.
+    """
+    width = 1 + max(at.values())
+    if min(map(len, rows)) < width:
+        rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
+    outcome = list(map(str.strip, map(itemgetter(at[spec.outcome_column]), rows)))
+    observed = [cell.lower() not in _NA_STRINGS for cell in outcome]
+    columns = [_column(outcome, spec.outcome_column, first_row, observed)]
+    columns += [_column(list(map(itemgetter(at[c]), rows)), c, first_row) for c in spec.covariate_columns]
+    bad = [error for _, error in columns if error is not None]
+    if bad:
+        raise min(bad, key=itemgetter(0))[1]  # min keeps the earlier column on a tie
+    (y, _), *covariates = columns
+    x = np.ones((len(rows), 1 + len(covariates)))
+    for j, (values, _) in enumerate(covariates, start=1):
+        x[:, j] = values
+    labels = {c: list(map(str.strip, map(itemgetter(at[c]), rows))) for c in keep_columns}
+    return np.array(observed, dtype=np.int8), np.array(y, dtype=float), x, labels
+
+
+def _column(cells, name: str, first_row: int, observed=None):
+    """Floats of one column's cells in a block: ``(values, None)``, or
+    ``(None, (i, error))`` for the first bad cell ``i``.
+
+    With ``observed`` (the outcome) only those cells are read; otherwise (a
+    covariate) a blank or NA cell is an error.
+    """
+    try:
+        return list(map(float, cells if observed is None else compress(cells, observed))), None
+    except ValueError:
+        pass
+    # float() ignores less surrounding whitespace than str.strip(), so a
+    # column can fail above and still read cleanly here
+    values = []
+    for i, cell in enumerate(cells):
+        if observed is not None and not observed[i]:
+            continue
+        cell = cell.strip()
+        if observed is None and cell.lower() in _NA_STRINGS:
+            return None, (i, MissingCovariate(
+                f"row {first_row + i}, column {name!r}: covariates may never be missing"
+            ))
+        try:
+            values.append(float(cell))
+        except ValueError:
+            return None, (i, NonNumericCell(
+                f"row {first_row + i}, column {name!r}: cannot parse {cell!r} as a number"
+            ))
+    return values, None
 
 
 def _undecodable_offset(path) -> int:

@@ -3,17 +3,22 @@
 Nothing here calls the score-statistic code paths it is used to check: the
 observed-data log-likelihood is assembled directly from its definition with
 the missing-row integral evaluated by quadrature, and derivative checks use
-central finite differences.
+central finite differences. ``read_csv_rowwise`` is the per-cell CSV reader
+that the columnar ``marscore.io.read_csv`` must agree with.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.special import expit, log_expit
 
+from marscore.data import Dataset
+from marscore.exceptions import EmptyDataset, IoFailure, MissingColumn, MissingCovariate, NonNumericCell
+from marscore.io import _NA_STRINGS, _reject_non_finite, _undecodable_offset
 from marscore.model import outcome_fit_at
 
 
@@ -176,3 +181,69 @@ def example2_population_components(xi_true, beta0, beta1, order=100):
     c3 = expect(g * (h * var)[:, None])
     sigma_sq_s2 = shared + z @ outer(g, g, pi * var) @ z - 2.0 * z @ c3
     return float(sigma_sq_s1), float(sigma_sq_s2), float(shared - z @ c3)
+
+
+def read_csv_rowwise(path, spec, keep_columns=()):
+    """``marscore.io.read_csv`` one cell at a time through ``csv.DictReader``.
+
+    Same datasets and the same first error (class and message), except that
+    a selected column the header repeats reads its last copy here.
+    """
+    keep_columns = tuple(keep_columns)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            for col in (spec.outcome_column, *spec.covariate_columns, *keep_columns):
+                if col not in header:
+                    raise MissingColumn(f"column {col!r} not found in {path} (header: {header})")
+            d_list: list[int] = []
+            y_list: list[float] = []
+            x_rows: list[list[float]] = []
+            labels: dict[str, list] = {c: [] for c in keep_columns}
+            for line_no, row in enumerate(reader, start=2):
+                cell = row.get(spec.outcome_column)
+                cell = "" if cell is None else cell.strip()
+                if cell.lower() in _NA_STRINGS:
+                    d_list.append(0)
+                else:
+                    try:
+                        y_list.append(float(cell))
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"row {line_no}, column {spec.outcome_column!r}: "
+                            f"cannot parse {cell!r} as a number"
+                        ) from None
+                    d_list.append(1)
+                x_row = [1.0]
+                for col in spec.covariate_columns:
+                    cell = row.get(col)
+                    cell = "" if cell is None else cell.strip()
+                    if cell.lower() in _NA_STRINGS:
+                        raise MissingCovariate(
+                            f"row {line_no}, column {col!r}: covariates may never be missing"
+                        )
+                    try:
+                        x_row.append(float(cell))
+                    except ValueError:
+                        raise NonNumericCell(
+                            f"row {line_no}, column {col!r}: cannot parse {cell!r} as a number"
+                        ) from None
+                x_rows.append(x_row)
+                for col in keep_columns:
+                    value = row.get(col)
+                    labels[col].append("" if value is None else value.strip())
+            if not x_rows:
+                raise EmptyDataset(f"{path} contains no data rows")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise IoFailure(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
+    x = np.array(x_rows, dtype=float)
+    d = np.array(d_list, dtype=np.int8)
+    y = np.array(y_list, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        _reject_non_finite(x, d, y, spec)
+    return Dataset(x=x, d=d, y_complete=y, labels={c: tuple(v) for c, v in labels.items()})

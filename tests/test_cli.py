@@ -170,8 +170,9 @@ class TestTestSubcommand:
             (b'x,y\n0.5,"' + b"1" * 200_000 + b'"\n', "IoFailure"),
             (None, "IoFailure"),
             (b"x,y\n0.5,1.0\nnan,2.0\n", "NonNumericCell"),
+            (b"x,y,x\n0.5,1.0,0.7\n", "IoFailure"),
         ],
-        ids=["non-utf8-byte", "oversized-field", "directory", "nan-cell"],
+        ids=["non-utf8-byte", "oversized-field", "directory", "nan-cell", "repeated-column"],
     )
     def test_malformed_input_is_one_line_error(self, tmp_path, capsys, content, name):
         path = tmp_path / "in.csv"

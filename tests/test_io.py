@@ -1,12 +1,17 @@
+import csv
+import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import marscore.io
 from marscore.data import Dataset
 from marscore.exceptions import (
     EmptyDataset,
@@ -44,6 +49,7 @@ from marscore.sim import (
     example2_location_basis,
     generate_example2,
 )
+from tests.oracles import read_csv_rowwise
 
 
 def write_lines(path, lines):
@@ -168,6 +174,139 @@ class TestReadCsv:
         assert np.array_equal(back.d, data.d)
         assert np.array_equal(back.y_complete, data.y_complete)
         assert back.labels == {"g": tuple(labels)}
+
+
+def read_outcome(reader, path, spec=SPEC, keep_columns=()):
+    """A reader's dataset as exact bytes, or the class and message it raised."""
+    try:
+        data = reader(path, spec, keep_columns=keep_columns)
+    except MarscoreError as exc:
+        return type(exc).__name__, str(exc)
+    return data.x.tobytes(), data.d.tobytes(), data.y_complete.tobytes(), data.labels
+
+
+# cells a generated CSV draws from besides finite numbers: each fault the
+# row-wise reader reports, padded and case-varied NA, whitespace that
+# float() keeps but str.strip() drops, and quoted commas and newlines
+FAULT_CELLS = (
+    "", "NA", " Na ", "na", "oops", "nan", "inf", "-Infinity", "\x1c1.5", " 2.5\t",
+    "1,5", "3\n", "x\ny", "9" * 50,
+)
+FIELD_LIMIT = 40  # shrunk for the property, so a 50-character cell is oversized
+
+
+@st.composite
+def faulty_csv(draw):
+    """CSV text over columns y, u, z, g and w in any order, with faults."""
+    header = draw(st.permutations(["y", "u", "z", "g", "w"]))
+    number = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-999, 999).map(str),
+    )
+    cell = st.one_of(number, number, number, st.sampled_from(FAULT_CELLS))
+    width = st.sampled_from([5, 5, 5, 5, 0, 2, 4, 6])  # 0 is a blank line
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)), max_size=12))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()
+
+
+class TestColumnarReader:
+    @settings(max_examples=150, deadline=None)
+    @given(text=faulty_csv(), block=st.sampled_from([1, 2, 3, 4096]))
+    def test_matches_rowwise_reader(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(text.encode("utf-8"))
+            limit = csv.field_size_limit(FIELD_LIMIT)
+            try:
+                want = read_outcome(read_csv_rowwise, path, keep_columns=("g",))
+                with mock.patch.object(marscore.io, "_BLOCK_ROWS", block):
+                    got = read_outcome(read_csv, path, keep_columns=("g",))
+            finally:
+                csv.field_size_limit(limit)
+        assert got == want
+
+    def test_first_bad_cell_opens_the_second_block(self, tmp_path):
+        block = marscore.io._BLOCK_ROWS
+        lines = ["y,u,z"] + [f"{i}.5,0.{i},1.{i}" for i in range(2 * block + 10)]
+        lines[1 + block] = "1.0,oops,0.2"
+        lines[1 + block + 5] = "zz,0.1,NA"
+        lines[-1] = "1.0,NA,0.2"
+        path = tmp_path / "d.csv"
+        write_lines(path, lines)
+        want = ("NonNumericCell", f"row {block + 2}, column 'u': cannot parse 'oops' as a number")
+        assert read_outcome(read_csv, path) == want
+        assert read_outcome(read_csv_rowwise, path) == want
+
+    def test_bad_cell_before_an_oversized_field_comes_first(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["y,u,z", "1.0,0.1,0.2", "2.0,oops,0.4", "3.0,0.5,0.6", f"4.0,{'9' * 200_000},0.8"])
+        with pytest.raises(NonNumericCell, match="row 3, column 'u'"):
+            read_csv(path, SPEC)
+
+    def test_short_row_and_na_outcome_in_the_last_block(self, tmp_path):
+        block = marscore.io._BLOCK_ROWS
+        lines = ["u,z,y,g"] + [f"0.{i},1.{i},{i}.5,a" for i in range(block + 3)]
+        lines[-2] = "0.1,0.2, na ,b"
+        lines[-1] = "0.3,0.4"  # y and g read as blank
+        path = tmp_path / "d.csv"
+        write_lines(path, lines)
+        data = read_csv(path, SPEC, keep_columns=("g",))
+        assert data.n == block + 3
+        assert data.d[-3:].tolist() == [1, 0, 0]
+        assert data.x[-1].tolist() == [1.0, 0.3, 0.4]
+        assert data.labels["g"][-3:] == ("a", "b", "")
+        assert read_outcome(read_csv, path, keep_columns=("g",)) == read_outcome(
+            read_csv_rowwise, path, keep_columns=("g",)
+        )
+
+    def test_peak_memory_stays_near_the_dataset(self, tmp_path):
+        # shaped like the benchmark's `marscore test` input: 50 000 rows,
+        # three covariates, an outcome with NA cells and an 8-level group
+        rng = np.random.default_rng(7)
+        n = 50_000
+        x = rng.standard_normal((n, 3))
+        y = rng.standard_normal(n)
+        observed = rng.random(n) < 0.7
+        groups = rng.integers(0, 8, n)
+        path = tmp_path / "big.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["a", "b", "c", "y", "g"])
+            for i in range(n):
+                writer.writerow([*map(repr, x[i].tolist()), repr(float(y[i])) if observed[i] else "NA", f"g{groups[i]}"])
+        spec = ColumnSpec(outcome_column="y", covariate_columns=("a", "b", "c"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = read_csv(path, spec, keep_columns=("g",))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.n == n
+        assert peak - base < 2 * (held - base)
+
+    @pytest.mark.parametrize(
+        "header, keep, repeated",
+        [("y,u,u,z", (), "u"), ("y,u,z,y", (), "y"), ("y,u,z,g,g", ("g",), "g")],
+        ids=["covariate", "outcome", "kept-label"],
+    )
+    def test_repeated_selected_column_is_an_error(self, tmp_path, header, keep, repeated):
+        path = tmp_path / "d.csv"
+        write_lines(path, [header, ",".join(["1.0"] * len(header.split(",")))])
+        with pytest.raises(
+            IoFailure,
+            match=f"cannot parse .*d.csv, line 1: column '{repeated}' appears more than once in the header",
+        ):
+            read_csv(path, SPEC, keep_columns=keep)
+
+    def test_repeated_unselected_column_is_harmless(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["w,y,u,w,z", "a,1.0,0.1,b,0.2"])
+        assert read_csv(path, SPEC).x.tolist() == [[1.0, 0.1, 0.2]]
 
 
 class TestGroupBy:
