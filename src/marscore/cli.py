@@ -9,6 +9,7 @@ are comma-separated.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -25,11 +26,18 @@ from .sim import (
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.)")
 
 
-def _comma_floats(text: str) -> tuple:
+def _finite(text: str) -> float:
     try:
-        return tuple(float(v) for v in text.split(","))
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _comma_floats(text: str) -> tuple:
+    return tuple(map(_finite, text.split(",")))
 
 
 def _comma_names(text: str) -> tuple:
@@ -60,10 +68,7 @@ def _seed(text: str) -> int:
 
 
 def _alpha(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    value = _finite(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {value}")
     return value
@@ -95,9 +100,9 @@ def _add_simulation_flags(parser) -> None:
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--threads", type=_positive_int, default=1,
                         help="accepted and ignored: replications run serially")
-    parser.add_argument("--bz", type=float, default=0.5, help="example 1: outcome coefficient on Z")
-    parser.add_argument("--c0", type=float, default=0.5, help="example 1: probit intercept")
-    parser.add_argument("--c2", type=float, default=0.0, help="example 1: coefficient on U")
+    parser.add_argument("--bz", type=_finite, default=0.5, help="example 1: outcome coefficient on Z")
+    parser.add_argument("--c0", type=_finite, default=0.5, help="example 1: probit intercept")
+    parser.add_argument("--c2", type=_finite, default=0.0, help="example 1: coefficient on U")
     parser.add_argument("--w", choices=list(W_VARIANTS), default="identity")
     parser.add_argument("--xi", type=_fixed_length_floats("--xi", 4), default=(-1.0, 1.0, 0.5, 0.0),
                         help="example 2: outcome truth (xi1,xi2,xi3,xi4)")
@@ -130,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="replicate a simulation study design")
     _add_simulation_flags(s)
-    s.add_argument("--c1", type=float, default=0.0, help="example 1: coefficient on w(Y)")
-    s.add_argument("--gamma", type=float, default=0.0, help="example 2: MNAR departure")
+    s.add_argument("--c1", type=_finite, default=0.0, help="example 1: coefficient on w(Y)")
+    s.add_argument("--gamma", type=_finite, default=0.0, help="example 2: MNAR departure")
 
     pc = sub.add_parser("power-curve", help="rejection rates over a grid of departures")
     pc.add_argument("--grid", type=_comma_floats, required=True,

@@ -16,7 +16,7 @@ import os
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -96,13 +96,16 @@ class ColumnSpec:
             unknown = [c for c in prop if c not in covs]
             if unknown:
                 raise ValueError(f"propensity columns {unknown} are not declared covariates")
+            if len(set(prop)) != len(prop):
+                raise ValueError("propensity columns must be distinct")
             object.__setattr__(self, "propensity_columns", prop)
         if self.mean_basis_spec is not None:
             object.__setattr__(self, "mean_basis_spec", tuple(self.mean_basis_spec))
         object.__setattr__(self, "logvar_basis_spec", tuple(self.logvar_basis_spec))
-        # fail fast on malformed terms
-        self.mean_basis()
-        self.logvar_basis()
+        # fail fast on malformed or repeated terms
+        for basis in (self.mean_basis(), self.logvar_basis()):
+            if len(set(basis)) != len(basis):
+                raise ValueError("basis terms must be distinct")
 
     def effective_mean_spec(self) -> tuple:
         if self.mean_basis_spec is not None:
@@ -153,12 +156,10 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
     column per step, so the transient cost is one block's cells.
     """
     keep_columns = tuple(keep_columns)
-    line = 0  # the line number DictReader reported for a parse error
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
-            line = reader.line_num
             at = {}
             for col in (spec.outcome_column, *spec.covariate_columns, *keep_columns):
                 if col not in header:
@@ -168,34 +169,26 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
                         f"cannot parse {path}, line 1: column {col!r} appears more than once in the header"
                     )
                 at[col] = header.index(col)
-            parts, rows, failure = [], [], None
-            after_record = True
-            try:
-                for row in reader:
-                    # DictReader placed a parse error at the last record read
-                    # or, past it, at the first blank line after that record
-                    if row or after_record:
-                        line = reader.line_num
-                    after_record = bool(row)
-                    if after_record:
+            parts, records = [], filter(None, reader)
+            while True:
+                rows, first_row = [], 2 + _BLOCK_ROWS * len(parts)
+                try:
+                    for row in islice(records, _BLOCK_ROWS):
                         rows.append(row)
-                        if len(rows) == _BLOCK_ROWS:
-                            first_row = 2 + _BLOCK_ROWS * len(parts)
-                            parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
-                            rows = []
-            except (csv.Error, UnicodeDecodeError) as exc:
-                failure = exc  # a bad cell in a record read before it comes first
-            if rows:
-                first_row = 2 + _BLOCK_ROWS * len(parts)
-                parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
-            if failure is not None:
-                raise failure
+                except (csv.Error, UnicodeDecodeError):
+                    if rows:  # a bad cell read before the failure is the error reported
+                        _parse_block(rows, first_row, at, spec, keep_columns)
+                    raise
+                if rows:
+                    parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
+                if len(rows) < _BLOCK_ROWS:
+                    break
             if not parts:
                 raise EmptyDataset(f"{path} contains no data rows")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
-        raise IoFailure(f"cannot parse {path}, line {line}: {exc}") from None
+        raise IoFailure(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
     d, y, x, labels = zip(*parts)
@@ -212,58 +205,47 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
 
 def _parse_block(rows, first_row: int, at: dict, spec: ColumnSpec, keep_columns: tuple):
     """``(d, y, x, labels)`` of one block of records, the first numbered
-    ``first_row``.
-
-    Raises the block's first bad cell in row-major order: the outcome before
-    the covariates, the covariates in spec order.
-    """
+    ``first_row``; raises the block's first bad cell."""
     width = 1 + max(at.values())
     if min(map(len, rows)) < width:
         rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
     outcome = list(map(str.strip, map(itemgetter(at[spec.outcome_column]), rows)))
     observed = [cell.lower() not in _NA_STRINGS for cell in outcome]
-    columns = [_column(outcome, spec.outcome_column, first_row, observed)]
-    columns += [_column(list(map(itemgetter(at[c]), rows)), c, first_row) for c in spec.covariate_columns]
-    bad = [error for _, error in columns if error is not None]
-    if bad:
-        raise min(bad, key=itemgetter(0))[1]  # min keeps the earlier column on a tie
-    (y, _), *covariates = columns
+    try:
+        y = list(map(float, compress(outcome, observed)))
+        covariates = [list(map(float, map(itemgetter(at[c]), rows))) for c in spec.covariate_columns]
+    except ValueError:
+        y, covariates = _scan_block(rows, first_row, at, spec)
     x = np.ones((len(rows), 1 + len(covariates)))
-    for j, (values, _) in enumerate(covariates, start=1):
+    for j, values in enumerate(covariates, start=1):
         x[:, j] = values
     labels = {c: list(map(str.strip, map(itemgetter(at[c]), rows))) for c in keep_columns}
     return np.array(observed, dtype=np.int8), np.array(y, dtype=float), x, labels
 
 
-def _column(cells, name: str, first_row: int, observed=None):
-    """Floats of one column's cells in a block: ``(values, None)``, or
-    ``(None, (i, error))`` for the first bad cell ``i``.
+def _scan_block(rows, first_row: int, at: dict, spec: ColumnSpec):
+    """``(y, covariate columns)`` of one block read cell by cell in row-major
+    order, the outcome first; raises the first bad cell.
 
-    With ``observed`` (the outcome) only those cells are read; otherwise (a
-    covariate) a blank or NA cell is an error.
+    float() ignores less surrounding whitespace than str.strip(), so a block
+    can fail the column-wise parse and still read cleanly here.
     """
-    try:
-        return list(map(float, cells if observed is None else compress(cells, observed))), None
-    except ValueError:
-        pass
-    # float() ignores less surrounding whitespace than str.strip(), so a
-    # column can fail above and still read cleanly here
-    values = []
-    for i, cell in enumerate(cells):
-        if observed is not None and not observed[i]:
-            continue
-        cell = cell.strip()
-        if observed is None and cell.lower() in _NA_STRINGS:
-            return None, (i, MissingCovariate(
-                f"row {first_row + i}, column {name!r}: covariates may never be missing"
-            ))
-        try:
-            values.append(float(cell))
-        except ValueError:
-            return None, (i, NonNumericCell(
-                f"row {first_row + i}, column {name!r}: cannot parse {cell!r} as a number"
-            ))
-    return values, None
+    names = (spec.outcome_column, *spec.covariate_columns)
+    columns = [[] for _ in names]
+    for number, row in enumerate(rows, start=first_row):
+        for j, name in enumerate(names):
+            cell = row[at[name]].strip()
+            if cell.lower() in _NA_STRINGS:
+                if j == 0:
+                    continue  # a missing outcome
+                raise MissingCovariate(f"row {number}, column {name!r}: covariates may never be missing")
+            try:
+                columns[j].append(float(cell))
+            except ValueError:
+                raise NonNumericCell(
+                    f"row {number}, column {name!r}: cannot parse {cell!r} as a number"
+                ) from None
+    return columns[0], columns[1:]
 
 
 def _undecodable_offset(path) -> int:

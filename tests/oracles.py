@@ -238,7 +238,7 @@ def read_csv_rowwise(path, spec, keep_columns=()):
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
-        raise IoFailure(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
+        raise IoFailure(f"cannot parse {path}, line {reader.reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
     x = np.array(x_rows, dtype=float)

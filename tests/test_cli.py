@@ -46,6 +46,23 @@ class TestUsageErrors:
             main(["simulate", "--example", "2", "--alpha", "1.5"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["power-curve", "--example", "2", "--grid", "0,inf"],
+            ["simulate", "--example", "1", "--bz", "inf"],
+            ["simulate", "--example", "2", "--gamma", "nan"],
+            ["simulate", "--example", "1", "--c1=-inf"],
+            ["simulate", "--example", "2", "--xi", "-1,1,nan,0"],
+        ],
+        ids=["grid", "bz", "gamma", "c1", "xi"],
+    )
+    def test_non_finite_number_exits_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(flags)
+        assert excinfo.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
     def test_wrong_xi_arity_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--example", "2", "--xi", "1,2"])
@@ -152,9 +169,11 @@ class TestTestSubcommand:
             ["--covariates", "x", "--propensity", "q"],
             ["--covariates", "x,x"],
             ["--covariates", "x,y"],
+            ["--covariates", "x", "--propensity", "x,x"],
+            ["--covariates", "x", "--mean-basis", "1,x,x"],
         ],
         ids=["undeclared-term", "unknown-variant", "undeclared-propensity",
-             "repeated-covariate", "outcome-as-covariate"],
+             "repeated-covariate", "outcome-as-covariate", "repeated-propensity", "repeated-term"],
     )
     def test_bad_spec_exits_2(self, tmp_path, capsys, flags):
         data_path = make_trial_csv(tmp_path, n=50)

@@ -247,6 +247,17 @@ class TestColumnarReader:
         with pytest.raises(NonNumericCell, match="row 3, column 'u'"):
             read_csv(path, SPEC)
 
+    @pytest.mark.parametrize(
+        "before, line", [("", 2), ("0.5,1.0\n0.7,2.0\n\n\n", 6)], ids=["first-record", "after-blank-lines"]
+    )
+    def test_parse_error_names_the_line_that_failed(self, tmp_path, before, line):
+        path = tmp_path / "d.csv"
+        path.write_text(f'x,y\n{before}0.5,"{"1" * 200_000}"\n', encoding="utf-8")
+        spec = ColumnSpec(outcome_column="y", covariate_columns=("x",))
+        with pytest.raises(IoFailure, match=f"d.csv, line {line}: field larger than field limit"):
+            read_csv(path, spec)
+        assert read_outcome(read_csv_rowwise, path, spec) == read_outcome(read_csv, path, spec)
+
     def test_short_row_and_na_outcome_in_the_last_block(self, tmp_path):
         block = marscore.io._BLOCK_ROWS
         lines = ["u,z,y,g"] + [f"0.{i},1.{i},{i}.5,a" for i in range(block + 3)]
