@@ -49,7 +49,8 @@ _BLOCK_ROWS = 4096  # records parsed per step
 
 def parse_term(term: str, covariate_names) -> BasisTerm:
     """Parse a basis term over covariate names: ``1``, ``name``, ``name^2``
-    or ``a*b``. Column indices account for the synthesized intercept."""
+    or ``a*b`` (indices sorted; ``a*a`` is ``a^2``). Column indices account
+    for the synthesized intercept."""
     names = list(covariate_names)
 
     def index_of(name: str) -> int:
@@ -63,7 +64,8 @@ def parse_term(term: str, covariate_names) -> BasisTerm:
         return intercept()
     if "*" in term:
         left, _, right = term.partition("*")
-        return product(index_of(left), index_of(right))
+        i, j = sorted((index_of(left), index_of(right)))
+        return square(i) if i == j else product(i, j)
     if term.endswith("^2"):
         return square(index_of(term[:-2]))
     return raw(index_of(term))

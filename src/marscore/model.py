@@ -3,7 +3,8 @@
 Three fits, all requiring estimation only under the missing-at-random null:
 
 * :func:`fit_propensity_null` — logistic regression of the missingness
-  indicator on covariates (Newton with step halving).
+  indicator on covariates (Newton with step halving, then a full step once
+  its predicted gain is within rounding noise).
 * :func:`fit_outcome_parametric` — Gaussian conditional outcome model with
   linear mean and log-variance bases, fit on complete cases.
 * :func:`fit_location` — least-squares mean model on complete cases.
@@ -42,40 +43,35 @@ _NOISE_ULPS = 256
 
 
 @contextmanager
-def _rank_verdict(what: str):
-    """Report a singular Gram matrix as rank deficiency of the ``what`` design."""
+def _singular_as(error, what: str):
+    """Report a singular matrix met in the block as ``error``, its message prefixed by ``what``."""
     try:
         yield
     except SingularMatrix as exc:
-        raise RankDeficientDesign(f"{what} design is rank deficient: {exc}") from exc
+        raise error(f"{what}: {exc}") from exc
 
 
 def _halving_search(what: str, x, step, grad, loglik: float, evaluate):
     """Step-halving search along the Newton ``step`` at ``x``.
 
-    ``evaluate(cand)`` returns ``(loglik_cand, extra)``; the first of 30
-    halvings whose log-likelihood is at least ``loglik`` is returned as
-    ``(cand, loglik_cand, extra)``. The test is non-strict: near the optimum
-    the Newton gain is below float resolution while the gradient still
-    collapses. A trial that overflows is rejected through its -inf
-    log-likelihood, so overflow is not reported.
-
-    If every halving fails and the predicted gain ``grad @ step / 2`` is
-    within the rounding noise of ``loglik``, the comparisons were noise and
-    the full step is taken; otherwise the search raises ``NoConvergence``.
+    ``evaluate(cand)`` returns ``(loglik_cand, extra)``; the search returns
+    ``(cand, loglik_cand, extra, final)``. If the predicted gain
+    ``grad @ step / 2`` is within the rounding noise of ``loglik``, ``x`` is
+    one Newton step from the optimum: the full step is taken and ``final``
+    is true. Otherwise the first of 30 halvings whose log-likelihood exceeds
+    ``loglik`` is taken, or ``NoConvergence`` raised. A trial that overflows
+    is rejected through its -inf log-likelihood.
     """
+    final = 0.5 * (grad @ step) <= _NOISE_ULPS * np.spacing(abs(loglik))
     with np.errstate(over="ignore"):
         scale = 1.0
         for _ in range(_HALVINGS):
             cand = x + scale * step
             loglik_cand, extra = evaluate(cand)
-            if loglik_cand >= loglik:
-                return cand, loglik_cand, extra
+            if final or loglik_cand > loglik:
+                return cand, loglik_cand, extra, final
             scale *= 0.5
-        if 0.5 * (grad @ step) <= _NOISE_ULPS * np.spacing(abs(loglik)):
-            cand = x + step
-            return (cand, *evaluate(cand))
-    raise NoConvergence(f"{what} line search stalled before reaching gradient tolerance")
+    raise NoConvergence(f"{what} line search found no ascent in {_HALVINGS} halvings")
 
 
 def _loglik_bernoulli(eta: np.ndarray, d: np.ndarray) -> float:
@@ -128,8 +124,8 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
             + ("observed" if n1 == n else "missing")
             + "; the null propensity MLE does not exist"
         )
-    # checked before the loop, which can stop before its first solve
-    with _rank_verdict("propensity"):
+    # rank deficiency is classified here; the Hessian's weights can also make it singular
+    with _singular_as(RankDeficientDesign, "propensity design is rank deficient"):
         cholesky_spd(design.T @ design / n)
 
     def evaluate(cand):
@@ -140,29 +136,25 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     eta = design @ beta
     pi = expit(eta)
     loglik = _loglik_bernoulli(eta, d)
-    tol = _GRAD_RTOL * n
-    iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         grad = design.T @ (d - pi)
-        if np.max(np.abs(grad)) <= tol:
-            iterations -= 1
-            break
-        weights = pi * (1.0 - pi)
-        hessian = design.T @ (design * weights[:, None])
+        hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
         step = solve_spd(hessian, grad)
-        beta, loglik, eta = _halving_search("propensity", beta, step, grad, loglik, evaluate)
+        beta, loglik, eta, final = _halving_search("propensity", beta, step, grad, loglik, evaluate)
         pi = expit(eta)
         if np.max(np.abs(beta)) > _SEPARATION_BOUND:
             raise Separation(
                 "a propensity coefficient exceeded magnitude 30; "
                 "complete or quasi-complete separation"
             )
+        if final:
+            break
     else:
         raise NoConvergence(f"propensity fit did not converge in {_MAX_ITER} iterations")
 
     observed = data.d == 1
     if np.all(pi[observed] >= 1.0 - 1e-6) and np.all(pi[~observed] <= 1e-6):
-        # the gradient tolerance can be met while beta still diverges
+        # the Newton gain can fall into rounding noise while beta still diverges
         raise Separation(
             "fitted probabilities perfectly classify the missingness indicator; "
             "the null propensity MLE does not exist"
@@ -290,7 +282,9 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
 
     Alternates exact weighted least squares for the mean coefficients with
     damped Newton steps for the log-variance coefficients until the joint
-    gradient meets tolerance.
+    gradient is at most ``1e-8 * n``, then ends at the optimum with one joint
+    Newton step on the observed information (``NoConvergence`` if it is not
+    positive definite).
     """
     complete = data.complete_idx
     nc = complete.size
@@ -303,15 +297,14 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     bv_all = family.logvar_design(data.x)
     bm = bm_all[complete]
     bv = bv_all[complete]
-    tol = _GRAD_RTOL * data.n
 
-    with _rank_verdict("outcome mean"):
+    with _singular_as(RankDeficientDesign, "outcome mean design is rank deficient"):
         xi_m = solve_spd(bm.T @ bm, bm.T @ yc)
     r = yc - bm @ xi_m
     s2 = float(np.mean(r * r))
     # project log residual variance onto the log-variance basis as a start
     target = np.log(max(s2, 1e-300))
-    with _rank_verdict("outcome log-variance"):
+    with _singular_as(RankDeficientDesign, "outcome log-variance design is rank deficient"):
         xi_v = solve_spd(bv.T @ bv, bv.T @ np.full(nc, target))
 
     def _floor_check(xi_v_cand):
@@ -331,29 +324,36 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
 
     _floor_check(xi_v)
     s_c = bv @ xi_v
-    iterations = 0
+    w = np.exp(-s_c)
     for iterations in range(1, _MAX_ITER + 1):
         # mean step: exact weighted least squares given the variances
-        w = np.exp(-s_c)
         xi_m = solve_spd(bm.T @ (bm * w[:, None]), bm.T @ (w * yc))
         r = yc - bm @ xi_m
 
         # variance step: damped Newton on the (concave) profile in xi_v
-        u = r * r * np.exp(-s_c)
+        u = r * r * w
         grad_v = 0.5 * bv.T @ (u - 1.0)
         hess_v = 0.5 * bv.T @ (bv * u[:, None])
         step = solve_spd(hess_v, grad_v)
         loglik = _gaussian_loglik(s_c, u, nc)
-        xi_v, _, (s_c, u) = _halving_search("outcome", xi_v, step, grad_v, loglik, evaluate)
+        xi_v, _, (s_c, u), _ = _halving_search("outcome", xi_v, step, grad_v, loglik, evaluate)
         _floor_check(xi_v)
 
-        grad_m = bm.T @ (r * np.exp(-s_c))
+        w = np.exp(-s_c)
+        grad_m = bm.T @ (r * w)
         grad_v = 0.5 * bv.T @ (u - 1.0)
-        if max(np.max(np.abs(grad_m)), np.max(np.abs(grad_v))) <= tol:
+        if max(np.max(np.abs(grad_m)), np.max(np.abs(grad_v))) <= _GRAD_RTOL * data.n:
             break
     else:
         raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
 
+    # a joint Newton step on the observed information ends the linear alternation at the optimum
+    cross = bm.T @ (bv * (r * w)[:, None])
+    info = np.block([[bm.T @ (bm * w[:, None]), cross], [cross.T, 0.5 * bv.T @ (bv * u[:, None])]])
+    with _singular_as(NoConvergence, "outcome observed information is not positive definite"):
+        step = solve_spd(info, np.concatenate([grad_m, grad_v]))
+    xi_m, xi_v = family.split(np.concatenate([xi_m, xi_v]) + step)
+    _floor_check(xi_v)
     return _outcome_fit(data, family, np.concatenate([xi_m, xi_v]), bm_all, bv_all, iterations)
 
 
@@ -386,7 +386,7 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
             f"need at least {len(mean_basis) + 1} complete cases, have {complete.size}"
         )
     g = design_matrix(mean_basis, data.x[complete])
-    with _rank_verdict("location"):
+    with _singular_as(RankDeficientDesign, "location design is rank deficient"):
         theta = solve_spd(g.T @ g, g.T @ data.y_complete)
     return location_fit_at(data, mean_basis, theta)
 

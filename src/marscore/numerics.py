@@ -1,4 +1,4 @@
-"""Numerical substrate: small SPD linear algebra, normal CDF, and
+"""Numerical substrate: small SPD solves through LAPACK, normal CDF, and
 reproducible random streams.
 
 Everything here is a pure function of its inputs. Streams are counter-based
@@ -9,10 +9,11 @@ schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import erfc, ndtri
 
 from .exceptions import SingularMatrix
@@ -25,34 +26,35 @@ _SYM_RTOL = 1e-10
 
 
 def cholesky_spd(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix, from LAPACK ``dpotrf``.
 
     Raises
     ------
     SingularMatrix
-        If a pivot falls below ``1e-12`` times the largest diagonal entry,
-        or the matrix is not symmetric to within 1e-10 relative.
+        If an entry is not finite, the matrix is not symmetric to within
+        1e-10 relative, or a pivot (a squared diagonal entry of the factor)
+        is not above ``1e-12`` times the largest diagonal entry.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SingularMatrix(f"expected a square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > _SYM_RTOL * scale:
+    scale = abs(a).max(initial=0.0)
+    if not math.isfinite(scale):
+        raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
+    if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
         raise SingularMatrix("matrix is not symmetric")
-    k = a.shape[0]
-    max_diag = float(np.max(a.diagonal())) if k else 0.0
-    floor = _PIVOT_RTOL * max(max_diag, 0.0)
-    lower = np.zeros_like(a)
-    for j in range(k):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > floor:
-            raise SingularMatrix(
-                f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
-                "matrix is not positive definite"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < k:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    lower, info = dpotrf(a, lower=True, clean=True)
+    pivots = lower.diagonal() ** 2
+    if info > 0:
+        # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
+        pivots[info - 1] = lower[info - 1, info - 1]
+    floor = _PIVOT_RTOL * a.diagonal().max(initial=0.0)
+    if not pivots.min(initial=np.inf) > floor:
+        j = int(np.argmin(pivots > floor))
+        raise SingularMatrix(
+            f"pivot {pivots[j]:.3e} below {floor:.3e} at column {j}; "
+            "matrix is not positive definite"
+        )
     return lower
 
 
@@ -61,16 +63,12 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``v`` may be a vector or a matrix of right-hand sides.
     """
-    lower = cholesky_spd(m)
-    half = solve_triangular(lower, np.asarray(v, dtype=float), lower=True)
-    return solve_triangular(lower.T, half, lower=False)
+    return dpotrs(cholesky_spd(m), v, lower=True)[0]
 
 
 def quad_form_inv(m: np.ndarray, v: np.ndarray) -> float:
     """Return ``v.T @ inv(m) @ v`` for SPD ``m`` without forming the inverse."""
-    lower = cholesky_spd(m)
-    half = solve_triangular(lower, np.asarray(v, dtype=float), lower=True)
-    return float(half @ half)
+    return float(np.asarray(v, dtype=float) @ solve_spd(m, v))
 
 
 def normal_cdf(t):

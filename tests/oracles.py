@@ -4,7 +4,9 @@ Nothing here calls the score-statistic code paths it is used to check: the
 observed-data log-likelihood is assembled directly from its definition with
 the missing-row integral evaluated by quadrature, and derivative checks use
 central finite differences. ``read_csv_rowwise`` is the per-cell CSV reader
-that the columnar ``marscore.io.read_csv`` must agree with.
+that the columnar ``marscore.io.read_csv`` must agree with, and
+``solve_spd_loop`` and ``quad_form_inv_loop`` are the column-by-column
+Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with.
 """
 
 from __future__ import annotations
@@ -14,12 +16,58 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from scipy.linalg import solve_triangular
 from scipy.special import expit, log_expit
 
 from marscore.data import Dataset
-from marscore.exceptions import EmptyDataset, IoFailure, MissingColumn, MissingCovariate, NonNumericCell
+from marscore.exceptions import (
+    EmptyDataset,
+    IoFailure,
+    MissingColumn,
+    MissingCovariate,
+    NonNumericCell,
+    SingularMatrix,
+)
 from marscore.io import _NA_STRINGS, _reject_non_finite, _undecodable_offset
 from marscore.model import outcome_fit_at
+from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
+
+
+def cholesky_loop(m):
+    """Lower Cholesky factor, one column at a time, with ``cholesky_spd``'s
+    symmetry check and relative pivot floor."""
+    a = np.asarray(m, dtype=float)
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    if scale > 0 and np.max(np.abs(a - a.T)) > _SYM_RTOL * scale:
+        raise SingularMatrix("matrix is not symmetric")
+    k = a.shape[0]
+    floor = _PIVOT_RTOL * max(float(np.max(a.diagonal())) if k else 0.0, 0.0)
+    lower = np.zeros_like(a)
+    for j in range(k):
+        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        if not pivot > floor:
+            raise SingularMatrix(
+                f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
+                "matrix is not positive definite"
+            )
+        lower[j, j] = np.sqrt(pivot)
+        if j + 1 < k:
+            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    return lower
+
+
+def solve_spd_loop(m, v):
+    """``marscore.numerics.solve_spd`` through :func:`cholesky_loop` and two triangular solves."""
+    lower = cholesky_loop(m)
+    half = solve_triangular(lower, np.asarray(v, dtype=float), lower=True)
+    return solve_triangular(lower.T, half, lower=False)
+
+
+def quad_form_inv_loop(m, v):
+    """``v.T @ inv(m) @ v`` as the squared norm of ``inv(L) @ v``, ``L`` from
+    :func:`cholesky_loop`."""
+    half = solve_triangular(cholesky_loop(m), np.asarray(v, dtype=float), lower=True)
+    return float(half @ half)
 
 
 def observed_loglik(data, pf, of, gamma, order=60):

@@ -1,6 +1,7 @@
 import codecs
 import json
 
+import numpy as np
 import pytest
 
 from marscore.cli import main
@@ -10,13 +11,17 @@ from marscore.numerics import RngStream
 from marscore.sim import Example2Config, generate_example2
 
 
-def make_trial_csv(tmp_path, n=800, gamma=0.0):
+def make_trial_csv(tmp_path, n=800, gamma=0.0, with_z=False):
+    """An Example-2 trial with covariate ``x`` (and a pure-noise ``z`` if ``with_z``)."""
     cfg = Example2Config(n=n, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.25, gamma=gamma)
     data = generate_example2(cfg, RngStream(61, 0))
     arms = tuple("I" if i % 2 == 0 else "II" for i in range(data.n))
-    labeled = Dataset(x=data.x, d=data.d, y_complete=data.y_complete, labels={"arm": arms})
+    x, names = data.x, ("x",)
+    if with_z:
+        x, names = np.column_stack([x, RngStream(61, 1).generator().standard_normal(n)]), ("x", "z")
+    labeled = Dataset(x=x, d=data.d, y_complete=data.y_complete, labels={"arm": arms})
     path = tmp_path / "trial.csv"
-    write_dataset_csv(labeled, path, outcome_column="y", covariate_columns=("x",))
+    write_dataset_csv(labeled, path, outcome_column="y", covariate_columns=names)
     return path
 
 
@@ -171,12 +176,15 @@ class TestTestSubcommand:
             ["--covariates", "x,y"],
             ["--covariates", "x", "--propensity", "x,x"],
             ["--covariates", "x", "--mean-basis", "1,x,x"],
+            ["--covariates", "x,z", "--mean-basis", "1,x*z,z*x"],
+            ["--covariates", "x", "--mean-basis", "1,x^2,x*x"],
         ],
         ids=["undeclared-term", "unknown-variant", "undeclared-propensity",
-             "repeated-covariate", "outcome-as-covariate", "repeated-propensity", "repeated-term"],
+             "repeated-covariate", "outcome-as-covariate", "repeated-propensity", "repeated-term",
+             "repeated-product", "square-as-product"],
     )
     def test_bad_spec_exits_2(self, tmp_path, capsys, flags):
-        data_path = make_trial_csv(tmp_path, n=50)
+        data_path = make_trial_csv(tmp_path, n=50, with_z=True)
         with pytest.raises(SystemExit) as excinfo:
             main(["test", "--data", str(data_path), "--outcome", "y", *flags])
         assert excinfo.value.code == 2

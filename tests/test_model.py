@@ -9,12 +9,15 @@ from numpy.testing import assert_allclose
 from scipy.special import expit, logit
 
 import marscore
+from marscore import model
 from marscore.basis import intercept, raw, square
 from marscore.data import Dataset
 from marscore.exceptions import (
     DegenerateVariance,
+    NoConvergence,
     RankDeficientDesign,
     Separation,
+    SingularMatrix,
 )
 from marscore.model import (
     GaussianOutcomeFamily,
@@ -49,6 +52,24 @@ def propensity_standard_errors(fit):
     """Conventional logistic SEs from the inverse averaged information."""
     k = fit.info_matrix.shape[0]
     return np.sqrt(np.diag(solve_spd(fit.info_matrix, np.eye(k))) / fit.n)
+
+
+class TestHalvingSearch:
+    def test_a_step_that_only_ties_is_halved(self):
+        def evaluate(cand):
+            return (-10.0 if cand[0] == 1.0 else -9.0), None
+
+        cand, loglik, _, final = model._halving_search(
+            "test", np.zeros(1), np.ones(1), np.ones(1), -10.0, evaluate)
+        assert (cand[0], loglik, final) == (0.5, -9.0, False)
+
+    def test_a_gain_within_rounding_noise_takes_the_full_step(self):
+        def evaluate(cand):
+            return -10.0 - cand[0], None  # every trial compares worse
+
+        step = np.array([1e-8])
+        cand, _, _, final = model._halving_search("test", np.zeros(1), step, step, -10.0, evaluate)
+        assert cand[0] == 1e-8 and final
 
 
 class TestFitPropensityNull:
@@ -111,7 +132,7 @@ class TestFitPropensityNull:
             fit_propensity_null(data)
 
     def test_collinear_design_with_zero_start_gradient_raises(self):
-        # the gradient at beta = 0 is exactly zero, so Newton stops before any solve
+        # the gradient at beta = 0 is exactly zero, so only the Gram check sees the collinearity
         x = np.array([1.0, 1.0, 2.0, 2.0])
         data = dataset_from_full([x, 2 * x], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0])
         with pytest.raises(RankDeficientDesign):
@@ -120,7 +141,8 @@ class TestFitPropensityNull:
     def test_rounding_noise_stall_converges_with_one_blas_thread(self):
         # Near the optimum the full step's predicted gain (about 4e-11) lies below
         # the rounding noise of this 100 000-term log-likelihood, and with one
-        # BLAS thread every halving compares worse; the fit must still converge.
+        # BLAS thread every halving compares worse. The fit must take the full
+        # step and stop, not crawl through halvings that only compare equal.
         script = (
             "from marscore.model import fit_propensity_null\n"
             "from marscore.numerics import RngStream\n"
@@ -128,7 +150,7 @@ class TestFitPropensityNull:
             "data = generate_example1(Example1Config(n=100_000, b_z=0.5, c2=0.25), RngStream(2, 0))\n"
             "fit = fit_propensity_null(data, columns=(0, 1))\n"
             "grad = fit.design.T @ (data.d - fit.pi)\n"
-            "print(abs(grad).max() <= 1e-8 * data.n)\n"
+            "print(abs(grad).max() <= 1e-8 * data.n, fit.iterations)\n"
         )
         src = str(Path(marscore.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -136,7 +158,9 @@ class TestFitPropensityNull:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "True"
+        converged, iterations = done.stdout.split()
+        assert converged == "True"
+        assert int(iterations) <= 6
 
     def test_column_subset(self):
         rng = np.random.default_rng(4)
@@ -158,7 +182,7 @@ class TestFitPropensityNull:
         scaled = dataset_from_full([4.0 * x], d, np.zeros(n))
         fit = fit_propensity_null(data)
         fit_scaled = fit_propensity_null(scaled)
-        assert fit_scaled.beta_hat[1] == pytest.approx(fit.beta_hat[1] / 4.0, rel=1e-8)
+        assert fit_scaled.beta_hat[1] == pytest.approx(fit.beta_hat[1] / 4.0, rel=1e-10)
         assert np.max(np.abs(fit.pi - fit_scaled.pi)) < 1e-8
 
 
@@ -218,6 +242,21 @@ class TestFitOutcomeParametric:
         grad_m = bm.T @ (r / fit.var[complete])
         grad_v = 0.5 * bv.T @ (u - 1.0)
         assert max(np.max(np.abs(grad_m)), np.max(np.abs(grad_v))) <= GRAD_RTOL * data.n
+
+    def test_indefinite_observed_information_is_no_convergence(self, monkeypatch):
+        cfg = Example2Config(n=400, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
+        data = generate_example2(cfg, RngStream(14, 0))
+        family = example2_family()
+        solve = model.solve_spd
+
+        def refuse_joint(m, v):
+            if m.shape[0] == family.dim_xi:
+                raise SingularMatrix("pivot -1.000e+00 below 1.000e-12 at column 3")
+            return solve(m, v)
+
+        monkeypatch.setattr(model, "solve_spd", refuse_joint)
+        with pytest.raises(NoConvergence, match="observed information"):
+            fit_outcome_parametric(data, family)
 
     def test_too_few_complete_cases(self):
         data = dataset_from_full([[0.1, 0.2, 0.3, 0.4]], [1, 1, 0, 0], [1.0, 2.0, 0, 0])

@@ -1,17 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtr
 
+from marscore import model, score
 from marscore.exceptions import SingularMatrix
 from marscore.numerics import (
     RngStream,
     normal_cdf,
     normal_quantile,
+    quad_form_inv,
     solve_spd,
 )
-from tests.oracles import gaussian_moment
+from marscore.sim import Example1Config, Example2Config, run_rejection_study
+from tests.oracles import gaussian_moment, quad_form_inv_loop, solve_spd_loop
 
 
 class TestSolveSpd:
@@ -57,6 +63,58 @@ class TestSolveSpd:
     def test_asymmetric_raises(self):
         with pytest.raises(SingularMatrix):
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
+
+    def test_positive_pivot_under_the_floor_raises(self):
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+        assert dpotrf(m, lower=True)[1] == 0  # LAPACK alone factors it
+        with pytest.raises(SingularMatrix, match="at column 1"):
+            solve_spd(m, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("row, col, value", [(0, 0, np.nan), (1, 0, np.inf), (0, 1, np.nan),
+                                                 (2, 2, -np.inf)])
+    def test_non_finite_entry_raises(self, row, col, value):
+        m = np.eye(3)
+        m[row, col] = value
+        if row != col:
+            m[col, row] = value if np.isinf(value) else 0.0
+        with pytest.raises(SingularMatrix, match=f"column {col}"):
+            solve_spd(m, np.ones(3))
+
+    @pytest.mark.parametrize("m, column, pivot", [
+        ([[1.0, 2.0], [2.0, 1.0]], 1, "-3.000e+00"),
+        ([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1, "0.000e+00"),
+        ([[-1.0, 0.0], [0.0, 1.0]], 0, "-1.000e+00"),
+    ], ids=["indefinite", "singular", "negative-first"])
+    def test_message_names_the_failing_pivot_and_column(self, m, column, pivot):
+        expected = rf"pivot {re.escape(pivot)} below .* at column {column};"
+        with pytest.raises(SingularMatrix, match=expected):
+            solve_spd(np.array(m), np.ones(len(m)))
+
+    def test_matches_the_column_loop(self):
+        rng = np.random.default_rng(3)
+        for k in range(1, 8):
+            r = rng.standard_normal((k, k))
+            m = r @ r.T + 0.1 * np.eye(k)
+            v = rng.standard_normal(k)
+            assert_allclose(solve_spd(m, v), solve_spd_loop(m, v), rtol=1e-10)
+            assert quad_form_inv(m, v) == pytest.approx(quad_form_inv_loop(m, v), rel=1e-10)
+
+
+@pytest.mark.parametrize("cfg", [
+    Example1Config(n=200),
+    Example2Config(n=100, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25),
+    Example2Config(n=15),
+], ids=["example1", "example2-heteroskedastic", "example2-homoskedastic-n15"])
+def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
+    """Whole replications through the column-loop solves give the same z and failures."""
+    lapack = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
+    monkeypatch.setattr(model, "solve_spd", solve_spd_loop)
+    monkeypatch.setattr(score, "solve_spd", solve_spd_loop)
+    monkeypatch.setattr(score, "quad_form_inv", quad_form_inv_loop)
+    loop = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
+    assert np.array_equal(lapack.failed, loop.failed)
+    assert_allclose(lapack.z_s1, loop.z_s1, rtol=1e-10)
+    assert_allclose(lapack.z_s2, loop.z_s2, rtol=1e-10)
 
 
 class TestNormalCdf:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from marscore.basis import intercept, raw, square
@@ -9,6 +11,7 @@ from marscore.data import Dataset
 from marscore.exceptions import (
     FitMismatch,
     InvalidAlpha,
+    MarscoreError,
     NegativeVariance,
     SingularMatrix,
 )
@@ -304,24 +307,81 @@ class TestTestReport:
             res.reject(1.5)
 
 
+def z_values(ds, family=None, location_basis=None):
+    """S1 and S2 ``z`` with the Example-2 models unless others are given."""
+    pf = fit_propensity_null(ds)
+    of = fit_outcome_parametric(ds, family or example2_family())
+    lf = fit_location(ds, location_basis or example2_location_basis())
+    r1 = score_report(score_statistic_s1(ds, pf, of), variance_s1(ds, pf, of), ds.n)
+    r2 = score_report(score_statistic_s2(ds, pf, lf), variance_s2(ds, pf, lf), ds.n)
+    return r1.z, r2.z
+
+
 class TestScaleEquivariance:
     def test_z_invariant_under_outcome_scaling(self):
         cfg = Example2Config(n=800, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.25)
         data = generate_example2(cfg, RngStream(27, 0))
-        scale = 3.7
-        scaled = Dataset(x=data.x, d=data.d, y_complete=scale * data.y_complete)
-
-        def z_values(ds):
-            pf = fit_propensity_null(ds)
-            of = fit_outcome_parametric(ds, example2_family())
-            lf = fit_location(ds, example2_location_basis())
-            r1 = score_report(score_statistic_s1(ds, pf, of), variance_s1(ds, pf, of), ds.n)
-            r2 = score_report(score_statistic_s2(ds, pf, lf), variance_s2(ds, pf, lf), ds.n)
-            return r1.z, r2.z
+        scaled = Dataset(x=data.x, d=data.d, y_complete=3.7 * data.y_complete)
         z_base = z_values(data)
         z_scaled = z_values(scaled)
-        assert z_scaled[0] == pytest.approx(z_base[0], abs=1e-6)
-        assert z_scaled[1] == pytest.approx(z_base[1], abs=1e-6)
+        assert z_scaled[0] == pytest.approx(z_base[0], rel=1e-10)
+        assert z_scaled[1] == pytest.approx(z_base[1], rel=1e-10)
+
+
+# Models with an intercept in every design, so that an affine map of y or of
+# x changes no column span and z must not move.
+INTERCEPT_FAMILY = GaussianOutcomeFamily((intercept(), raw(1), square(1)), (intercept(), raw(1)))
+INTERCEPT_LOCATION = (intercept(), raw(1), square(1))
+magnitudes = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+
+
+def heteroskedastic_draw(seed, n):
+    """An Example-2 heteroskedastic draw and its ``z``; a draw whose fit fails is rejected."""
+    cfg = Example2Config(n=n, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25)
+    data = generate_example2(cfg, RngStream(seed, 0))
+    try:
+        return data, z_values(data, INTERCEPT_FAMILY, INTERCEPT_LOCATION)
+    except MarscoreError:
+        reject()
+
+
+def with_x(data, x):
+    return Dataset(x=np.column_stack([np.ones(data.n), x]), d=data.d, y_complete=data.y_complete)
+
+
+class TestInvarianceProperties:
+    """Invariances that the theory guarantees, to 1e-10 relative on z."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300),
+           perm_seed=st.integers(0, 2**32 - 1))
+    def test_row_permutation_leaves_z(self, seed, n, perm_seed):
+        data, z = heteroskedastic_draw(seed, n)
+        order = np.random.default_rng(perm_seed).permutation(n)
+        y = np.zeros(n)
+        y[data.complete_idx] = data.y_complete
+        permuted = Dataset.from_generated(data.x[order], data.d[order], y[order])
+        z_perm = z_values(permuted, INTERCEPT_FAMILY, INTERCEPT_LOCATION)
+        assert z_perm == pytest.approx(z, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), a=magnitudes,
+           b=st.floats(-10.0, 10.0))
+    def test_affine_outcome_map_gives_signed_z(self, seed, n, a, b):
+        data, z = heteroskedastic_draw(seed, n)
+        mapped = Dataset(x=data.x, d=data.d, y_complete=a * data.y_complete + b)
+        z_mapped = z_values(mapped, INTERCEPT_FAMILY, INTERCEPT_LOCATION)
+        assert z_mapped == pytest.approx(tuple(np.sign(a) * np.array(z)), rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), scale=magnitudes,
+           shift=st.floats(-5.0, 5.0))
+    def test_rescaled_or_shifted_covariate_leaves_z(self, seed, n, scale, shift):
+        data, z = heteroskedastic_draw(seed, n)
+        x = data.x[:, 1]
+        for moved in (scale * x, x + shift):
+            z_moved = z_values(with_x(data, moved), INTERCEPT_FAMILY, INTERCEPT_LOCATION)
+            assert z_moved == pytest.approx(z, rel=1e-10)
 
 
 class TestAnalyticLocalPower:
