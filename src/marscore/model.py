@@ -30,16 +30,12 @@ from .exceptions import (
     Separation,
     SingularMatrix,
 )
-from .numerics import cholesky_spd, solve_spd
+from .numerics import _NOISE_ULPS, cholesky_spd, solve_spd
 
 _MAX_ITER = 100
-_GRAD_RTOL = 1e-8
 _SEPARATION_BOUND = 30.0
 _VARIANCE_FLOOR = 1e-12
 _HALVINGS = 30
-# Rounding noise of a summed log-likelihood, in ulps of its magnitude; a
-# predicted Newton gain below it cannot be confirmed by comparing values.
-_NOISE_ULPS = 256
 
 
 @contextmanager
@@ -51,18 +47,18 @@ def _singular_as(error, what: str):
         raise error(f"{what}: {exc}") from exc
 
 
-def _halving_search(what: str, x, step, grad, loglik: float, evaluate):
+def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: float):
     """Step-halving search along the Newton ``step`` at ``x``.
 
     ``evaluate(cand)`` returns ``(loglik_cand, extra)``; the search returns
     ``(cand, loglik_cand, extra, final)``. If the predicted gain
-    ``grad @ step / 2`` is within the rounding noise of ``loglik``, ``x`` is
-    one Newton step from the optimum: the full step is taken and ``final``
-    is true. Otherwise the first of 30 halvings whose log-likelihood exceeds
-    ``loglik`` is taken, or ``NoConvergence`` raised. A trial that overflows
-    is rejected through its -inf log-likelihood.
+    ``grad @ step / 2`` is within the rounding noise of ``loglik``, a sum of
+    terms whose magnitudes add to ``size``, ``x`` is one Newton step from
+    the optimum: the full step is taken and ``final`` is true. Otherwise the
+    first of 30 halvings whose log-likelihood exceeds ``loglik`` is taken,
+    or ``NoConvergence`` raised; an overflowing trial fails through its -inf.
     """
-    final = 0.5 * (grad @ step) <= _NOISE_ULPS * np.spacing(abs(loglik))
+    final = 0.5 * (grad @ step) <= _NOISE_ULPS * np.spacing(size)
     with np.errstate(over="ignore"):
         scale = 1.0
         for _ in range(_HALVINGS):
@@ -140,7 +136,10 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         grad = design.T @ (d - pi)
         hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
         step = solve_spd(hessian, grad)
-        beta, loglik, eta, final = _halving_search("propensity", beta, step, grad, loglik, evaluate)
+        # each row's term is negative, so their magnitudes add to |loglik|
+        beta, loglik, eta, final = _halving_search(
+            "propensity", beta, step, grad, loglik, evaluate, abs(loglik)
+        )
         pi = expit(eta)
         if np.max(np.abs(beta)) > _SEPARATION_BOUND:
             raise Separation(
@@ -280,11 +279,12 @@ def outcome_fit_at(data: Dataset, family: GaussianOutcomeFamily, xi) -> Parametr
 def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> ParametricOutcomeFit:
     """Maximize the complete-case Gaussian likelihood over xi.
 
-    Alternates exact weighted least squares for the mean coefficients with
-    damped Newton steps for the log-variance coefficients until the joint
-    gradient is at most ``1e-8 * n``, then ends at the optimum with one joint
-    Newton step on the observed information (``NoConvergence`` if it is not
-    positive definite).
+    Newton steps on the joint xi with step halving, from the least-squares
+    mean and the projected log residual variance. Each step solves the
+    observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``, or where that
+    is not positive definite its two diagonal blocks apart (``NoConvergence``
+    if either is singular). Only a joint step whose predicted gain is within
+    rounding noise ends the fit.
     """
     complete = data.complete_idx
     nc = complete.size
@@ -297,64 +297,59 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     bv_all = family.logvar_design(data.x)
     bm = bm_all[complete]
     bv = bv_all[complete]
+    qm = family.dim_mean
 
     with _singular_as(RankDeficientDesign, "outcome mean design is rank deficient"):
         xi_m = solve_spd(bm.T @ bm, bm.T @ yc)
     r = yc - bm @ xi_m
-    s2 = float(np.mean(r * r))
     # project log residual variance onto the log-variance basis as a start
-    target = np.log(max(s2, 1e-300))
+    target = np.log(max(float(np.mean(r * r)), 1e-300))
     with _singular_as(RankDeficientDesign, "outcome log-variance design is rank deficient"):
         xi_v = solve_spd(bv.T @ bv, bv.T @ np.full(nc, target))
+    xi = np.concatenate([xi_m, xi_v])
 
-    def _floor_check(xi_v_cand):
-        s_all = bv_all @ xi_v_cand
+    def _floor_check(cand):
+        s_all = bv_all @ cand[qm:]
         if np.min(s_all) < np.log(_VARIANCE_FLOOR):
             raise DegenerateVariance(
                 "fitted conditional variance fell below 1e-12",
-                mean_coef=xi_m.copy(),
+                mean_coef=cand[:qm].copy(),
                 row=int(np.argmin(s_all)),
             )
 
-    def evaluate(cand_v):
-        # profile log-likelihood in xi_v at the current mean residuals r
-        s_cand = bv @ cand_v
-        u_cand = r * r * np.exp(-s_cand)
-        return _gaussian_loglik(s_cand, u_cand, nc), (s_cand, u_cand)
+    def evaluate(cand):
+        s_cand = bv @ cand[qm:]
+        r_cand = yc - bm @ cand[:qm]
+        u_cand = r_cand * r_cand * np.exp(-s_cand)
+        return _gaussian_loglik(s_cand, u_cand, nc), (r_cand, s_cand, u_cand)
 
-    _floor_check(xi_v)
-    s_c = bv @ xi_v
-    w = np.exp(-s_c)
+    _floor_check(xi)
+    loglik, (r, s_c, u) = evaluate(xi)
     for iterations in range(1, _MAX_ITER + 1):
-        # mean step: exact weighted least squares given the variances
-        xi_m = solve_spd(bm.T @ (bm * w[:, None]), bm.T @ (w * yc))
-        r = yc - bm @ xi_m
-
-        # variance step: damped Newton on the (concave) profile in xi_v
-        u = r * r * w
-        grad_v = 0.5 * bv.T @ (u - 1.0)
-        hess_v = 0.5 * bv.T @ (bv * u[:, None])
-        step = solve_spd(hess_v, grad_v)
-        loglik = _gaussian_loglik(s_c, u, nc)
-        xi_v, _, (s_c, u), _ = _halving_search("outcome", xi_v, step, grad_v, loglik, evaluate)
-        _floor_check(xi_v)
-
         w = np.exp(-s_c)
-        grad_m = bm.T @ (r * w)
-        grad_v = 0.5 * bv.T @ (u - 1.0)
-        if max(np.max(np.abs(grad_m)), np.max(np.abs(grad_v))) <= _GRAD_RTOL * data.n:
+        grad = np.concatenate([bm.T @ (r * w), 0.5 * bv.T @ (u - 1.0)])
+        info_m = bm.T @ (bm * w[:, None])
+        info_v = 0.5 * bv.T @ (bv * u[:, None])
+        cross = bm.T @ (bv * (r * w)[:, None])
+        try:
+            step = solve_spd(np.block([[info_m, cross], [cross.T, info_v]]), grad)
+            joint = True
+        except SingularMatrix:
+            # far from the optimum the cross block can make the information indefinite
+            with _singular_as(NoConvergence, "outcome information block is singular"):
+                step = np.concatenate([solve_spd(info_m, grad[:qm]), solve_spd(info_v, grad[qm:])])
+            joint = False
+        # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
+        size = 0.5 * (nc * np.log(2.0 * np.pi) + np.abs(s_c).sum() + u.sum())
+        xi, loglik, (r, s_c, u), final = _halving_search(
+            "outcome", xi, step, grad, loglik, evaluate, size
+        )
+        _floor_check(xi)
+        if final and joint:
             break
     else:
         raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
-
-    # a joint Newton step on the observed information ends the linear alternation at the optimum
-    cross = bm.T @ (bv * (r * w)[:, None])
-    info = np.block([[bm.T @ (bm * w[:, None]), cross], [cross.T, 0.5 * bv.T @ (bv * u[:, None])]])
-    with _singular_as(NoConvergence, "outcome observed information is not positive definite"):
-        step = solve_spd(info, np.concatenate([grad_m, grad_v]))
-    xi_m, xi_v = family.split(np.concatenate([xi_m, xi_v]) + step)
-    _floor_check(xi_v)
-    return _outcome_fit(data, family, np.concatenate([xi_m, xi_v]), bm_all, bv_all, iterations)
+    return _outcome_fit(data, family, xi, bm_all, bv_all, iterations)
 
 
 @dataclass(frozen=True)

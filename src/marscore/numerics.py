@@ -24,6 +24,9 @@ _PIVOT_RTOL = 1e-12
 
 _SYM_RTOL = 1e-10
 
+# Rounding noise of a sum, in ulps of its terms' summed magnitude.
+_NOISE_ULPS = 256
+
 
 def cholesky_spd(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix, from LAPACK ``dpotrf``.

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
 from .model import LocationFit, ParametricOutcomeFit, PropensityFit, gaussian_information
-from .numerics import normal_cdf, normal_quantile, quad_form_inv, solve_spd
+from .numerics import _NOISE_ULPS, normal_cdf, normal_quantile, quad_form_inv, solve_spd
 
 
 def _check_same_data(data: Dataset, *fits) -> None:
@@ -166,10 +166,10 @@ def score_statistic_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> flo
 
 
 def _checked(components):
-    """Store the assembled sigma^2 in ``components``; raise if it is not positive."""
+    """Store sigma^2 in ``components``; raise unless it exceeds the rounding noise of ``A2_hat``."""
     sigma_sq = components.assemble()
     components = dataclasses.replace(components, sigma_sq_hat=float(sigma_sq))
-    if not sigma_sq > 0.0:
+    if not sigma_sq > _NOISE_ULPS * np.spacing(components.A2_hat):
         raise NegativeVariance(
             f"assembled {components.variant} variance {sigma_sq:.6e} is not positive; "
             "model misuse or violated regularity conditions",

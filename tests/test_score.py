@@ -147,7 +147,10 @@ class TestVarianceS1:
         )
         family = GaussianOutcomeFamily((intercept(),), (intercept(),))
         of = outcome_fit_at(data, family, np.array([0.0, 0.0]))  # m1=0, m2=1
-        comp = variance_s1(data, pf, of)
+        # one row leaves nothing for the variance: sigma^2 is zero, only its components are read
+        with pytest.raises(NegativeVariance) as excinfo:
+            variance_s1(data, pf, of)
+        comp = excinfo.value.components
         assert comp.A2_hat == pytest.approx(0.5 * 0.25 * 1.0, abs=1e-15)
 
     def test_intercept_only_hand_assembly(self):
