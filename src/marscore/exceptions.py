@@ -44,10 +44,11 @@ class FitMismatch(MarscoreError):
 
 
 class NegativeVariance(MarscoreError):
-    """An assembled plug-in variance estimate was not positive.
+    """A plug-in variance estimate was zero within rounding, or not positive.
 
-    Signals violated regularity conditions or model misuse; the offending
-    component set is attached as ``components`` for diagnosis.
+    The estimate is a sum of squares, never negative; zero means violated
+    regularity conditions or model misuse. The offending component set is
+    attached as ``components`` for diagnosis.
     """
 
     def __init__(self, message, components=None):

@@ -367,10 +367,6 @@ class LocationFit:
     def n(self) -> int:
         return self.mu.shape[0]
 
-    def residual_second_moment(self) -> float:
-        """Mean squared complete-case residual (estimates Var(eps | D=1))."""
-        return float(np.mean(self.residuals**2))
-
 
 def fit_location(data: Dataset, mean_basis) -> LocationFit:
     """Least-squares fit of the location model on complete cases."""

@@ -7,8 +7,9 @@ the observed-data likelihood evaluated at null-restricted estimates:
 * S1 plugs in a parametric (Gaussian) conditional-outcome fit;
 * S2 plugs in a least-squares location fit.
 
-Each comes with a consistent variance estimator assembled from sample
-averages; the standardized statistic is compared to the standard normal.
+Each statistic and its consistent variance estimator are sums of per-row
+projected terms that S1 and S2 share; σ² is a sum of squares, never
+negative. The standardized statistic is compared to the standard normal.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def _check_same_data(data: Dataset, *fits) -> None:
                 f"fit covers {fit.n} rows but dataset has {data.n}; "
                 "fits must come from the dataset under test"
             )
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _components_dict(components) -> dict:
@@ -56,15 +62,6 @@ class VarianceComponentsS1:
 
     variant = "S1"
 
-    def assemble(self) -> float:
-        """Compute sigma^2 from the stored components."""
-        return (
-            self.A2_hat
-            + self.B2_hat
-            - quad_form_inv(self.A_hat, self.A1_hat)
-            - quad_form_inv(self.B_hat, self.B1_hat)
-        )
-
     def noncentrality_base(self) -> float:
         """Local-alternative mean shift per unit gamma0 (equals sigma^2 for S1)."""
         return self.sigma_sq_hat
@@ -88,30 +85,14 @@ class VarianceComponentsS2:
 
     variant = "S2"
 
-    def _projected(self) -> float:
-        """A2 + B4 - A1' A^{-1} A1, shared by every S2 quantity below."""
-        return self.A2_hat + self.B4_hat - quad_form_inv(self.A_hat, self.A1_hat)
-
-    def assemble(self) -> float:
-        """Compute sigma^2 from the stored components."""
-        z = solve_spd(self.C1_hat, self.B3_hat)
-        return self._projected() + float(z @ self.C2_hat @ z) - 2.0 * float(z @ self.C3_hat)
-
-    def cross_term(self) -> float:
-        """The B3' C1^{-1} C3 term entering the local-power shift."""
-        return float(solve_spd(self.C1_hat, self.B3_hat) @ self.C3_hat)
-
     def noncentrality_base(self) -> float:
-        """Local-alternative mean shift per unit gamma0."""
-        return self._projected() - self.cross_term()
-
-    def reduced_sigma_sq(self, residual_variance: float) -> float:
-        """Homoskedastic reduction of sigma^2 given Var(eps | D=1).
-
-        Valid when the location-model errors are independent of the
-        covariates among complete cases; a diagnostic, not the default.
-        """
-        return self._projected() - quad_form_inv(self.C1_hat, self.B3_hat) * residual_variance
+        """Local-alternative mean shift per unit gamma0: ``A2 + B4 - A1ᵀA⁻¹A1 - (C1⁻¹B3)ᵀC3``."""
+        return (
+            self.A2_hat
+            + self.B4_hat
+            - quad_form_inv(self.A_hat, self.A1_hat)
+            - float(solve_spd(self.C1_hat, self.B3_hat) @ self.C3_hat)
+        )
 
     to_dict = _components_dict
 
@@ -129,8 +110,7 @@ class ScoreTestResult:
     n: int = 0
 
     def reject(self, alpha: float) -> bool:
-        if not 0.0 < alpha < 1.0:
-            raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         return self.p_value < alpha
 
     def to_dict(self) -> dict:
@@ -145,14 +125,26 @@ class ScoreTestResult:
         }
 
 
+def _unexplained(pf: PropensityFit, m: np.ndarray):
+    """``A1_hat`` and ``e = m - X A_hat⁻¹A1_hat``: the part of the plug-in mean ``m``
+    that the propensity design ``X`` leaves unexplained (pi (1 - pi)-weighted)."""
+    a1 = pf.design.T @ (pf.pi * (1.0 - pf.pi) * m) / pf.n
+    return a1, m - pf.design @ solve_spd(pf.info_matrix, a1)
+
+
 def _score_statistic(data: Dataset, pf: PropensityFit, fit, plug_in: np.ndarray) -> float:
-    """Complete rows contribute ``(1 - pi) * y``; missing rows contribute
-    ``-pi`` times the plug-in conditional mean."""
+    """``Σ (d - pi) e + Σ_complete (1 - pi)(y - m)``. At the propensity MLE, where
+    ``Xᵀ(d - pi) = 0``, this is the gamma-score ``Σ_complete (1 - pi) y - Σ_missing pi m``
+    without the part of ``m`` spanned by ``X``, which would cancel only to rounding."""
     _check_same_data(data, pf, fit)
-    observed_part = float((1.0 - pf.pi[data.complete_idx]) @ data.y_complete)
-    missing = data.missing_idx
-    missing_part = float(pf.pi[missing] @ plug_in[missing])
-    return observed_part - missing_part
+    _, e = _unexplained(pf, plug_in)
+    complete = data.complete_idx
+    return float((data.d - pf.pi) @ e + (1.0 - pf.pi[complete]) @ (data.y_complete - plug_in[complete]))
+
+
+def _sigma_sq(pf: PropensityFit, e: np.ndarray, u: np.ndarray, weights: np.ndarray) -> float:
+    """``(Σ pi (1 - pi) e² + Σ weights u²) / n``: S1's and S2's σ² as one sum of squares."""
+    return float(((pf.pi * (1.0 - pf.pi)) @ (e * e) + weights @ (u * u)) / pf.n)
 
 
 def score_statistic_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> float:
@@ -166,12 +158,10 @@ def score_statistic_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> flo
 
 
 def _checked(components):
-    """Store sigma^2 in ``components``; raise unless it exceeds the rounding noise of ``A2_hat``."""
-    sigma_sq = components.assemble()
-    components = dataclasses.replace(components, sigma_sq_hat=float(sigma_sq))
-    if not sigma_sq > _NOISE_ULPS * np.spacing(components.A2_hat):
+    """Return ``components``; raise unless their σ² exceeds the rounding noise of ``A2_hat``."""
+    if not components.sigma_sq_hat > _NOISE_ULPS * np.spacing(components.A2_hat):
         raise NegativeVariance(
-            f"assembled {components.variant} variance {sigma_sq:.6e} is not positive; "
+            f"{components.variant} variance {components.sigma_sq_hat:.6e} is zero within rounding; "
             "model misuse or violated regularity conditions",
             components=components,
         )
@@ -179,34 +169,46 @@ def _checked(components):
 
 
 def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> VarianceComponentsS1:
-    """Assemble the S1 variance estimator from sample averages.
+    """The S1 variance estimator and its components, from sample averages.
 
     All conditional-outcome integrals use the Gaussian closed forms: the
     first and second conditional moments, and from
     :func:`~marscore.model.gaussian_information` the mean gradient
     (``B1_hat``, weighted by pi (1 - pi)) and minus the integrated Hessian
-    (``B_hat``, the pi-weighted Fisher information).
+    (``B_hat``, the pi-weighted Fisher information). σ²'s outcome term
+    weights ``u``, the part of ``1 - pi`` the mean gradient leaves
+    unexplained (pi / var-weighted), by the model variance ``pi var``.
     """
     _check_same_data(data, pf, of)
     n = data.n
     pi = pf.pi
     m1 = of.m1
-    w = pi * (1.0 - pi)
-    b1_hat, b_hat = gaussian_information(of.mean_design_all, of.logvar_design_all, of.var, w, pi)
+    bm = of.mean_design_all
+    b1_hat, b_hat = gaussian_information(bm, of.logvar_design_all, of.var, pi * (1.0 - pi), pi)
+    b1_hat, b_hat = b1_hat / n, b_hat / n
+    a1_hat, e = _unexplained(pf, m1)
+    # B_hat is block diagonal and B1_hat is zero in the log-variance block
+    qm = bm.shape[1]
+    c = solve_spd(b_hat[:qm, :qm], b1_hat[:qm])
+    u = (1.0 - pi) - bm @ c / of.var
 
     return _checked(VarianceComponentsS1(
         A_hat=pf.info_matrix,
-        B_hat=b_hat / n,
-        A1_hat=pf.design.T @ (w * m1) / n,
-        B1_hat=b1_hat / n,
+        B_hat=b_hat,
+        A1_hat=a1_hat,
+        B1_hat=b1_hat,
         A2_hat=float(np.sum(pi * (1.0 - pi) ** 2 * of.m2) / n),
         B2_hat=float(np.sum(pi**2 * (1.0 - pi) * m1**2) / n),
-        sigma_sq_hat=np.nan,
+        sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
     ))
 
 
 def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceComponentsS2:
-    """Assemble the S2 variance estimator (heteroskedasticity-robust)."""
+    """The S2 variance estimator (heteroskedasticity-robust) and its components.
+
+    σ²'s outcome term weights ``u``, the part of ``1 - pi`` the location
+    gradient leaves unexplained (pi-weighted), by each complete row's ``r²``.
+    """
     _check_same_data(data, pf, lf)
     n = data.n
     pi = pf.pi
@@ -214,22 +216,25 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
     g = lf.design_all
     complete = lf.complete_idx
     r2 = lf.residuals**2
-    w = pi * (1.0 - pi)
     gc = g[complete]
+    a1_hat, e = _unexplained(pf, mu)
+    b3_hat = g.T @ (pi * (1.0 - pi)) / n
+    c1_hat = g.T @ (g * pi[:, None]) / n
+    u = (1.0 - pi[complete]) - gc @ solve_spd(c1_hat, b3_hat)
 
     return _checked(VarianceComponentsS2(
         A_hat=pf.info_matrix,
-        A1_hat=pf.design.T @ (w * mu) / n,
+        A1_hat=a1_hat,
         # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
         A2_hat=float(
             (np.sum(pi * mu**2 * (1.0 - pi) ** 2) + np.sum((1.0 - pi[complete]) ** 2 * r2)) / n
         ),
-        B3_hat=g.T @ w / n,
+        B3_hat=b3_hat,
         B4_hat=float(np.sum(pi**2 * (1.0 - pi) * mu**2) / n),
-        C1_hat=g.T @ (g * pi[:, None]) / n,
+        C1_hat=c1_hat,
         C2_hat=gc.T @ (gc * r2[:, None]) / n,
         C3_hat=gc.T @ ((1.0 - pi[complete]) * r2) / n,
-        sigma_sq_hat=np.nan,
+        sigma_sq_hat=_sigma_sq(pf, e, u, r2),
     ))
 
 
@@ -255,32 +260,20 @@ def test_report(statistic: float, components, n: int) -> ScoreTestResult:
     )
 
 
-def analytic_local_power(
-    gamma0: float,
-    sigma: float,
-    alpha: float,
-    variant: str = "S1",
-    cross_term: float | None = None,
-) -> float:
+def analytic_local_power(gamma0: float, sigma: float, alpha: float, base: float | None = None) -> float:
     """Asymptotic power against the local alternative gamma = gamma0 / sqrt(n).
 
     The standardized statistic is asymptotically normal with unit variance
     and mean ``lam = gamma0 * base / sigma``, where ``base`` is the mean
-    shift per unit gamma0: ``sigma**2`` for S1 (the default), and for S2 the
-    value of :meth:`VarianceComponentsS2.noncentrality_base` supplied via
-    ``cross_term``. Power is ``Phi(-z + lam) + Phi(-z - lam)`` at the
-    two-sided critical value ``z``.
+    shift per unit gamma0: ``sigma**2`` for S1 (the default), and
+    :meth:`VarianceComponentsS2.noncentrality_base` for S2. Power is
+    ``Phi(-z + lam) + Phi(-z - lam)`` at the two-sided critical value ``z``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    variant = variant.upper()
-    if variant not in ("S1", "S2"):
-        raise ValueError(f"variant must be S1 or S2, got {variant!r}")
-    if variant == "S2" and cross_term is None:
-        raise ValueError("S2 local power needs the components' noncentrality base")
-    base = sigma**2 if cross_term is None else cross_term
+    if base is None:
+        base = sigma**2
     lam = gamma0 * base / sigma
     crit = normal_quantile(1.0 - alpha / 2.0)
     return float(normal_cdf(-crit + lam) + normal_cdf(-crit - lam))

@@ -34,6 +34,7 @@ from .model import (
 )
 from .numerics import RngStream, normal_cdf, normal_quantile
 from .score import (
+    _check_alpha,
     score_statistic_s1,
     score_statistic_s2,
     test_report,
@@ -298,6 +299,7 @@ def run_rejection_study(
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    _check_alpha(alpha)
 
     traces = np.full((6, replications), np.nan)  # the six StudyDetails traces, in field order
     failed = np.zeros(replications, dtype=bool)

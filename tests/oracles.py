@@ -7,6 +7,8 @@ central finite differences. ``read_csv_rowwise`` is the per-cell CSV reader
 that the columnar ``marscore.io.read_csv`` must agree with, and
 ``solve_spd_loop`` and ``quad_form_inv_loop`` are the column-by-column
 Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with.
+``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
+variance components, which ``marscore.score``'s per-row kernel must agree with.
 """
 
 from __future__ import annotations
@@ -68,6 +70,29 @@ def quad_form_inv_loop(m, v):
     :func:`cholesky_loop`."""
     half = solve_triangular(cholesky_loop(m), np.asarray(v, dtype=float), lower=True)
     return float(half @ half)
+
+
+def assemble(comp):
+    """σ² from a component set, as the paper writes it: ``A2 + B2 - A1ᵀA⁻¹A1 -
+    B1ᵀB⁻¹B1`` for S1, and ``A2 + B4 - A1ᵀA⁻¹A1 + zᵀC2z - 2zᵀC3`` with
+    ``z = C1⁻¹B3`` for S2."""
+    projected = comp.A2_hat - quad_form_inv_loop(comp.A_hat, comp.A1_hat)
+    if comp.variant == "S1":
+        return projected + comp.B2_hat - quad_form_inv_loop(comp.B_hat, comp.B1_hat)
+    z = solve_spd_loop(comp.C1_hat, comp.B3_hat)
+    return projected + comp.B4_hat + float(z @ comp.C2_hat @ z) - 2.0 * float(z @ comp.C3_hat)
+
+
+def reduced_sigma_sq(comp, residual_variance):
+    """S2's σ² when the location-model errors have variance ``residual_variance``
+    independently of the covariates among complete cases:
+    ``A2 + B4 - A1ᵀA⁻¹A1 - residual_variance · B3ᵀC1⁻¹B3``."""
+    return (
+        comp.A2_hat
+        + comp.B4_hat
+        - quad_form_inv_loop(comp.A_hat, comp.A1_hat)
+        - quad_form_inv_loop(comp.C1_hat, comp.B3_hat) * residual_variance
+    )
 
 
 def observed_loglik(data, pf, of, gamma, order=60):

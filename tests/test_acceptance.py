@@ -51,6 +51,7 @@ from tests.oracles import (
     fd_gamma_score,
     fd_integrated_hessian,
     fd_mean_gradient,
+    reduced_sigma_sq,
 )
 
 SEED = 2
@@ -127,7 +128,7 @@ def _local_power(components, gamma0):
     sigma_sq1, sigma_sq2, base2 = components
     return (
         analytic_local_power(gamma0, np.sqrt(sigma_sq1), ALPHA),
-        analytic_local_power(gamma0, np.sqrt(sigma_sq2), ALPHA, variant="S2", cross_term=base2),
+        analytic_local_power(gamma0, np.sqrt(sigma_sq2), ALPHA, base=base2),
     )
 
 
@@ -292,7 +293,7 @@ def test_criterion_09_homoskedastic_reduction():
         pf = fit_propensity_null(data, columns=example1_propensity_columns())
         lf = fit_location(data, example1_location_basis())
         comp = variance_s2(data, pf, lf)
-        reduced = comp.reduced_sigma_sq(lf.residual_second_moment())
+        reduced = reduced_sigma_sq(comp, float(np.mean(lf.residuals**2)))
         rel = abs(comp.sigma_sq_hat - reduced) / comp.sigma_sq_hat
         print(f"  robust {comp.sigma_sq_hat:.6f} vs reduced {reduced:.6f} ({100 * rel:.3f}%)")
         assert rel <= 0.02

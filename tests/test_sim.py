@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from marscore.exceptions import DegenerateVariance
+from marscore import sim
+from marscore.exceptions import DegenerateVariance, InvalidAlpha
 from marscore.numerics import RngStream, normal_cdf
 from marscore.sim import (
     Example1Config,
@@ -145,6 +146,19 @@ class TestRejectionStudy:
         ok = det.ok()
         inside = np.abs(det.z_s2[ok]) < 4.0
         assert inside.mean() >= 0.999
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_invalid_alpha_raises_before_any_replication(monkeypatch, alpha):
+    def replication(*args):
+        pytest.fail("a replication ran with an invalid alpha")
+
+    monkeypatch.setattr(sim, "run_single_replication", replication)
+    cfg = Example2Config(n=300)
+    with pytest.raises(InvalidAlpha):
+        run_rejection_study(cfg, 5, alpha=alpha)
+    with pytest.raises(InvalidAlpha):
+        power_curve(cfg, [0.0, 0.1], 5, alpha=alpha)
 
 
 class TestPowerCurve:
