@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from collections import defaultdict
 from contextlib import contextmanager, suppress
@@ -194,13 +195,8 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
     d, y, x, labels = zip(*parts)
-    x = np.concatenate(x)
-    d = np.concatenate(d)
-    y = np.concatenate(y)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        _reject_non_finite(x, d, y, spec)
     return Dataset(
-        x=x, d=d, y_complete=y,
+        x=np.concatenate(x), d=np.concatenate(d), y_complete=np.concatenate(y),
         labels={c: tuple(chain.from_iterable(block[c] for block in labels)) for c in keep_columns},
     )
 
@@ -221,8 +217,11 @@ def _parse_block(rows, first_row: int, at: dict, spec: ColumnSpec, keep_columns:
     x = np.ones((len(rows), 1 + len(covariates)))
     for j, values in enumerate(covariates, start=1):
         x[:, j] = values
+    y = np.array(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        _scan_block(rows, first_row, at, spec)  # raises the first non-finite cell
     labels = {c: list(map(str.strip, map(itemgetter(at[c]), rows))) for c in keep_columns}
-    return np.array(observed, dtype=np.int8), np.array(y, dtype=float), x, labels
+    return np.array(observed, dtype=np.int8), y, x, labels
 
 
 def _scan_block(rows, first_row: int, at: dict, spec: ColumnSpec):
@@ -242,11 +241,14 @@ def _scan_block(rows, first_row: int, at: dict, spec: ColumnSpec):
                     continue  # a missing outcome
                 raise MissingCovariate(f"row {number}, column {name!r}: covariates may never be missing")
             try:
-                columns[j].append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise NonNumericCell(
                     f"row {number}, column {name!r}: cannot parse {cell!r} as a number"
                 ) from None
+            if not math.isfinite(value):
+                raise NonNumericCell(f"row {number}, column {name!r}: {value} is not a finite number")
+            columns[j].append(value)
     return columns[0], columns[1:]
 
 
@@ -258,18 +260,6 @@ def _undecodable_offset(path) -> int:
         except UnicodeDecodeError as exc:
             return exc.start
     return -1
-
-
-def _reject_non_finite(x, d, y, spec: ColumnSpec) -> None:
-    """Raise NonNumericCell naming the first cell that parsed to nan or +-inf."""
-    cells = x.copy()  # column 0 (the intercept) now holds the outcome
-    cells[:, 0] = 0.0
-    cells[d == 1, 0] = y
-    row, col = np.argwhere(~np.isfinite(cells))[0]
-    name = spec.outcome_column if col == 0 else spec.covariate_columns[col - 1]
-    raise NonNumericCell(
-        f"row {row + 2}, column {name!r}: {float(cells[row, col])} is not a finite number"
-    )
 
 
 def write_dataset_csv(data: Dataset, path, outcome_column: str, covariate_columns) -> None:
@@ -445,9 +435,10 @@ def write_report(results, path, format: str = "json") -> None:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         else:
-            rows = [row for r in results for row in r.report_rows()]
+            # float.__repr__ writes a numpy scalar as a plain number too
+            rows = [{k: float.__repr__(v) if isinstance(v, float) else v for k, v in row.items()}
+                    for r in results for row in r.report_rows()]
             fields = dict.fromkeys(key for row in rows for key in row)  # union, first-seen order
             writer = csv.DictWriter(handle, fieldnames=list(fields), restval="")
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+            writer.writerows(rows)

@@ -283,8 +283,9 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     mean and the projected log residual variance. Each step solves the
     observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``, or where that
     is not positive definite its two diagonal blocks apart (``NoConvergence``
-    if either is singular). Only a joint step whose predicted gain is within
-    rounding noise ends the fit.
+    if either is singular). Any step whose predicted gain is within rounding
+    noise ends the fit: a joint one at the optimum, a block one with
+    ``NoConvergence``, its gradient about zero where the joint solve fails.
     """
     complete = data.complete_idx
     nc = complete.size
@@ -347,6 +348,9 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         _floor_check(xi)
         if final and joint:
             break
+        if final:
+            raise NoConvergence("outcome fit did not converge: its gradient vanished where the "
+                                "joint information is not positive definite")
     else:
         raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
     return _outcome_fit(data, family, xi, bm_all, bv_all, iterations)

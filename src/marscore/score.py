@@ -22,7 +22,9 @@ import numpy as np
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
 from .model import LocationFit, ParametricOutcomeFit, PropensityFit, gaussian_information
-from .numerics import _NOISE_ULPS, normal_cdf, normal_quantile, quad_form_inv, solve_spd
+from .numerics import _NOISE_ULPS, normal_cdf, normal_quantile, solve_spd
+# unused here; perfbench/tracing.py looks the name up in this module and wraps it
+from .numerics import quad_form_inv  # noqa: F401
 
 
 def _check_same_data(data: Dataset, *fits) -> None:
@@ -86,20 +88,17 @@ class VarianceComponentsS2:
     variant = "S2"
 
     def noncentrality_base(self) -> float:
-        """Local-alternative mean shift per unit gamma0: ``A2 + B4 - A1ᵀA⁻¹A1 - (C1⁻¹B3)ᵀC3``."""
-        return (
-            self.A2_hat
-            + self.B4_hat
-            - quad_form_inv(self.A_hat, self.A1_hat)
-            - float(solve_spd(self.C1_hat, self.B3_hat) @ self.C3_hat)
-        )
+        """Local-alternative mean shift per unit gamma0, ``A2 + B4 - A1ᵀA⁻¹A1 - zᵀC3`` with
+        ``z = C1⁻¹B3``, as ``σ² + zᵀ(C3 - C2 z)``, which cancels no large sums."""
+        z = solve_spd(self.C1_hat, self.B3_hat)
+        return float(self.sigma_sq_hat + z @ (self.C3_hat - self.C2_hat @ z))
 
     to_dict = _components_dict
 
 
 @dataclass(frozen=True)
 class ScoreTestResult:
-    """Standardized score test with its two-sided normal p-value."""
+    """Standardized score test with its two-sided normal p-value ``2 Phi(-|z|)``."""
 
     statistic: float
     sigma_sq_hat: float
@@ -248,7 +247,7 @@ def test_report(statistic: float, components, n: int) -> ScoreTestResult:
             f"variance estimate {sigma_sq:.6e} is not positive", components=components
         )
     z = statistic / (np.sqrt(n) * np.sqrt(sigma_sq))
-    p_value = 2.0 - 2.0 * normal_cdf(abs(z))
+    p_value = 2.0 * normal_cdf(-abs(z))  # the upper tail, free of cancellation for large |z|
     return ScoreTestResult(
         statistic=float(statistic),
         sigma_sq_hat=float(sigma_sq),

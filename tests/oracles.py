@@ -30,7 +30,7 @@ from marscore.exceptions import (
     NonNumericCell,
     SingularMatrix,
 )
-from marscore.io import _NA_STRINGS, _reject_non_finite, _undecodable_offset
+from marscore.io import _NA_STRINGS, _undecodable_offset
 from marscore.model import outcome_fit_at
 from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
@@ -256,6 +256,22 @@ def example2_population_components(xi_true, beta0, beta1, order=100):
     return float(sigma_sq_s1), float(sigma_sq_s2), float(shared - z @ c3)
 
 
+def _rowwise_cell(row, line_no, col):
+    """Cell ``col`` of a ``csv.DictReader`` row as a finite float, or None if it
+    is blank, NA or past the row's end; raises NonNumericCell otherwise."""
+    cell = row.get(col)
+    cell = "" if cell is None else cell.strip()
+    if cell.lower() in _NA_STRINGS:
+        return None
+    try:
+        value = float(cell)
+    except ValueError:
+        raise NonNumericCell(f"row {line_no}, column {col!r}: cannot parse {cell!r} as a number") from None
+    if not math.isfinite(value):
+        raise NonNumericCell(f"row {line_no}, column {col!r}: {value} is not a finite number")
+    return value
+
+
 def read_csv_rowwise(path, spec, keep_columns=()):
     """``marscore.io.read_csv`` one cell at a time through ``csv.DictReader``.
 
@@ -275,33 +291,18 @@ def read_csv_rowwise(path, spec, keep_columns=()):
             x_rows: list[list[float]] = []
             labels: dict[str, list] = {c: [] for c in keep_columns}
             for line_no, row in enumerate(reader, start=2):
-                cell = row.get(spec.outcome_column)
-                cell = "" if cell is None else cell.strip()
-                if cell.lower() in _NA_STRINGS:
-                    d_list.append(0)
-                else:
-                    try:
-                        y_list.append(float(cell))
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"row {line_no}, column {spec.outcome_column!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
-                    d_list.append(1)
+                y = _rowwise_cell(row, line_no, spec.outcome_column)
+                d_list.append(0 if y is None else 1)
+                if y is not None:
+                    y_list.append(y)
                 x_row = [1.0]
                 for col in spec.covariate_columns:
-                    cell = row.get(col)
-                    cell = "" if cell is None else cell.strip()
-                    if cell.lower() in _NA_STRINGS:
+                    value = _rowwise_cell(row, line_no, col)
+                    if value is None:
                         raise MissingCovariate(
                             f"row {line_no}, column {col!r}: covariates may never be missing"
                         )
-                    try:
-                        x_row.append(float(cell))
-                    except ValueError:
-                        raise NonNumericCell(
-                            f"row {line_no}, column {col!r}: cannot parse {cell!r} as a number"
-                        ) from None
+                    x_row.append(value)
                 x_rows.append(x_row)
                 for col in keep_columns:
                     value = row.get(col)
@@ -314,9 +315,9 @@ def read_csv_rowwise(path, spec, keep_columns=()):
         raise IoFailure(f"cannot parse {path}, line {reader.reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
-    x = np.array(x_rows, dtype=float)
-    d = np.array(d_list, dtype=np.int8)
-    y = np.array(y_list, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        _reject_non_finite(x, d, y, spec)
-    return Dataset(x=x, d=d, y_complete=y, labels={c: tuple(v) for c, v in labels.items()})
+    return Dataset(
+        x=np.array(x_rows, dtype=float),
+        d=np.array(d_list, dtype=np.int8),
+        y_complete=np.array(y_list, dtype=float),
+        labels={c: tuple(v) for c, v in labels.items()},
+    )

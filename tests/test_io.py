@@ -48,6 +48,7 @@ from marscore.sim import (
     example2_family,
     example2_location_basis,
     generate_example2,
+    run_rejection_study,
 )
 from tests.oracles import read_csv_rowwise
 
@@ -240,12 +241,19 @@ class TestColumnarReader:
         want = ("NonNumericCell", f"row {block + 2}, column 'u': cannot parse 'oops' as a number")
         assert read_outcome(read_csv, path) == want
         assert read_outcome(read_csv_rowwise, path) == want
+        # a non-finite cell in the first block comes before the second block's bad cells
+        lines[11] = "1.0,nan,0.2"
+        write_lines(path, lines)
+        want = ("NonNumericCell", "row 12, column 'u': nan is not a finite number")
+        assert read_outcome(read_csv, path) == want
+        assert read_outcome(read_csv_rowwise, path) == want
 
     def test_bad_cell_before_an_oversized_field_comes_first(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_lines(path, ["y,u,z", "1.0,0.1,0.2", "2.0,oops,0.4", "3.0,0.5,0.6", f"4.0,{'9' * 200_000},0.8"])
-        with pytest.raises(NonNumericCell, match="row 3, column 'u'"):
-            read_csv(path, SPEC)
+        for cell, message in [("oops", "cannot parse 'oops' as a number"), ("nan", "nan is not a finite number")]:
+            write_lines(path, ["y,u,z", "1.0,0.1,0.2", f"2.0,{cell},0.4", "3.0,0.5,0.6", f"4.0,{'9' * 200_000},0.8"])
+            with pytest.raises(NonNumericCell, match=f"row 3, column 'u': {message}"):
+                read_csv(path, SPEC)
 
     @pytest.mark.parametrize(
         "before, line", [("", 2), ("0.5,1.0\n0.7,2.0\n\n\n", 6)], ids=["first-record", "after-blank-lines"]
@@ -378,6 +386,20 @@ class TestWriteReport:
         text = path.read_text()
         assert "S2" in text
         assert "0.1584" in text
+
+    def test_csv_numeric_cells_read_back_as_floats(self, tmp_path):
+        # numpy scalars in a study's config must not be written as e.g. "np.float64(0.85)"
+        cfg = Example2Config(n=200, gamma=np.float64(0.25), beta0=np.float64(0.85))
+        path = tmp_path / "report.csv"
+        write_report([run_rejection_study(cfg, 5, base_seed=1)], path, format="csv")
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["gamma"]) == 0.25
+            assert float(row["beta0"]) == 0.85
+            for key, cell in row.items():
+                if key not in ("variant", "xi_true"):
+                    float(cell)
 
     def test_empty_results_error_and_no_file(self, tmp_path):
         path = tmp_path / "report.json"

@@ -278,9 +278,11 @@ class TestFitOutcomeParametric:
         cfg = Example2Config(n=400, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(14, 0))
         family = example2_family()
-        self.refusing_joint_solves(monkeypatch, family, refusals=np.inf)
+        refused = self.refusing_joint_solves(monkeypatch, family, refusals=np.inf)
         with pytest.raises(NoConvergence, match="did not converge"):
             fit_outcome_parametric(data, family)
+        # a final block step ends the fit at once instead of repeating until the iteration cap
+        assert len(refused) < model._MAX_ITER
 
     @pytest.mark.parametrize("r", [357, 470, 715, 831, 1311, 1760])
     def test_small_sample_fits_end_alike_under_both_kernels(self, monkeypatch, r):

@@ -41,7 +41,13 @@ from marscore.sim import (
     example2_location_basis,
     generate_example2,
 )
-from tests.oracles import assemble, fd_gamma_score, reduced_sigma_sq
+from tests.oracles import (
+    assemble,
+    fd_gamma_score,
+    quad_form_inv_loop,
+    reduced_sigma_sq,
+    solve_spd_loop,
+)
 
 
 def dataset_from_full(x_cols, d, y):
@@ -294,6 +300,12 @@ class TestTestReport:
             assert res.p_value == pytest.approx(2 - 2 * normal_cdf(abs(res.z)), abs=1e-12)
             assert 0.0 <= res.p_value <= 1.0
 
+    @pytest.mark.parametrize("statistic", [9.0, -9.0])
+    def test_p_value_keeps_the_tail(self, statistic):
+        # 2 Phi(-9) = erfc(9 / sqrt 2) to 16 digits; the form 2 - 2 Phi(9) rounds it to zero
+        res = score_report(statistic, _s1_components(1.0), 1)
+        assert res.p_value == pytest.approx(2.257176811907681e-19, rel=1e-12, abs=0.0)
+
     def test_negative_variance_propagates(self):
         comp = dataclasses.replace(_s1_components(1.0), sigma_sq_hat=-0.5)
         with pytest.raises(NegativeVariance):
@@ -386,6 +398,35 @@ class TestInvarianceProperties:
         for moved in (scale * x, x + shift):
             z_moved = z_values(with_x(data, moved), INTERCEPT_FAMILY, INTERCEPT_LOCATION)
             assert z_moved == pytest.approx(z, rel=1e-10)
+
+
+class TestNoncentralityBase:
+    """S2's noncentrality base on the draw whose affine map exposed the cancellation
+    of the paper's difference of large sums."""
+
+    @staticmethod
+    def s2_components(data):
+        pf = fit_propensity_null(data)
+        return variance_s2(data, pf, fit_location(data, INTERCEPT_LOCATION))
+
+    def test_scales_with_the_outcome(self):
+        data, _ = heteroskedastic_draw(84, 84)
+        a, b = 0.1, 4.0
+        mapped = Dataset(x=data.x, d=data.d, y_complete=a * data.y_complete + b)
+        base = self.s2_components(data).noncentrality_base()
+        base_mapped = self.s2_components(mapped).noncentrality_base()
+        assert base_mapped / a**2 == pytest.approx(base, rel=1e-10, abs=0.0)
+
+    def test_equals_the_paper_difference(self):
+        data, _ = heteroskedastic_draw(84, 84)
+        comp = self.s2_components(data)
+        paper = (
+            comp.A2_hat
+            + comp.B4_hat
+            - quad_form_inv_loop(comp.A_hat, comp.A1_hat)
+            - float(solve_spd_loop(comp.C1_hat, comp.B3_hat) @ comp.C3_hat)
+        )
+        assert comp.noncentrality_base() == pytest.approx(paper, rel=1e-9, abs=0.0)
 
 
 class TestAnalyticLocalPower:
