@@ -30,10 +30,11 @@ from .exceptions import (
     Separation,
     SingularMatrix,
 )
-from .numerics import _NOISE_ULPS, cholesky_spd, solve_spd
+from .numerics import _NOISE_ULPS, solve_spd
 
 _MAX_ITER = 100
 _SEPARATION_BOUND = 30.0
+_PERFECT_MARGIN = np.log((1.0 - 1e-6) / 1e-6)  # every fitted probability within 1e-6 of d
 _VARIANCE_FLOOR = 1e-12
 _HALVINGS = 30
 
@@ -103,9 +104,13 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     Raises
     ------
     Separation
-        If either missingness pattern is absent or a coefficient exceeds
-        magnitude 30 during iteration (the MLE does not exist).
-    RankDeficientDesign, NoConvergence
+        If either missingness pattern is absent, or after a Newton step a
+        coefficient exceeds magnitude 30 or every fitted probability is
+        within 1e-6 of its indicator (the MLE does not exist).
+    RankDeficientDesign
+        If the first Newton information, ``¼·XᵀX`` at beta = 0, is singular.
+    NoConvergence
+        If a later information is singular or the line search stalls.
     """
     if columns is None:
         design = data.x
@@ -115,52 +120,40 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     n, p = design.shape
     n1 = data.n_complete
     if n1 == 0 or n1 == n:
-        raise Separation(
-            "all outcomes are "
-            + ("observed" if n1 == n else "missing")
-            + "; the null propensity MLE does not exist"
-        )
-    # rank deficiency is classified here; the Hessian's weights can also make it singular
-    with _singular_as(RankDeficientDesign, "propensity design is rank deficient"):
-        cholesky_spd(design.T @ design / n)
+        raise Separation(f"all outcomes are {'observed' if n1 == n else 'missing'}; "
+                         "the null propensity MLE does not exist")
+    sign = 2.0 * d - 1.0
 
     def evaluate(cand):
         eta_cand = design @ cand
         return _loglik_bernoulli(eta_cand, d), eta_cand
 
     beta = np.zeros(p)
-    eta = design @ beta
+    loglik, eta = evaluate(beta)
     pi = expit(eta)
-    loglik = _loglik_bernoulli(eta, d)
     for iterations in range(1, _MAX_ITER + 1):
         grad = design.T @ (d - pi)
         hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
-        step = solve_spd(hessian, grad)
+        # at beta = 0 every weight is 1/4, so the first solve is the design's rank check
+        error, what = ((RankDeficientDesign, "propensity design is rank deficient") if iterations == 1
+                       else (NoConvergence, "propensity information is singular"))
+        with _singular_as(error, what):
+            step = solve_spd(hessian, grad)
         # each row's term is negative, so their magnitudes add to |loglik|
         beta, loglik, eta, final = _halving_search(
             "propensity", beta, step, grad, loglik, evaluate, abs(loglik)
         )
         pi = expit(eta)
-        if np.max(np.abs(beta)) > _SEPARATION_BOUND:
-            raise Separation(
-                "a propensity coefficient exceeded magnitude 30; "
-                "complete or quasi-complete separation"
-            )
+        # only separated data are classified perfectly, so no existing MLE is rejected
+        if np.max(np.abs(beta)) > _SEPARATION_BOUND or np.min(sign * eta) >= _PERFECT_MARGIN:
+            raise Separation("a propensity coefficient exceeded magnitude 30 or the fit classifies "
+                             "every row; complete or quasi-complete separation")
         if final:
             break
     else:
         raise NoConvergence(f"propensity fit did not converge in {_MAX_ITER} iterations")
 
-    observed = data.d == 1
-    if np.all(pi[observed] >= 1.0 - 1e-6) and np.all(pi[~observed] <= 1e-6):
-        # the Newton gain can fall into rounding noise while beta still diverges
-        raise Separation(
-            "fitted probabilities perfectly classify the missingness indicator; "
-            "the null propensity MLE does not exist"
-        )
-
-    weights = pi * (1.0 - pi)
-    info = design.T @ (design * weights[:, None]) / n
+    info = design.T @ (design * (pi * (1.0 - pi))[:, None]) / n
     return PropensityFit(
         beta_hat=beta,
         info_matrix=info,
@@ -281,11 +274,13 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
 
     Newton steps on the joint xi with step halving, from the least-squares
     mean and the projected log residual variance. Each step solves the
-    observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``, or where that
-    is not positive definite its two diagonal blocks apart (``NoConvergence``
-    if either is singular). Any step whose predicted gain is within rounding
-    noise ends the fit: a joint one at the optimum, a block one with
-    ``NoConvergence``, its gradient about zero where the joint solve fails.
+    observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``, formed as the
+    weighted Gram matrix ``zᵀW z`` of ``z = [bm, r·bv]`` with its
+    log-variance block halved, or where that is not positive definite its
+    two diagonal blocks apart (``NoConvergence`` if either is singular). Any
+    step whose predicted gain is within rounding noise ends the fit: a joint
+    one at the optimum, a block one with ``NoConvergence``, its gradient
+    about zero where the joint solve fails.
     """
     complete = data.complete_idx
     nc = complete.size
@@ -329,16 +324,18 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     for iterations in range(1, _MAX_ITER + 1):
         w = np.exp(-s_c)
         grad = np.concatenate([bm.T @ (r * w), 0.5 * bv.T @ (u - 1.0)])
-        info_m = bm.T @ (bm * w[:, None])
-        info_v = 0.5 * bv.T @ (bv * u[:, None])
-        cross = bm.T @ (bv * (r * w)[:, None])
+        # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
+        zr = np.hstack([bm, bv * r[:, None]])
+        info = zr.T @ (zr * w[:, None])
+        info[qm:, qm:] *= 0.5
         try:
-            step = solve_spd(np.block([[info_m, cross], [cross.T, info_v]]), grad)
+            step = solve_spd(info, grad)
             joint = True
         except SingularMatrix:
             # far from the optimum the cross block can make the information indefinite
             with _singular_as(NoConvergence, "outcome information block is singular"):
-                step = np.concatenate([solve_spd(info_m, grad[:qm]), solve_spd(info_v, grad[qm:])])
+                step = np.concatenate([solve_spd(info[:qm, :qm], grad[:qm]),
+                                       solve_spd(info[qm:, qm:], grad[qm:])])
             joint = False
         # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
         size = 0.5 * (nc * np.log(2.0 * np.pi) + np.abs(s_c).sum() + u.sum())

@@ -18,8 +18,9 @@ from scipy.special import erfc, ndtri
 
 from .exceptions import SingularMatrix
 
-# Relative pivot floor for Cholesky; below this the matrix is treated as
-# singular rather than silently factored.
+# Pivot floor for Cholesky, relative to the pivot's own diagonal entry (the
+# floor of the Jacobi-scaled matrix, so a verdict does not depend on units);
+# below it the matrix is treated as singular rather than silently factored.
 _PIVOT_RTOL = 1e-12
 
 _SYM_RTOL = 1e-10
@@ -36,7 +37,7 @@ def cholesky_spd(m: np.ndarray) -> np.ndarray:
     SingularMatrix
         If an entry is not finite, the matrix is not symmetric to within
         1e-10 relative, or a pivot (a squared diagonal entry of the factor)
-        is not above ``1e-12`` times the largest diagonal entry.
+        is not above ``1e-12`` times its own diagonal entry of the matrix.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -51,11 +52,11 @@ def cholesky_spd(m: np.ndarray) -> np.ndarray:
     if info > 0:
         # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
         pivots[info - 1] = lower[info - 1, info - 1]
-    floor = _PIVOT_RTOL * a.diagonal().max(initial=0.0)
-    if not pivots.min(initial=np.inf) > floor:
+    floor = _PIVOT_RTOL * a.diagonal()
+    if not np.all(pivots > floor):
         j = int(np.argmin(pivots > floor))
         raise SingularMatrix(
-            f"pivot {pivots[j]:.3e} below {floor:.3e} at column {j}; "
+            f"pivot {pivots[j]:.3e} below {floor[j]:.3e} at column {j}; "
             "matrix is not positive definite"
         )
     return lower

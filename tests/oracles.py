@@ -37,16 +37,16 @@ from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
 def cholesky_loop(m):
     """Lower Cholesky factor, one column at a time, with ``cholesky_spd``'s
-    symmetry check and relative pivot floor."""
+    symmetry check and pivot floor relative to each diagonal entry."""
     a = np.asarray(m, dtype=float)
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale > 0 and np.max(np.abs(a - a.T)) > _SYM_RTOL * scale:
         raise SingularMatrix("matrix is not symmetric")
     k = a.shape[0]
-    floor = _PIVOT_RTOL * max(float(np.max(a.diagonal())) if k else 0.0, 0.0)
     lower = np.zeros_like(a)
     for j in range(k):
         pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        floor = _PIVOT_RTOL * a[j, j]
         if not pivot > floor:
             raise SingularMatrix(
                 f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "

@@ -122,9 +122,20 @@ class TestFitPropensityNull:
     def test_separation_raises(self):
         x = np.array([-2.0, -1.0, 1.0, 2.0, 3.0, -3.0])
         d = (x > 0).astype(np.int8)
+        # from x·10 up, the line search stalls before any coefficient passes magnitude 30
+        for scale in (1.0, 10.0, 100.0, 1e3, 1e4):
+            data = dataset_from_full([scale * x], d, np.where(d == 1, 1.0, 0.0))
+            with pytest.raises(Separation):
+                fit_propensity_null(data)
+
+    def test_quasi_complete_separation_is_classified(self):
+        # x = 0 holds both patterns; the information nears singular as beta diverges
+        x = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0, -3.0])
+        d = np.array([0, 0, 1, 0, 1, 1, 1, 0])
         data = dataset_from_full([x], d, np.where(d == 1, 1.0, 0.0))
-        with pytest.raises(Separation):
+        with pytest.raises(marscore.MarscoreError) as caught:
             fit_propensity_null(data)
+        assert not isinstance(caught.value, SingularMatrix)
 
     def test_all_observed_raises(self):
         data = dataset_from_full([[0.1, 0.2]], [1, 1], [1.0, 2.0])
@@ -138,7 +149,7 @@ class TestFitPropensityNull:
             fit_propensity_null(data)
 
     def test_collinear_design_with_zero_start_gradient_raises(self):
-        # the gradient at beta = 0 is exactly zero, so only the Gram check sees the collinearity
+        # the gradient at beta = 0 is exactly zero, so only the first Newton solve sees the collinearity
         x = np.array([1.0, 1.0, 2.0, 2.0])
         data = dataset_from_full([x, 2 * x], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0])
         with pytest.raises(RankDeficientDesign):

@@ -344,7 +344,17 @@ class TestScaleEquivariance:
 # x changes no column span and z must not move.
 INTERCEPT_FAMILY = GaussianOutcomeFamily((intercept(), raw(1), square(1)), (intercept(), raw(1)))
 INTERCEPT_LOCATION = (intercept(), raw(1), square(1))
-magnitudes = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+
+
+def log_uniform(low, high):
+    """Scales of either sign, their magnitude log-uniform on [10**low, 10**high]."""
+    return st.builds(lambda e, sign: sign * 10.0**e, st.floats(low, high), st.sampled_from((1.0, -1.0)))
+
+
+# (a, b) with |b| <= 100·|a|, the ratio that a in [0.1, 10] and b in [-10, 10] reach: a
+# larger shift against the outcome's spread leaves the fitted means fewer digits for z
+affine_maps = log_uniform(-4, 6).flatmap(
+    lambda a: st.tuples(st.just(a), st.floats(-100.0, 100.0).map(lambda c: a * c)))
 
 
 def heteroskedastic_draw(seed, n):
@@ -377,27 +387,43 @@ class TestInvarianceProperties:
         assert z_perm == pytest.approx(z, rel=1e-10)
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), a=magnitudes,
-           b=st.floats(-10.0, 10.0))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), ab=affine_maps)
     # a small scale and a large shift of y: a difference of large sums in σ² or in
     # either statistic would move z by more than the bound here
-    @example(seed=84, n=84, a=0.1, b=4.0)
-    @example(seed=86700155, n=165, a=0.135, b=9.0)
-    def test_affine_outcome_map_gives_signed_z(self, seed, n, a, b):
+    @example(seed=84, n=84, ab=(0.1, 4.0))
+    @example(seed=86700155, n=165, ab=(0.135, 9.0))
+    # a large scale: the joint information's mean block is far below its log-variance block
+    @example(seed=238506309, n=132, ab=(1e6, 0.0))
+    def test_affine_outcome_map_gives_signed_z(self, seed, n, ab):
+        a, b = ab
         data, z = heteroskedastic_draw(seed, n)
         mapped = Dataset(x=data.x, d=data.d, y_complete=a * data.y_complete + b)
         z_mapped = z_values(mapped, INTERCEPT_FAMILY, INTERCEPT_LOCATION)
         assert z_mapped == pytest.approx(tuple(np.sign(a) * np.array(z)), rel=1e-10)
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), scale=magnitudes,
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 300), scale=log_uniform(-1, 6),
            shift=st.floats(-5.0, 5.0))
+    # the x² column's Gram diagonal is about 1e12 times the intercept's
+    @example(seed=84, n=84, scale=1000.0, shift=0.0)
     def test_rescaled_or_shifted_covariate_leaves_z(self, seed, n, scale, shift):
         data, z = heteroskedastic_draw(seed, n)
         x = data.x[:, 1]
         for moved in (scale * x, x + shift):
             z_moved = z_values(with_x(data, moved), INTERCEPT_FAMILY, INTERCEPT_LOCATION)
             assert z_moved == pytest.approx(z, rel=1e-10)
+
+
+@pytest.mark.parametrize("x_scale, y_scale", [(1e3, 1.0), (1e6, 1.0), (1.0, 1e9)],
+                         ids=["x-1e3", "x-1e6", "y-1e9"])
+def test_unit_changes_leave_z(x_scale, y_scale):
+    """Covariate and outcome units far from one leave z: no rank verdict depends on units."""
+    cfg = Example2Config(n=500, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25)
+    data = generate_example2(cfg, RngStream(3, 0))
+    z = z_values(data, INTERCEPT_FAMILY, INTERCEPT_LOCATION)
+    mapped = Dataset(x=np.column_stack([np.ones(data.n), x_scale * data.x[:, 1]]), d=data.d,
+                     y_complete=y_scale * data.y_complete)
+    assert z_values(mapped, INTERCEPT_FAMILY, INTERCEPT_LOCATION) == pytest.approx(z, rel=1e-10)
 
 
 class TestNoncentralityBase:
