@@ -23,7 +23,11 @@ class Separation(MarscoreError):
 
 
 class NoConvergence(MarscoreError):
-    """An iterative fit exceeded its iteration budget."""
+    """An iterative fit stopped short of its optimum: it exceeded its iteration
+    budget, a line search found no ascent in 30 halvings, the propensity
+    information was singular after the first step, the outcome information
+    was singular even without its cross block, or the outcome fit's final
+    step was taken without its cross block."""
 
 
 class DegenerateVariance(MarscoreError):

@@ -276,8 +276,9 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     mean and the projected log residual variance. Each step solves the
     observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``, formed as the
     weighted Gram matrix ``zᵀW z`` of ``z = [bm, r·bv]`` with its
-    log-variance block halved, or where that is not positive definite its
-    two diagonal blocks apart (``NoConvergence`` if either is singular). Any
+    log-variance block halved, or where that is not positive definite the
+    same matrix with ``C`` zeroed, whose per-pivot floor gives each diagonal
+    block its own verdict (``NoConvergence`` if either is singular). Any
     step whose predicted gain is within rounding noise ends the fit: a joint
     one at the optimum, a block one with ``NoConvergence``, its gradient
     about zero where the joint solve fails.
@@ -333,9 +334,9 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
             joint = True
         except SingularMatrix:
             # far from the optimum the cross block can make the information indefinite
+            info[:qm, qm:] = info[qm:, :qm] = 0.0
             with _singular_as(NoConvergence, "outcome information block is singular"):
-                step = np.concatenate([solve_spd(info[:qm, :qm], grad[:qm]),
-                                       solve_spd(info[qm:, qm:], grad[qm:])])
+                step = solve_spd(info, grad)
             joint = False
         # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
         size = 0.5 * (nc * np.log(2.0 * np.pi) + np.abs(s_c).sum() + u.sum())

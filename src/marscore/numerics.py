@@ -29,8 +29,10 @@ _SYM_RTOL = 1e-10
 _NOISE_ULPS = 256
 
 
-def cholesky_spd(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix, from LAPACK ``dpotrf``.
+def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve ``m @ u = v`` for symmetric positive definite ``m`` by LAPACK ``dpotrf``/``dpotrs``.
+
+    ``v`` may be a vector or a matrix of right-hand sides.
 
     Raises
     ------
@@ -59,15 +61,7 @@ def cholesky_spd(m: np.ndarray) -> np.ndarray:
             f"pivot {pivots[j]:.3e} below {floor[j]:.3e} at column {j}; "
             "matrix is not positive definite"
         )
-    return lower
-
-
-def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve ``m @ u = v`` for symmetric positive definite ``m``.
-
-    ``v`` may be a vector or a matrix of right-hand sides.
-    """
-    return dpotrs(cholesky_spd(m), v, lower=True)[0]
+    return dpotrs(lower, v, lower=True)[0]
 
 
 def quad_form_inv(m: np.ndarray, v: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
 
 def cholesky_loop(m):
-    """Lower Cholesky factor, one column at a time, with ``cholesky_spd``'s
+    """Lower Cholesky factor, one column at a time, with ``solve_spd``'s
     symmetry check and pivot floor relative to each diagonal entry."""
     a = np.asarray(m, dtype=float)
     scale = np.max(np.abs(a)) if a.size else 0.0

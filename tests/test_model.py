@@ -262,12 +262,14 @@ class TestFitOutcomeParametric:
 
     @staticmethod
     def refusing_joint_solves(monkeypatch, family, refusals):
-        """Make ``model.solve_spd`` refuse the first ``refusals`` joint information solves."""
+        """Make ``model.solve_spd`` refuse the first ``refusals`` joint information solves: those
+        whose cross block is nonzero, so the solve without it still goes through."""
         solve = model.solve_spd
+        qm = family.dim_mean
         refused = []
 
         def refuse_joint(m, v):
-            if m.shape[0] == family.dim_xi and len(refused) < refusals:
+            if m.shape[0] == family.dim_xi and np.any(m[:qm, qm:]) and len(refused) < refusals:
                 refused.append(m)
                 raise SingularMatrix("pivot -1.000e+00 below 1.000e-12 at column 3")
             return solve(m, v)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtr
 
@@ -98,6 +99,30 @@ class TestSolveSpd:
             v = rng.standard_normal(k)
             assert_allclose(solve_spd(m, v), solve_spd_loop(m, v), rtol=1e-10)
             assert quad_form_inv(m, v) == pytest.approx(quad_form_inv_loop(m, v), rel=1e-10)
+
+    @pytest.mark.parametrize("q1, q2", [(2, 2), (3, 1), (5, 2)])
+    def test_block_diagonal_solve_is_the_two_block_solves(self, q1, q2):
+        # the pivot floor is per pivot, so each block of a block-diagonal matrix gets the verdict
+        # and, within rounding, the solution it would get alone
+        rng = np.random.default_rng(q1 * 10 + q2)
+
+        def spd(q, rank):
+            b = rng.standard_normal((q, rank))
+            scale = 10.0 ** rng.uniform(-6, 6, q)
+            return (b @ b.T + (0.1 * np.eye(q) if rank == q else 0.0)) * np.outer(scale, scale)
+
+        for _ in range(200):
+            m1, m2 = spd(q1, q1), spd(q2, q2)
+            g = rng.standard_normal(q1 + q2)
+            got = solve_spd(block_diag(m1, m2), g)
+            assert_allclose(got[:q1], solve_spd(m1, g[:q1]), rtol=1e-12)
+            assert_allclose(got[q1:], solve_spd(m2, g[q1:]), rtol=1e-12)
+        # a second block of rank q2 - 1 first fails its last pivot, column q2 - 1 on its own
+        singular = spd(q2, q2 - 1)
+        with pytest.raises(SingularMatrix, match=f"at column {q2 - 1};"):
+            solve_spd(singular, np.ones(q2))
+        with pytest.raises(SingularMatrix, match=f"at column {q1 + q2 - 1};"):
+            solve_spd(block_diag(spd(q1, q1), singular), np.ones(q1 + q2))
 
 
 @pytest.mark.parametrize("cfg", [
