@@ -1,13 +1,16 @@
 """Basis terms over a covariate vector.
 
 Mean and log-variance models are linear combinations of declared terms
-(intercept, raw column, square, pairwise product) evaluated on the covariate
-matrix whose first column is the constant 1. Terms are declared explicitly in
-run configuration rather than inferred from data.
+evaluated on the covariate matrix whose column 0 is the constant 1. Every
+term is the product of two covariate-matrix columns ``i >= j``, so the
+intercept is column 0 times column 0, a raw column ``i`` is column ``i``
+times column 0, and a square is a column times itself. Terms are declared
+explicitly in run configuration rather than inferred from data.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,50 +18,40 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BasisTerm:
-    """One column of a design matrix: ``intercept``, ``raw``, ``square`` or
-    ``product`` of covariate-matrix columns ``i`` (and ``j``)."""
+    """One column of a design matrix: the product of covariate-matrix
+    columns ``i`` and ``j``, stored with ``i >= j >= 0``."""
 
-    kind: str
-    i: int = 0
-    j: int = 0
-
-    _KINDS = ("intercept", "raw", "square", "product")
+    i: int
+    j: int
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown basis term kind {self.kind!r}")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on covariate matrix ``x`` of shape (n, p); returns (n,)."""
-        x = np.atleast_2d(x)
-        if self.kind == "intercept":
-            return np.ones(x.shape[0])
-        if self.kind == "raw":
-            return x[:, self.i].copy()
-        if self.kind == "square":
-            return x[:, self.i] ** 2
-        return x[:, self.i] * x[:, self.j]
+        i, j = operator.index(self.i), operator.index(self.j)
+        if min(i, j) < 0:
+            raise ValueError(f"basis term column indices must be non-negative, got ({i}, {j})")
+        object.__setattr__(self, "i", max(i, j))
+        object.__setattr__(self, "j", min(i, j))
 
 
 def intercept() -> BasisTerm:
-    return BasisTerm("intercept")
+    return BasisTerm(0, 0)
 
 
 def raw(i: int) -> BasisTerm:
-    return BasisTerm("raw", i)
+    return BasisTerm(i, 0)
 
 
 def square(i: int) -> BasisTerm:
-    return BasisTerm("square", i)
+    return BasisTerm(i, i)
 
 
 def product(i: int, j: int) -> BasisTerm:
-    return BasisTerm("product", i, j)
+    return BasisTerm(i, j)
 
 
 def design_matrix(terms, x: np.ndarray) -> np.ndarray:
-    """Stack term columns into an (n, len(terms)) design matrix."""
+    """Stack term columns into an (n, len(terms)) C-ordered design matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not terms:
         raise ValueError("basis must contain at least one term")
-    return np.column_stack([t.evaluate(x) for t in terms])
+    # column_stack keeps the design C-ordered; the fits' BLAS sums, and so z, depend on it
+    return np.column_stack([x[:, t.i] * x[:, t.j] for t in terms])

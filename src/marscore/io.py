@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .basis import BasisTerm, intercept, product, raw, square
+from .basis import BasisTerm, intercept, product, raw
 from .data import Dataset
 from .exceptions import (
     EmptyDataset,
@@ -50,8 +50,9 @@ _BLOCK_ROWS = 4096  # records parsed per step
 
 def parse_term(term: str, covariate_names) -> BasisTerm:
     """Parse a basis term over covariate names: ``1``, ``name``, ``name^2``
-    or ``a*b`` (indices sorted; ``a*a`` is ``a^2``). Column indices account
-    for the synthesized intercept."""
+    or ``a*b``. Each is the product of two covariate-matrix columns, column 0
+    being the synthesized intercept, so ``a*b`` equals ``b*a`` and ``a*a``
+    equals ``a^2``."""
     names = list(covariate_names)
 
     def index_of(name: str) -> int:
@@ -65,11 +66,11 @@ def parse_term(term: str, covariate_names) -> BasisTerm:
         return intercept()
     if "*" in term:
         left, _, right = term.partition("*")
-        i, j = sorted((index_of(left), index_of(right)))
-        return square(i) if i == j else product(i, j)
-    if term.endswith("^2"):
-        return square(index_of(term[:-2]))
-    return raw(index_of(term))
+    elif term.endswith("^2"):
+        left = right = term[:-2]
+    else:
+        return raw(index_of(term))
+    return product(index_of(left), index_of(right))
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,13 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         )
         pi = expit(eta)
         # only separated data are classified perfectly, so no existing MLE is rejected
-        if np.max(np.abs(beta)) > _SEPARATION_BOUND or np.min(sign * eta) >= _PERFECT_MARGIN:
-            raise Separation("a propensity coefficient exceeded magnitude 30 or the fit classifies "
-                             "every row; complete or quasi-complete separation")
+        k = int(np.argmax(np.abs(beta)))
+        if abs(beta[k]) > _SEPARATION_BOUND:
+            raise Separation(f"the propensity coefficient of design column {k} is {beta[k]:.6g}, "
+                             "beyond magnitude 30; complete or quasi-complete separation")
+        if np.min(sign * eta) >= _PERFECT_MARGIN:
+            raise Separation("the propensity fit classifies every row within 1e-6; "
+                             "complete or quasi-complete separation")
         if final:
             break
     else:

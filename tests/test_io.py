@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import marscore.io
+from marscore.basis import intercept, product, raw, square
 from marscore.data import Dataset
 from marscore.exceptions import (
     EmptyDataset,
@@ -453,11 +454,12 @@ class TestColumnSpec:
 
     def test_terms_parse(self):
         names = ("u", "z")
-        assert parse_term("1", names).kind == "intercept"
-        assert parse_term("u", names).i == 1
-        assert parse_term("z^2", names).kind == "square"
-        term = parse_term("u*z", names)
-        assert (term.i, term.j) == (1, 2)
+        assert parse_term("1", names) == intercept()
+        assert parse_term("u", names) == raw(1)
+        assert parse_term("z^2", names) == square(2)
+        assert parse_term("u*z", names) == product(2, 1)
+        assert parse_term("z*u", names) == parse_term("u*z", names)
+        assert parse_term("u*u", names) == parse_term("u^2", names)
         with pytest.raises(ValueError):
             parse_term("w", names)
 

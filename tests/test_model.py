@@ -128,6 +128,15 @@ class TestFitPropensityNull:
             with pytest.raises(Separation):
                 fit_propensity_null(data)
 
+    def test_separation_names_the_rule_that_fired(self):
+        x = np.array([-2.0, -1.0, 1.0, 2.0, 3.0, -3.0])
+        d = (x > 0).astype(np.int8)
+        y = np.where(d == 1, 1.0, 0.0)
+        with pytest.raises(Separation, match="classifies every row within 1e-6"):
+            fit_propensity_null(dataset_from_full([x], d, y))
+        with pytest.raises(Separation, match=r"coefficient of design column 1 is [0-9.]+, beyond magnitude 30"):
+            fit_propensity_null(dataset_from_full([0.01 * x], d, y))
+
     def test_quasi_complete_separation_is_classified(self):
         # x = 0 holds both patterns; the information nears singular as beta diverges
         x = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0, -3.0])
@@ -381,7 +390,7 @@ class TestFitLocation:
 
 def synthetic_fit(xi, family=None, x_value=0.7):
     family = family or GaussianOutcomeFamily((intercept(),), (intercept(),))
-    data = dataset_from_full([[x_value]], [1], [0.0]) if family.mean_basis[0].kind != "intercept" else dataset_from_full([], [1], [0.0])
+    data = dataset_from_full([[x_value]], [1], [0.0]) if family.mean_basis[0] != intercept() else dataset_from_full([], [1], [0.0])
     return outcome_fit_at(data, family, np.asarray(xi, dtype=float))
 
 
