@@ -46,7 +46,6 @@ from .model import (
     fit_outcome_parametric,
     fit_propensity_null,
     location_fit_at,
-    outcome_fit_at,
     outcome_moment_gradients,
 )
 from .numerics import (

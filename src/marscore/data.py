@@ -75,10 +75,6 @@ class Dataset:
         return np.flatnonzero(self.d == 1)
 
     @property
-    def missing_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.d == 0)
-
-    @property
     def n_complete(self) -> int:
         return int(self.d.sum())
 

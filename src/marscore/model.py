@@ -261,18 +261,6 @@ def _outcome_fit(data, family, xi, bm_all, bv_all, iterations) -> ParametricOutc
     )
 
 
-def outcome_fit_at(data: Dataset, family: GaussianOutcomeFamily, xi) -> ParametricOutcomeFit:
-    """Evaluate the family at a given parameter without optimizing.
-
-    Useful for oracles and for plugging known truths into the score
-    machinery; the returned fit is marked converged.
-    """
-    xi = np.asarray(xi, dtype=float)
-    bm_all = family.mean_design(data.x)
-    bv_all = family.logvar_design(data.x)
-    return _outcome_fit(data, family, xi, bm_all, bv_all, iterations=0)
-
-
 def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> ParametricOutcomeFit:
     """Maximize the complete-case Gaussian likelihood over xi.
 

@@ -10,6 +10,7 @@ schedule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +101,10 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not 0 <= int(value) < 2**64:
+            value = operator.index(getattr(self, name))
+            if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

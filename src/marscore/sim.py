@@ -1,6 +1,8 @@
 """Data generators and the Monte Carlo replication engine.
 
-Two generator families:
+Each design is one config class that owns its draw (``generate``), its
+working models (``family``, ``location_basis``, ``propensity_columns``) and
+its departure parameter (``departure``):
 
 * Example 1: trivariate normal hierarchy (Y | U, Z), (U | Z), Z with a
   probit missingness mechanism ``Phi(c0 + c1 * w(Y) + c2 * U)``; the tested
@@ -18,6 +20,7 @@ replication can be re-run from ``(base_seed, r)`` alone.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +48,27 @@ from .score import (
 W_VARIANTS = ("identity", "quad04", "indicator")
 
 
+def _sample_size(n) -> int:
+    """``n`` as a Python int, at least 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class Example1Config:
-    """Generator settings for the instrumented trivariate-normal design."""
+    """The instrumented trivariate-normal design: its settings are fields;
+    its draw and working models are methods and class attributes."""
 
     departure = "c1"  # the field a power curve varies
+    family = GaussianOutcomeFamily(mean_basis=(intercept(), raw(1), raw(2)), logvar_basis=(intercept(),))
+    location_basis = (intercept(), raw(1), raw(2))
+    # Z affects the outcome but not the missingness, so it stays out of the
+    # fitted propensity: with Z included, the outcome mean basis spans the
+    # propensity design, the logistic/least-squares normal equations absorb
+    # the whole score, and the tests lose all power against MNAR.
+    propensity_columns = (0, 1)
 
     n: int
     b_z: float = 0.5
@@ -59,8 +78,7 @@ class Example1Config:
     w_variant: str = "identity"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        object.__setattr__(self, "n", _sample_size(self.n))
         if self.w_variant not in W_VARIANTS:
             raise ValueError(f"w_variant must be one of {W_VARIANTS}, got {self.w_variant!r}")
 
@@ -75,12 +93,27 @@ class Example1Config:
             "w_variant": self.w_variant,
         }
 
+    def generate(self, stream: RngStream) -> Dataset:
+        """Draw one dataset; covariate vector is (1, U, Z)."""
+        rng = stream.generator()
+        z = rng.standard_normal(self.n)
+        u = 1.0 - z + rng.standard_normal(self.n)
+        y = 1.0 + u + self.b_z * z + rng.standard_normal(self.n)
+        p_obs = normal_cdf(self.c0 + self.c1 * w_function(self.w_variant, y) + self.c2 * u)
+        d = (rng.random(self.n) < p_obs).astype(np.int8)
+        x = np.column_stack([np.ones(self.n), u, z])
+        return Dataset.from_generated(x, d, y)
+
 
 @dataclass(frozen=True)
 class Example2Config:
-    """Generator settings for the no-instrument quadratic-mean design."""
+    """The no-instrument quadratic-mean design: its settings are fields;
+    its draw and working models are methods and class attributes."""
 
     departure = "gamma"
+    family = GaussianOutcomeFamily(mean_basis=(raw(1), square(1)), logvar_basis=(intercept(), raw(1)))
+    location_basis = (raw(1), square(1))
+    propensity_columns = None  # every covariate column
 
     n: int
     xi_true: tuple = (-1.0, 1.0, 0.5, 0.0)
@@ -89,8 +122,7 @@ class Example2Config:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        object.__setattr__(self, "n", _sample_size(self.n))
         xi = tuple(float(v) for v in self.xi_true)
         if len(xi) != 4:
             raise ValueError(f"xi_true must have 4 entries, got {len(xi)}")
@@ -106,6 +138,23 @@ class Example2Config:
             "gamma": self.gamma,
         }
 
+    def generate(self, stream: RngStream) -> Dataset:
+        """Draw one dataset; covariate vector is (1, X)."""
+        rng = stream.generator()
+        x = rng.standard_normal(self.n)
+        xi1, xi2, xi3, xi4 = self.xi_true
+        mean = xi1 * x + xi2 * x**2
+        sd = np.exp(0.5 * (xi3 + xi4 * x))
+        y = mean + sd * rng.standard_normal(self.n)
+        p_obs = expit(self.beta0 + self.beta1 * x + self.gamma * y)
+        d = (rng.random(self.n) < p_obs).astype(np.int8)
+        design = np.column_stack([np.ones(self.n), x])
+        return Dataset.from_generated(design, d, y)
+
+
+generate_example1 = Example1Config.generate
+generate_example2 = Example2Config.generate
+
 
 def w_function(variant: str, y: np.ndarray) -> np.ndarray:
     if variant == "identity":
@@ -115,84 +164,9 @@ def w_function(variant: str, y: np.ndarray) -> np.ndarray:
     return 2.5 * (y > 1.0)
 
 
-def generate_example1(cfg: Example1Config, stream: RngStream) -> Dataset:
-    """Draw one Example-1 dataset; covariate vector is (1, U, Z)."""
-    rng = stream.generator()
-    z = rng.standard_normal(cfg.n)
-    u = 1.0 - z + rng.standard_normal(cfg.n)
-    y = 1.0 + u + cfg.b_z * z + rng.standard_normal(cfg.n)
-    p_obs = normal_cdf(cfg.c0 + cfg.c1 * w_function(cfg.w_variant, y) + cfg.c2 * u)
-    d = (rng.random(cfg.n) < p_obs).astype(np.int8)
-    x = np.column_stack([np.ones(cfg.n), u, z])
-    return Dataset.from_generated(x, d, y)
-
-
-def generate_example2(cfg: Example2Config, stream: RngStream) -> Dataset:
-    """Draw one Example-2 dataset; covariate vector is (1, X)."""
-    rng = stream.generator()
-    x = rng.standard_normal(cfg.n)
-    xi1, xi2, xi3, xi4 = cfg.xi_true
-    mean = xi1 * x + xi2 * x**2
-    sd = np.exp(0.5 * (xi3 + xi4 * x))
-    y = mean + sd * rng.standard_normal(cfg.n)
-    p_obs = expit(cfg.beta0 + cfg.beta1 * x + cfg.gamma * y)
-    d = (rng.random(cfg.n) < p_obs).astype(np.int8)
-    design = np.column_stack([np.ones(cfg.n), x])
-    return Dataset.from_generated(design, d, y)
-
-
-def example1_family() -> GaussianOutcomeFamily:
-    """Unit-variance-style working model: linear mean in (1, U, Z), constant variance."""
-    return GaussianOutcomeFamily(
-        mean_basis=(intercept(), raw(1), raw(2)),
-        logvar_basis=(intercept(),),
-    )
-
-
-def example1_location_basis() -> tuple:
-    return (intercept(), raw(1), raw(2))
-
-
-def example1_propensity_columns() -> tuple:
-    """Propensity design (1, U): Z affects the outcome but not the
-    missingness, and must stay out of the fitted propensity.
-
-    With Z included, the outcome mean basis spans the propensity design and
-    the logistic/least-squares normal equations absorb the whole score: the
-    statistic degenerates and the tests lose all power against MNAR.
-    """
-    return (0, 1)
-
-
-def example2_family(heteroskedastic: bool = True) -> GaussianOutcomeFamily:
-    """Working model with mean (x, x^2); log variance (1, x) or constant."""
-    logvar = (intercept(), raw(1)) if heteroskedastic else (intercept(),)
-    return GaussianOutcomeFamily(mean_basis=(raw(1), square(1)), logvar_basis=logvar)
-
-
-def example2_location_basis() -> tuple:
-    return (raw(1), square(1))
-
-
-def default_models(cfg) -> tuple:
-    """Outcome family, location basis, and propensity columns of the design.
-
-    Example 1 fits the propensity on ``(1, U)``; Example 2 uses every
-    covariate column (``None``).
-    """
-    if isinstance(cfg, Example1Config):
-        return example1_family(), example1_location_basis(), example1_propensity_columns()
-    if isinstance(cfg, Example2Config):
-        return example2_family(), example2_location_basis(), None
-    raise TypeError(f"unknown config type {type(cfg).__name__}")
-
-
 def generate(cfg, stream: RngStream) -> Dataset:
-    if isinstance(cfg, Example1Config):
-        return generate_example1(cfg, stream)
-    if isinstance(cfg, Example2Config):
-        return generate_example2(cfg, stream)
-    raise TypeError(f"unknown config type {type(cfg).__name__}")
+    """One dataset of ``cfg``'s design, drawn from ``stream``."""
+    return cfg.generate(stream)
 
 
 @dataclass(frozen=True)
@@ -272,11 +246,10 @@ def run_single_replication(cfg, stream: RngStream, family=None):
 
     ``family`` replaces the design's outcome family when given.
     """
-    design_family, location_basis, propensity_columns = default_models(cfg)
     data = generate(cfg, stream)
-    pf = fit_propensity_null(data, columns=propensity_columns)
-    of = fit_outcome_parametric(data, family or design_family)
-    lf = fit_location(data, location_basis)
+    pf = fit_propensity_null(data, columns=cfg.propensity_columns)
+    of = fit_outcome_parametric(data, family or cfg.family)
+    lf = fit_location(data, cfg.location_basis)
     r1 = test_report(score_statistic_s1(data, pf, of), variance_s1(data, pf, of), data.n)
     r2 = test_report(score_statistic_s2(data, pf, lf), variance_s2(data, pf, lf), data.n)
     return r1, r2
@@ -293,9 +266,9 @@ def run_rejection_study(
     """Estimate empirical rejection rates of both tests over replications.
 
     Replication ``r`` owns stream ``(base_seed, r)``; failed fits are counted
-    and excluded from the denominator. The models are the design's
-    (:func:`default_models`), with ``family`` replacing its outcome family
-    when given.
+    and excluded from the denominator. The models are the config's
+    (``cfg.family``, ``cfg.location_basis``, ``cfg.propensity_columns``), with
+    ``family`` replacing its outcome family when given.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")

@@ -9,6 +9,7 @@ that the columnar ``marscore.io.read_csv`` must agree with, and
 Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
+``outcome_fit_at`` plugs a known parameter into an outcome family.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from marscore.exceptions import (
     SingularMatrix,
 )
 from marscore.io import _NA_STRINGS, _undecodable_offset
-from marscore.model import outcome_fit_at
+from marscore.model import _outcome_fit
 from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
 
@@ -95,6 +96,12 @@ def reduced_sigma_sq(comp, residual_variance):
     )
 
 
+def outcome_fit_at(data, family, xi):
+    """The family evaluated at ``xi`` without optimizing, marked converged."""
+    bm_all, bv_all = family.mean_design(data.x), family.logvar_design(data.x)
+    return _outcome_fit(data, family, np.asarray(xi, dtype=float), bm_all, bv_all, iterations=0)
+
+
 def observed_loglik(data, pf, of, gamma, order=60):
     """Full observed-data log-likelihood at (gamma, beta_hat, f(.|., xi_hat)).
 
@@ -104,7 +111,7 @@ def observed_loglik(data, pf, of, gamma, order=60):
     """
     nodes, weights = hermgauss(order)
     eta = pf.design @ pf.beta_hat
-    complete, missing = data.complete_idx, data.missing_idx
+    complete, missing = data.complete_idx, np.flatnonzero(data.d == 0)
     y = data.y_complete
     ll = float(np.sum(log_expit(eta[complete] + gamma * y)))
     m, v = of.m1[complete], of.var[complete]
@@ -212,7 +219,7 @@ def example2_population_components(xi_true, beta0, beta1, order=100):
     The expectations over X ~ N(0, 1) are taken by quadrature from the design
     law alone: outcome mean ``xi1 x + xi2 x^2``, log variance ``xi3 + xi4 x``,
     null propensity ``logistic(beta0 + beta1 x)``. The working models of
-    ``example2_family`` and ``example2_location_basis`` are then correctly
+    ``Example2Config.family`` and ``Example2Config.location_basis`` are then correctly
     specified, so the location fit's limit is the true mean and the squared
     residual has the true variance. No generator or estimator code is called.
 

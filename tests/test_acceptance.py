@@ -8,6 +8,7 @@ replications, so the pass margin genuinely varies across seeds; see
 notes in the repository docs).
 """
 
+import dataclasses
 import json
 import time
 from contextlib import contextmanager
@@ -23,7 +24,6 @@ from marscore.model import (
     fit_location,
     fit_outcome_parametric,
     fit_propensity_null,
-    outcome_fit_at,
     outcome_moment_gradients,
 )
 from marscore.basis import intercept, raw, square
@@ -38,10 +38,6 @@ from marscore.score import (
 from marscore.sim import (
     Example1Config,
     Example2Config,
-    example1_location_basis,
-    example1_propensity_columns,
-    example2_family,
-    example2_location_basis,
     generate_example1,
     generate_example2,
     run_rejection_study,
@@ -51,6 +47,7 @@ from tests.oracles import (
     fd_gamma_score,
     fd_integrated_hessian,
     fd_mean_gradient,
+    outcome_fit_at,
     reduced_sigma_sq,
 )
 
@@ -118,8 +115,8 @@ def _null_components(big_cfg):
     one large null draw ``big_cfg`` of an Example-2 design."""
     data = generate_example2(big_cfg, RngStream(SEED, 0))
     pf = fit_propensity_null(data)
-    comp1 = variance_s1(data, pf, fit_outcome_parametric(data, example2_family()))
-    comp2 = variance_s2(data, pf, fit_location(data, example2_location_basis()))
+    comp1 = variance_s1(data, pf, fit_outcome_parametric(data, Example2Config.family))
+    comp2 = variance_s2(data, pf, fit_location(data, Example2Config.location_basis))
     return comp1.sigma_sq_hat, comp2.sigma_sq_hat, comp2.noncentrality_base()
 
 
@@ -271,7 +268,7 @@ def test_criterion_08_s1_s2_agreement():
         cfg = Example2Config(n=1000, gamma=0.1, **HOM)
         report = run_rejection_study(
             cfg, 2000, alpha=ALPHA, base_seed=SEED,
-            family=example2_family(heteroskedastic=False), keep_details=True,
+            family=dataclasses.replace(Example2Config.family, logvar_basis=(intercept(),)), keep_details=True,
         )
         det = report.details
         ok = det.ok()
@@ -290,8 +287,8 @@ def test_criterion_09_homoskedastic_reduction():
     with criterion(9, "robust S2 variance matches the reduced form"):
         cfg = Example1Config(n=100_000, b_z=0.5, c1=0.0, c2=0.25, w_variant="identity")
         data = generate_example1(cfg, RngStream(SEED, 0))
-        pf = fit_propensity_null(data, columns=example1_propensity_columns())
-        lf = fit_location(data, example1_location_basis())
+        pf = fit_propensity_null(data, columns=Example1Config.propensity_columns)
+        lf = fit_location(data, Example1Config.location_basis)
         comp = variance_s2(data, pf, lf)
         reduced = reduced_sigma_sq(comp, float(np.mean(lf.residuals**2)))
         rel = abs(comp.sigma_sq_hat - reduced) / comp.sigma_sq_hat

@@ -18,7 +18,6 @@ class TestDataset:
         assert data.n_complete == 2
         assert data.missing_fraction == 0.5
         assert list(data.complete_idx) == [0, 2]
-        assert list(data.missing_idx) == [1, 3]
 
     def test_from_generated_erases_missing(self):
         x = np.column_stack([np.ones(3), np.arange(3.0)])

@@ -46,8 +46,6 @@ from marscore.score import (
 from marscore.score import test_report as score_report
 from marscore.sim import (
     Example2Config,
-    example2_family,
-    example2_location_basis,
     generate_example2,
     run_rejection_study,
 )
@@ -140,8 +138,8 @@ class TestReadCsv:
 
         def statistics(ds):
             pf = fit_propensity_null(ds)
-            of = fit_outcome_parametric(ds, example2_family())
-            lf = fit_location(ds, example2_location_basis())
+            of = fit_outcome_parametric(ds, Example2Config.family)
+            lf = fit_location(ds, Example2Config.location_basis)
             return (
                 score_statistic_s1(ds, pf, of),
                 variance_s1(ds, pf, of).sigma_sq_hat,
@@ -412,7 +410,7 @@ class TestWriteReport:
         cfg = Example2Config(n=400, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(53, 0))
         pf = fit_propensity_null(data)
-        of = fit_outcome_parametric(data, example2_family())
+        of = fit_outcome_parametric(data, Example2Config.family)
         result = score_report(score_statistic_s1(data, pf, of), variance_s1(data, pf, of), data.n)
         record = GroupTestRecord(None, result, data.missing_fraction, {"propensity_iterations": pf.iterations})
         path = tmp_path / "report.json"

@@ -25,22 +25,19 @@ from marscore.model import (
     fit_outcome_parametric,
     fit_propensity_null,
     location_fit_at,
-    outcome_fit_at,
     outcome_moment_gradients,
 )
 from marscore.numerics import RngStream, solve_spd
 from marscore.sim import (
     Example1Config,
     Example2Config,
-    example1_family,
-    example1_location_basis,
-    example2_family,
     generate_example1,
     generate_example2,
 )
 from tests.oracles import (
     fd_integrated_hessian,
     fd_mean_gradient,
+    outcome_fit_at,
     quadrature_moments,
     solve_spd_loop,
 )
@@ -238,7 +235,7 @@ class TestFitOutcomeParametric:
     def test_example2_truth_under_mar(self):
         cfg = Example2Config(n=100_000, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(13, 0))
-        fit = fit_outcome_parametric(data, example2_family())
+        fit = fit_outcome_parametric(data, Example2Config.family)
         nc = data.n_complete
         bm = fit.mean_design_all[data.complete_idx]
         w = 1.0 / fit.var[data.complete_idx]
@@ -259,7 +256,7 @@ class TestFitOutcomeParametric:
     def test_joint_gradient_tolerance(self):
         cfg = Example2Config(n=4000, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(14, 0))
-        fit = fit_outcome_parametric(data, example2_family())
+        fit = fit_outcome_parametric(data, Example2Config.family)
         complete = data.complete_idx
         bm = fit.mean_design_all[complete]
         bv = fit.logvar_design_all[complete]
@@ -289,7 +286,7 @@ class TestFitOutcomeParametric:
     def test_block_step_after_a_refused_joint_solve_reaches_the_same_fit(self, monkeypatch):
         cfg = Example2Config(n=400, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(14, 0))
-        family = example2_family()
+        family = Example2Config.family
         want = fit_outcome_parametric(data, family)
         refused = self.refusing_joint_solves(monkeypatch, family, refusals=1)
         got = fit_outcome_parametric(data, family)
@@ -299,7 +296,7 @@ class TestFitOutcomeParametric:
     def test_block_steps_alone_never_end_the_fit(self, monkeypatch):
         cfg = Example2Config(n=400, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(14, 0))
-        family = example2_family()
+        family = Example2Config.family
         refused = self.refusing_joint_solves(monkeypatch, family, refusals=np.inf)
         with pytest.raises(NoConvergence, match="did not converge"):
             fit_outcome_parametric(data, family)
@@ -311,7 +308,7 @@ class TestFitOutcomeParametric:
         # draws whose fits end where rounding, not the gradient, limits progress, so a stopping
         # rule that reads the gradient cycles there and depends on the SPD kernel
         data = generate_example2(Example2Config(n=15), RngStream(2, r))
-        family = example2_family()
+        family = Example2Config.family
         lapack = fit_outcome_parametric(data, family)
         monkeypatch.setattr(model, "solve_spd", solve_spd_loop)
         loop = fit_outcome_parametric(data, family)
@@ -360,7 +357,7 @@ class TestFitLocation:
     def test_example1_mar_recovers_mean(self):
         cfg = Example1Config(n=100_000, b_z=0.5, c1=0.0, c2=0.5)
         data = generate_example1(cfg, RngStream(15, 0))
-        fit = fit_location(data, example1_location_basis())
+        fit = fit_location(data, Example1Config.location_basis)
         g = fit.design_all[data.complete_idx]
         se = np.sqrt(np.diag(solve_spd(g.T @ g, np.eye(3))))
         for got, want, s in zip(fit.theta_hat, (1.0, 1.0, 0.5), se):
@@ -369,15 +366,15 @@ class TestFitLocation:
     def test_matches_parametric_mean_when_homoskedastic(self):
         cfg = Example1Config(n=4000, b_z=1.0, c1=0.0, c2=0.25)
         data = generate_example1(cfg, RngStream(16, 0))
-        of = fit_outcome_parametric(data, example1_family())
-        lf = fit_location(data, example1_location_basis())
+        of = fit_outcome_parametric(data, Example1Config.family)
+        lf = fit_location(data, Example1Config.location_basis)
         xi_mean, _ = of.family.split(of.xi_hat)
         assert np.max(np.abs(xi_mean - lf.theta_hat)) < 1e-8
 
     def test_normal_equations(self):
         cfg = Example1Config(n=3000, b_z=0.5, c1=0.1, c2=0.25)
         data = generate_example1(cfg, RngStream(17, 0))
-        fit = fit_location(data, example1_location_basis())
+        fit = fit_location(data, Example1Config.location_basis)
         g = fit.design_all[data.complete_idx]
         assert np.max(np.abs(g.T @ fit.residuals)) <= GRAD_RTOL * data.n
 
@@ -419,7 +416,7 @@ class TestOutcomeMoments:
     def test_positive_conditional_variance_on_rows(self):
         cfg = Example2Config(n=2000, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(18, 0))
-        fit = fit_outcome_parametric(data, example2_family())
+        fit = fit_outcome_parametric(data, Example2Config.family)
         assert np.all(fit.m2 - fit.m1**2 > 0)
 
 
@@ -457,8 +454,8 @@ class TestEvaluators:
     def test_outcome_fit_at_matches_mle_loglik(self):
         cfg = Example2Config(n=1500, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(19, 0))
-        mle = fit_outcome_parametric(data, example2_family())
-        pinned = outcome_fit_at(data, example2_family(), mle.xi_hat)
+        mle = fit_outcome_parametric(data, Example2Config.family)
+        pinned = outcome_fit_at(data, Example2Config.family, mle.xi_hat)
         assert pinned.loglik == pytest.approx(mle.loglik, rel=1e-12)
 
     def test_location_fit_at(self):

@@ -22,7 +22,6 @@ from marscore.model import (
     fit_outcome_parametric,
     fit_propensity_null,
     location_fit_at,
-    outcome_fit_at,
     outcome_moment_gradients,
 )
 from marscore.numerics import RngStream, normal_cdf
@@ -37,13 +36,12 @@ from marscore.score import (
 from marscore.score import test_report as score_report
 from marscore.sim import (
     Example2Config,
-    example2_family,
-    example2_location_basis,
     generate_example2,
 )
 from tests.oracles import (
     assemble,
     fd_gamma_score,
+    outcome_fit_at,
     quad_form_inv_loop,
     reduced_sigma_sq,
     solve_spd_loop,
@@ -126,8 +124,8 @@ class TestScoreStatisticS2:
         assert score_statistic_s2(data, pf, lf) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_s1_for_matching_homoskedastic_bases(self):
-        family = example2_family(heteroskedastic=False)
-        basis = example2_location_basis()
+        family = dataclasses.replace(Example2Config.family, logvar_basis=(intercept(),))
+        basis = Example2Config.location_basis
         cfg = Example2Config(n=1000, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.0)
         for r in range(25):
             data = generate_example2(cfg, RngStream(22, r))
@@ -194,7 +192,7 @@ class TestVarianceS1:
         cfg = Example2Config(n=1500, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.25)
         data = generate_example2(cfg, RngStream(23, 0))
         pf = fit_propensity_null(data)
-        of = fit_outcome_parametric(data, example2_family())
+        of = fit_outcome_parametric(data, Example2Config.family)
         comp = variance_s1(data, pf, of)
         assert assemble(comp) == pytest.approx(comp.sigma_sq_hat, rel=1e-12)
         assert comp.sigma_sq_hat > 0
@@ -205,7 +203,7 @@ class TestVarianceS1:
         cfg = Example2Config(n=400, xi_true=(1, 1, 0.5, 1), beta0=0.5, beta1=0.5, gamma=0.25)
         data = generate_example2(cfg, RngStream(24, 0))
         pf = fit_propensity_null(data)
-        of = fit_outcome_parametric(data, example2_family())
+        of = fit_outcome_parametric(data, Example2Config.family)
         comp = variance_s1(data, pf, of)
         b_sum = np.zeros_like(comp.B_hat)
         b1_sum = np.zeros_like(comp.B1_hat)
@@ -222,7 +220,7 @@ class TestVarianceS2:
         cfg = Example2Config(n=1500, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
         data = generate_example2(cfg, RngStream(24, 0))
         pf = fit_propensity_null(data)
-        lf = fit_location(data, example2_location_basis())
+        lf = fit_location(data, Example2Config.location_basis)
         comp = variance_s2(data, pf, lf)
         assert assemble(comp) == pytest.approx(comp.sigma_sq_hat, rel=1e-12)
         assert comp.sigma_sq_hat > 0
@@ -322,8 +320,8 @@ class TestTestReport:
 def z_values(ds, family=None, location_basis=None):
     """S1 and S2 ``z`` with the Example-2 models unless others are given."""
     pf = fit_propensity_null(ds)
-    of = fit_outcome_parametric(ds, family or example2_family())
-    lf = fit_location(ds, location_basis or example2_location_basis())
+    of = fit_outcome_parametric(ds, family or Example2Config.family)
+    lf = fit_location(ds, location_basis or Example2Config.location_basis)
     r1 = score_report(score_statistic_s1(ds, pf, of), variance_s1(ds, pf, of), ds.n)
     r2 = score_report(score_statistic_s2(ds, pf, lf), variance_s2(ds, pf, lf), ds.n)
     return r1.z, r2.z

@@ -1,12 +1,17 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from marscore import sim
+from marscore.basis import intercept, raw
 from marscore.exceptions import DegenerateVariance, InvalidAlpha
+from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
 from marscore.numerics import RngStream, normal_cdf
+from marscore.score import score_statistic_s1, score_statistic_s2, variance_s1, variance_s2
+from marscore.score import test_report as score_report
 from marscore.sim import (
     Example1Config,
     Example2Config,
@@ -191,3 +196,53 @@ class TestPowerCurve:
             slack = 2.0 * np.sqrt(ses[k] ** 2 + ses[k - 1] ** 2)
             assert rates[k] >= rates[k - 1] - slack
         assert rates[-1] > rates[0] + 0.3
+
+
+@pytest.mark.parametrize("config", [Example1Config, Example2Config])
+def test_sample_size_is_an_exact_integer(config):
+    with pytest.raises(TypeError):
+        config(n=2.5)
+    cfg = config(n=np.int64(200))
+    assert type(cfg.n) is int and cfg == config(n=200)
+    json.dumps(run_rejection_study(cfg, 2, base_seed=1).to_dict())
+
+
+def test_stream_seed_and_id_are_exact_integers():
+    with pytest.raises(TypeError):
+        RngStream(1.5)
+    with pytest.raises(TypeError):
+        RngStream(1, 2.0)
+    stream = RngStream(np.uint64(3), np.int64(4))
+    assert (type(stream.seed), type(stream.stream_id)) == (int, int)
+    assert stream.generator().random() == RngStream(3, 4).generator().random()
+
+
+def _composed(cfg, stream, family):
+    """(statistic, σ², z) of S1 and S2, composed by hand from the config's parts."""
+    data = cfg.generate(stream)
+    pf = fit_propensity_null(data, columns=cfg.propensity_columns)
+    of = fit_outcome_parametric(data, family)
+    lf = fit_location(data, cfg.location_basis)
+    r1 = score_report(score_statistic_s1(data, pf, of), variance_s1(data, pf, of), data.n)
+    r2 = score_report(score_statistic_s2(data, pf, lf), variance_s2(data, pf, lf), data.n)
+    return [(r.statistic, r.sigma_sq_hat, r.z) for r in (r1, r2)]
+
+
+@pytest.mark.parametrize(
+    "cfg, other_logvar",
+    [
+        (Example1Config(n=400, c1=0.2, c2=0.25), (intercept(), raw(1))),
+        (Example2Config(n=300, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25), (intercept(),)),
+    ],
+    ids=["example1", "example2"],
+)
+def test_replication_is_the_configs_own_composition(cfg, other_logvar):
+    other = dataclasses.replace(cfg.family, logvar_basis=other_logvar)
+    for seed, r in ((1, 0), (2, 3)):
+        got = [(t.statistic, t.sigma_sq_hat, t.z) for t in run_single_replication(cfg, RngStream(seed, r))]
+        assert got == _composed(cfg, RngStream(seed, r), cfg.family)
+        # a replacement family changes S1 only
+        s1, _ = _composed(cfg, RngStream(seed, r), other)
+        replaced = run_single_replication(cfg, RngStream(seed, r), family=other)
+        assert [(t.statistic, t.sigma_sq_hat, t.z) for t in replaced] == [s1, got[1]]
+        assert s1 != got[0]
