@@ -5,7 +5,8 @@ evaluated on the covariate matrix whose column 0 is the constant 1. Every
 term is the product of two covariate-matrix columns ``i >= j``, so the
 intercept is column 0 times column 0, a raw column ``i`` is column ``i``
 times column 0, and a square is a column times itself. Terms are declared
-explicitly in run configuration rather than inferred from data.
+explicitly in run configuration rather than inferred from data. A design
+matrix is term-major: each term's column is contiguous in memory.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ def product(i: int, j: int) -> BasisTerm:
 
 
 def design_matrix(terms, x: np.ndarray) -> np.ndarray:
-    """Stack term columns into an (n, len(terms)) C-ordered design matrix."""
+    """Stack term columns into an (n, len(terms)) term-major (F-ordered) design matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not terms:
         raise ValueError("basis must contain at least one term")
-    # column_stack keeps the design C-ordered; the fits' BLAS sums, and so z, depend on it
-    return np.column_stack([x[:, t.i] * x[:, t.j] for t in terms])
+    # each term's column is contiguous: row weights then scale whole columns, and the
+    # fits' Gram and mat-vec products hand BLAS a column-major operand
+    return np.array([x[:, t.i] * x[:, t.j] for t in terms]).T

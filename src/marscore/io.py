@@ -197,7 +197,7 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
     d, y, x, labels = zip(*parts)
     return Dataset(
-        x=np.concatenate(x), d=np.concatenate(d), y_complete=np.concatenate(y),
+        x=np.concatenate(x, axis=1).T, d=np.concatenate(d), y_complete=np.concatenate(y),
         labels={c: tuple(chain.from_iterable(block[c] for block in labels)) for c in keep_columns},
     )
 
@@ -215,9 +215,9 @@ def _parse_block(rows, first_row: int, at: dict, spec: ColumnSpec, keep_columns:
         covariates = [list(map(float, map(itemgetter(at[c]), rows))) for c in spec.covariate_columns]
     except ValueError:
         y, covariates = _scan_block(rows, first_row, at, spec)
-    x = np.ones((len(rows), 1 + len(covariates)))
+    x = np.ones((1 + len(covariates), len(rows)))  # term-major: one row per covariate column
     for j, values in enumerate(covariates, start=1):
-        x[:, j] = values
+        x[j] = values
     y = np.array(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         _scan_block(rows, first_row, at, spec)  # raises the first non-finite cell

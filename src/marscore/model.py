@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .basis import BasisTerm, design_matrix
 from .data import Dataset
@@ -71,8 +70,12 @@ def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: flo
     raise NoConvergence(f"{what} line search found no ascent in {_HALVINGS} halvings")
 
 
-def _loglik_bernoulli(eta: np.ndarray, d: np.ndarray) -> float:
-    return float(d @ eta - np.logaddexp(0.0, eta).sum())
+def _bernoulli(eta: np.ndarray, d: np.ndarray):
+    """The logistic log-likelihood ``Σ d·η − log(1 + exp η)`` and the probabilities
+    ``π = 1 / (1 + exp −η)``, both from one ``exp(−|η|)`` per row, which never overflows."""
+    e = np.exp(-np.abs(eta))
+    loglik = float(d @ eta - (np.maximum(eta, 0.0) + np.log1p(e)).sum())
+    return loglik, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,7 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     NoConvergence
         If a later information is singular or the line search stalls.
     """
-    if columns is None:
-        design = data.x
-    else:
-        design = np.ascontiguousarray(data.x[:, [int(c) for c in columns]])
+    design = data.x if columns is None else data.x.T[[int(c) for c in columns]].T
     d = data.d.astype(float)
     n, p = design.shape
     n1 = data.n_complete
@@ -126,11 +126,11 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
 
     def evaluate(cand):
         eta_cand = design @ cand
-        return _loglik_bernoulli(eta_cand, d), eta_cand
+        loglik_cand, pi_cand = _bernoulli(eta_cand, d)
+        return loglik_cand, (eta_cand, pi_cand)
 
     beta = np.zeros(p)
-    loglik, eta = evaluate(beta)
-    pi = expit(eta)
+    loglik, (eta, pi) = evaluate(beta)
     for iterations in range(1, _MAX_ITER + 1):
         grad = design.T @ (d - pi)
         hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
@@ -140,10 +140,9 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         with _singular_as(error, what):
             step = solve_spd(hessian, grad)
         # each row's term is negative, so their magnitudes add to |loglik|
-        beta, loglik, eta, final = _halving_search(
+        beta, loglik, (eta, pi), final = _halving_search(
             "propensity", beta, step, grad, loglik, evaluate, abs(loglik)
         )
-        pi = expit(eta)
         # only separated data are classified perfectly, so no existing MLE is rejected
         k = int(np.argmax(np.abs(beta)))
         if abs(beta[k]) > _SEPARATION_BOUND:
@@ -275,17 +274,15 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     one at the optimum, a block one with ``NoConvergence``, its gradient
     about zero where the joint solve fails.
     """
-    complete = data.complete_idx
-    nc = complete.size
+    nc = data.n_complete
     if nc < family.dim_xi + 1:
         raise RankDeficientDesign(
             f"need at least dim_xi + 1 = {family.dim_xi + 1} complete cases, have {nc}"
         )
     yc = data.y_complete
-    bm_all = family.mean_design(data.x)
+    bm = family.mean_design(data.x_complete)
+    bv = family.logvar_design(data.x_complete)
     bv_all = family.logvar_design(data.x)
-    bm = bm_all[complete]
-    bv = bv_all[complete]
     qm = family.dim_mean
 
     with _singular_as(RankDeficientDesign, "outcome mean design is rank deficient"):
@@ -309,17 +306,19 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     def evaluate(cand):
         s_cand = bv @ cand[qm:]
         r_cand = yc - bm @ cand[:qm]
-        u_cand = r_cand * r_cand * np.exp(-s_cand)
-        return _gaussian_loglik(s_cand, u_cand, nc), (r_cand, s_cand, u_cand)
+        w_cand = np.exp(-s_cand)
+        u_cand = r_cand * r_cand * w_cand
+        return _gaussian_loglik(s_cand, u_cand, nc), (r_cand, s_cand, w_cand, u_cand)
 
     _floor_check(xi)
-    loglik, (r, s_c, u) = evaluate(xi)
+    loglik, (r, s_c, w, u) = evaluate(xi)
+    # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
+    z = np.empty((nc, family.dim_xi), order="F")
+    z[:, :qm] = bm
     for iterations in range(1, _MAX_ITER + 1):
-        w = np.exp(-s_c)
         grad = np.concatenate([bm.T @ (r * w), 0.5 * bv.T @ (u - 1.0)])
-        # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
-        zr = np.hstack([bm, bv * r[:, None]])
-        info = zr.T @ (zr * w[:, None])
+        np.multiply(bv, r[:, None], out=z[:, qm:])
+        info = z.T @ (z * w[:, None])
         info[qm:, qm:] *= 0.5
         try:
             step = solve_spd(info, grad)
@@ -332,7 +331,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
             joint = False
         # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
         size = 0.5 * (nc * np.log(2.0 * np.pi) + np.abs(s_c).sum() + u.sum())
-        xi, loglik, (r, s_c, u), final = _halving_search(
+        xi, loglik, (r, s_c, w, u), final = _halving_search(
             "outcome", xi, step, grad, loglik, evaluate, size
         )
         _floor_check(xi)
@@ -343,7 +342,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                                 "joint information is not positive definite")
     else:
         raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
-    return _outcome_fit(data, family, xi, bm_all, bv_all, iterations)
+    return _outcome_fit(data, family, xi, family.mean_design(data.x), bv_all, iterations)
 
 
 @dataclass(frozen=True)
@@ -365,12 +364,11 @@ class LocationFit:
 def fit_location(data: Dataset, mean_basis) -> LocationFit:
     """Least-squares fit of the location model on complete cases."""
     mean_basis = tuple(mean_basis)
-    complete = data.complete_idx
-    if complete.size < len(mean_basis) + 1:
+    if data.n_complete < len(mean_basis) + 1:
         raise RankDeficientDesign(
-            f"need at least {len(mean_basis) + 1} complete cases, have {complete.size}"
+            f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
-    g = design_matrix(mean_basis, data.x[complete])
+    g = design_matrix(mean_basis, data.x_complete)
     with _singular_as(RankDeficientDesign, "location design is rank deficient"):
         theta = solve_spd(g.T @ g, g.T @ data.y_complete)
     return location_fit_at(data, mean_basis, theta)

@@ -51,17 +51,15 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
         raise SingularMatrix("matrix is not symmetric")
     lower, info = dpotrf(a, lower=True, clean=True)
-    pivots = lower.diagonal() ** 2
-    if info > 0:
+    for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), a.diagonal().tolist())):
         # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
-        pivots[info - 1] = lower[info - 1, info - 1]
-    floor = _PIVOT_RTOL * a.diagonal()
-    if not np.all(pivots > floor):
-        j = int(np.argmin(pivots > floor))
-        raise SingularMatrix(
-            f"pivot {pivots[j]:.3e} below {floor[j]:.3e} at column {j}; "
-            "matrix is not positive definite"
-        )
+        pivot = l_jj if j == info - 1 else l_jj * l_jj
+        floor = _PIVOT_RTOL * a_jj
+        if not pivot > floor:
+            raise SingularMatrix(
+                f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
+                "matrix is not positive definite"
+            )
     return dpotrs(lower, v, lower=True)[0]
 
 

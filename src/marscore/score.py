@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import design_matrix
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
 from .model import LocationFit, ParametricOutcomeFit, PropensityFit, gaussian_information
@@ -213,26 +214,26 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
     pi = pf.pi
     mu = lf.mu
     g = lf.design_all
-    complete = lf.complete_idx
+    q_c = 1.0 - pi[lf.complete_idx]
     r2 = lf.residuals**2
-    gc = g[complete]
+    gc = design_matrix(lf.mean_basis, data.x_complete)
     a1_hat, e = _unexplained(pf, mu)
     b3_hat = g.T @ (pi * (1.0 - pi)) / n
     c1_hat = g.T @ (g * pi[:, None]) / n
-    u = (1.0 - pi[complete]) - gc @ solve_spd(c1_hat, b3_hat)
+    u = q_c - gc @ solve_spd(c1_hat, b3_hat)
 
     return _checked(VarianceComponentsS2(
         A_hat=pf.info_matrix,
         A1_hat=a1_hat,
         # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
         A2_hat=float(
-            (np.sum(pi * mu**2 * (1.0 - pi) ** 2) + np.sum((1.0 - pi[complete]) ** 2 * r2)) / n
+            (np.sum(pi * mu**2 * (1.0 - pi) ** 2) + np.sum(q_c**2 * r2)) / n
         ),
         B3_hat=b3_hat,
         B4_hat=float(np.sum(pi**2 * (1.0 - pi) * mu**2) / n),
         C1_hat=c1_hat,
         C2_hat=gc.T @ (gc * r2[:, None]) / n,
-        C3_hat=gc.T @ ((1.0 - pi[complete]) * r2) / n,
+        C3_hat=gc.T @ (q_c * r2) / n,
         sigma_sq_hat=_sigma_sq(pf, e, u, r2),
     ))
 

@@ -101,7 +101,7 @@ class Example1Config:
         y = 1.0 + u + self.b_z * z + rng.standard_normal(self.n)
         p_obs = normal_cdf(self.c0 + self.c1 * w_function(self.w_variant, y) + self.c2 * u)
         d = (rng.random(self.n) < p_obs).astype(np.int8)
-        x = np.column_stack([np.ones(self.n), u, z])
+        x = np.array([np.ones(self.n), u, z]).T  # column-major, as Dataset stores it
         return Dataset.from_generated(x, d, y)
 
 
@@ -148,7 +148,7 @@ class Example2Config:
         y = mean + sd * rng.standard_normal(self.n)
         p_obs = expit(self.beta0 + self.beta1 * x + self.gamma * y)
         d = (rng.random(self.n) < p_obs).astype(np.int8)
-        design = np.column_stack([np.ones(self.n), x])
+        design = np.array([np.ones(self.n), x]).T  # column-major, as Dataset stores it
         return Dataset.from_generated(design, d, y)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from marscore import io, sim
 from marscore.basis import design_matrix, intercept, product, raw, square
 from marscore.data import Dataset
+from marscore.numerics import RngStream
 
 
 def small_dataset():
@@ -46,6 +48,33 @@ class TestDataset:
         assert sub.y_complete.tolist() == [-1.0]
         assert sub.x[0, 1] == 2.0
 
+    def test_complete_rows_are_gathered_once_column_major(self):
+        data = small_dataset()
+        assert np.array_equal(data.x_complete, data.x[data.complete_idx])
+        assert data.x.flags["F_CONTIGUOUS"] and data.x_complete.flags["F_CONTIGUOUS"]
+        assert data.x_complete is data.x_complete and data.complete_idx is data.complete_idx
+        with pytest.raises(ValueError):
+            data.x_complete[0, 0] = 5.0
+
+    @pytest.mark.parametrize("build", ["example1", "example2", "read_csv"])
+    def test_builders_hand_over_a_column_major_x_uncopied(self, build, monkeypatch, tmp_path):
+        handed = []
+
+        class Recording(Dataset):
+            def __post_init__(self):
+                handed.append(self.x)
+                super().__post_init__()
+
+        monkeypatch.setattr(io if build == "read_csv" else sim, "Dataset", Recording)
+        if build == "read_csv":
+            path = tmp_path / "data.csv"
+            path.write_text("y,u\n1.5,0.25\nNA,-1\n2.0,3\n", encoding="utf-8")
+            data = io.read_csv(path, io.ColumnSpec(outcome_column="y", covariate_columns=("u",)))
+        else:
+            cfg = sim.Example1Config(n=30) if build == "example1" else sim.Example2Config(n=30)
+            data = cfg.generate(RngStream(5, 0))
+        assert np.shares_memory(handed[0], data.x)
+
 
 class TestBasis:
     def test_terms_evaluate(self):
@@ -77,8 +106,9 @@ class TestBasis:
         assert product(0, 0) == intercept()
 
     @pytest.mark.parametrize("terms", [(raw(1),), (intercept(), raw(1), square(2), product(1, 2))])
-    def test_design_is_c_contiguous(self, terms):
-        # the fits' BLAS products sum in memory order, so an F-ordered design
-        # moves z in its last bits
+    def test_design_is_f_contiguous(self, terms):
+        # term-major: the fits weight rows down contiguous columns and hand BLAS
+        # column-major operands, whatever the covariate matrix's own order
         x = np.column_stack([np.ones(5), np.arange(5.0), np.arange(5.0) ** 0.5])
-        assert design_matrix(terms, x).flags["C_CONTIGUOUS"]
+        for order in "CF":
+            assert design_matrix(terms, np.asarray(x, order=order)).flags["F_CONTIGUOUS"]

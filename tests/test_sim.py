@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marscore import sim
 from marscore.basis import intercept, raw
-from marscore.exceptions import DegenerateVariance, InvalidAlpha
+from marscore.data import Dataset
+from marscore.exceptions import DegenerateVariance, InvalidAlpha, MarscoreError
 from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
 from marscore.numerics import RngStream, normal_cdf
 from marscore.score import score_statistic_s1, score_statistic_s2, variance_s1, variance_s2
@@ -217,9 +220,8 @@ def test_stream_seed_and_id_are_exact_integers():
     assert stream.generator().random() == RngStream(3, 4).generator().random()
 
 
-def _composed(cfg, stream, family):
-    """(statistic, σ², z) of S1 and S2, composed by hand from the config's parts."""
-    data = cfg.generate(stream)
+def _composed(cfg, data, family):
+    """(statistic, σ², z) of S1 and S2 on ``data``, composed by hand from the config's parts."""
     pf = fit_propensity_null(data, columns=cfg.propensity_columns)
     of = fit_outcome_parametric(data, family)
     lf = fit_location(data, cfg.location_basis)
@@ -240,9 +242,28 @@ def test_replication_is_the_configs_own_composition(cfg, other_logvar):
     other = dataclasses.replace(cfg.family, logvar_basis=other_logvar)
     for seed, r in ((1, 0), (2, 3)):
         got = [(t.statistic, t.sigma_sq_hat, t.z) for t in run_single_replication(cfg, RngStream(seed, r))]
-        assert got == _composed(cfg, RngStream(seed, r), cfg.family)
+        assert got == _composed(cfg, cfg.generate(RngStream(seed, r)), cfg.family)
         # a replacement family changes S1 only
-        s1, _ = _composed(cfg, RngStream(seed, r), other)
+        s1, _ = _composed(cfg, cfg.generate(RngStream(seed, r)), other)
         replaced = run_single_replication(cfg, RngStream(seed, r), family=other)
         assert [(t.statistic, t.sigma_sq_hat, t.z) for t in replaced] == [s1, got[1]]
         assert s1 != got[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(15, 200), example=st.sampled_from([1, 2]))
+def test_fits_do_not_depend_on_the_memory_order_of_x(seed, n, example):
+    cfg = Example1Config(n=n) if example == 1 else Example2Config(n=n)
+    drawn = cfg.generate(RngStream(seed, 0))
+
+    def outcome(order):
+        data = Dataset(x=np.array(drawn.x, order=order), d=drawn.d, y_complete=drawn.y_complete)
+        try:
+            fits = (fit_propensity_null(data, columns=cfg.propensity_columns).beta_hat,
+                    fit_outcome_parametric(data, cfg.family).xi_hat,
+                    fit_location(data, cfg.location_basis).theta_hat)
+            return [f.tolist() for f in fits], _composed(cfg, data, cfg.family)
+        except MarscoreError as exc:
+            return type(exc).__name__
+
+    assert outcome("C") == outcome("F")
