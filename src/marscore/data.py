@@ -39,13 +39,13 @@ class Dataset:
             raise ValueError("x must be a nonempty (n, p) matrix")
         if d.shape != (x.shape[0],):
             raise ValueError("d must have one entry per row of x")
-        if not np.all((d == 0) | (d == 1)):
+        if not ((d == 0) | (d == 1)).all():
             raise ValueError("d must be 0/1")
         if y.shape != (int(d.sum()),):
             raise ValueError("y_complete must have one entry per d == 1 row")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        if not np.isfinite(x).all() or not np.isfinite(y).all():
             raise ValueError("all stored values must be finite")
-        if not np.all(x[:, 0] == 1.0):
+        if not (x[:, 0] == 1.0).all():
             raise ValueError("first covariate column must be the constant 1")
         for name, vals in self.labels.items():
             if len(vals) != x.shape[0]:
@@ -91,8 +91,12 @@ class Dataset:
         return 1.0 - self.n_complete / self.n
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        """New dataset holding the given rows (order preserved)."""
-        rows = np.asarray(rows, dtype=int)
+        """New dataset holding the given rows (order preserved), integer indices in ``[0, n)``:
+        a negative, fractional or boolean index is refused, not read as numpy would read it."""
+        rows = np.asarray(rows)
+        if (rows.ndim != 1 or rows.dtype.kind not in "iu"
+                or rows.size and not 0 <= rows.min() <= rows.max() < self.n):
+            raise ValueError(f"rows must be a 1-D array of integer row indices in [0, {self.n})")
         mask_complete = self.d[rows] == 1
         full_pos = np.cumsum(self.d) - 1
         labels = {k: tuple([v[i] for i in rows.tolist()]) for k, v in self.labels.items()}

@@ -15,8 +15,9 @@ moment/information gradients the plug-in variance estimators need.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,15 +35,15 @@ from .numerics import _NOISE_ULPS, solve_spd
 _MAX_ITER = 100
 _SEPARATION_BOUND = 30.0
 _PERFECT_MARGIN = np.log((1.0 - 1e-6) / 1e-6)  # every fitted probability within 1e-6 of d
-_VARIANCE_FLOOR = 1e-12
+_LOG_VARIANCE_FLOOR = np.log(1e-12)
+_LOG_2PI = np.log(2.0 * np.pi)
 _HALVINGS = 30
 
 
-@contextmanager
-def _singular_as(error, what: str):
-    """Report a singular matrix met in the block as ``error``, its message prefixed by ``what``."""
+def _solve(m, v, error, what: str):
+    """``solve_spd(m, v)``; a singular ``m`` raises ``error``, its message prefixed by ``what``."""
     try:
-        yield
+        return solve_spd(m, v)
     except SingularMatrix as exc:
         raise error(f"{what}: {exc}") from exc
 
@@ -58,15 +59,12 @@ def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: flo
     first of 30 halvings whose log-likelihood exceeds ``loglik`` is taken,
     or ``NoConvergence`` raised; an overflowing trial fails through its -inf.
     """
-    final = 0.5 * (grad @ step) <= _NOISE_ULPS * np.spacing(size)
-    with np.errstate(over="ignore"):
-        scale = 1.0
-        for _ in range(_HALVINGS):
-            cand = x + scale * step
-            loglik_cand, extra = evaluate(cand)
-            if final or loglik_cand > loglik:
-                return cand, loglik_cand, extra, final
-            scale *= 0.5
+    final = 0.5 * (grad @ step) <= _NOISE_ULPS * math.ulp(size)
+    for halvings in range(_HALVINGS):
+        cand = x + 0.5**halvings * step
+        loglik_cand, extra = evaluate(cand)
+        if final or loglik_cand > loglik:
+            return cand, loglik_cand, extra, final
     raise NoConvergence(f"{what} line search found no ascent in {_HALVINGS} halvings")
 
 
@@ -93,6 +91,11 @@ class PropensityFit:
     @property
     def n(self) -> int:
         return self.design.shape[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The Bernoulli variances ``pi (1 - pi)``, all rows."""
+        return self.pi * (1.0 - self.pi)
 
 
 def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
@@ -131,41 +134,44 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
 
     beta = np.zeros(p)
     loglik, (eta, pi) = evaluate(beta)
-    for iterations in range(1, _MAX_ITER + 1):
-        grad = design.T @ (d - pi)
-        hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
-        # at beta = 0 every weight is 1/4, so the first solve is the design's rank check
-        error, what = ((RankDeficientDesign, "propensity design is rank deficient") if iterations == 1
-                       else (NoConvergence, "propensity information is singular"))
-        with _singular_as(error, what):
-            step = solve_spd(hessian, grad)
-        # each row's term is negative, so their magnitudes add to |loglik|
-        beta, loglik, (eta, pi), final = _halving_search(
-            "propensity", beta, step, grad, loglik, evaluate, abs(loglik)
-        )
-        # only separated data are classified perfectly, so no existing MLE is rejected
-        k = int(np.argmax(np.abs(beta)))
-        if abs(beta[k]) > _SEPARATION_BOUND:
-            raise Separation(f"the propensity coefficient of design column {k} is {beta[k]:.6g}, "
-                             "beyond magnitude 30; complete or quasi-complete separation")
-        if np.min(sign * eta) >= _PERFECT_MARGIN:
-            raise Separation("the propensity fit classifies every row within 1e-6; "
-                             "complete or quasi-complete separation")
-        if final:
-            break
-    else:
-        raise NoConvergence(f"propensity fit did not converge in {_MAX_ITER} iterations")
+    # an overflow in the loop ends as a rejected -inf trial or as solve_spd's non-finite verdict
+    with np.errstate(over="ignore"):
+        for iterations in range(1, _MAX_ITER + 1):
+            grad = design.T @ (d - pi)
+            hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
+            # at beta = 0 every weight is 1/4, so the first solve is the design's rank check
+            error, what = ((RankDeficientDesign, "propensity design is rank deficient") if iterations == 1
+                           else (NoConvergence, "propensity information is singular"))
+            step = _solve(hessian, grad, error, what)
+            # each row's term is negative, so their magnitudes add to |loglik|
+            beta, loglik, (eta, pi), final = _halving_search(
+                "propensity", beta, step, grad, loglik, evaluate, abs(loglik)
+            )
+            # only separated data are classified perfectly, so no existing MLE is rejected
+            k = int(abs(beta).argmax())
+            if abs(beta[k]) > _SEPARATION_BOUND:
+                raise Separation(f"the propensity coefficient of design column {k} is {beta[k]:.6g}, "
+                                 "beyond magnitude 30; complete or quasi-complete separation")
+            if (sign * eta).min() >= _PERFECT_MARGIN:
+                raise Separation("the propensity fit classifies every row within 1e-6; "
+                                 "complete or quasi-complete separation")
+            if final:
+                break
+        else:
+            raise NoConvergence(f"propensity fit did not converge in {_MAX_ITER} iterations")
 
-    info = design.T @ (design * (pi * (1.0 - pi))[:, None]) / n
-    return PropensityFit(
+    weights = pi * (1.0 - pi)
+    fit = PropensityFit(
         beta_hat=beta,
-        info_matrix=info,
+        info_matrix=design.T @ (design * weights[:, None]) / n,
         loglik=loglik,
         iterations=iterations,
         converged=True,
         pi=pi,
         design=design,
     )
+    fit.__dict__["weights"] = weights  # fills the cached property with the array just computed
+    return fit
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,7 @@ class ParametricOutcomeFit:
 
 
 def _gaussian_loglik(s, r2_over_v, n_complete) -> float:
-    return float(-0.5 * (n_complete * np.log(2.0 * np.pi) + s.sum() + r2_over_v.sum()))
+    return float(-0.5 * (n_complete * _LOG_2PI + s.sum() + r2_over_v.sum()))
 
 
 def _outcome_fit(data, family, xi, bm_all, bv_all, iterations) -> ParametricOutcomeFit:
@@ -285,22 +291,22 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     bv_all = family.logvar_design(data.x)
     qm = family.dim_mean
 
-    with _singular_as(RankDeficientDesign, "outcome mean design is rank deficient"):
-        xi_m = solve_spd(bm.T @ bm, bm.T @ yc)
+    xi_m = _solve(bm.T @ bm, bm.T @ yc, RankDeficientDesign,
+                  "outcome mean design is rank deficient")
     r = yc - bm @ xi_m
     # project log residual variance onto the log-variance basis as a start
-    target = np.log(max(float(np.mean(r * r)), 1e-300))
-    with _singular_as(RankDeficientDesign, "outcome log-variance design is rank deficient"):
-        xi_v = solve_spd(bv.T @ bv, bv.T @ np.full(nc, target))
+    target = np.log(max(float((r * r).mean()), 1e-300))
+    xi_v = _solve(bv.T @ bv, bv.T @ np.full(nc, target), RankDeficientDesign,
+                  "outcome log-variance design is rank deficient")
     xi = np.concatenate([xi_m, xi_v])
 
     def _floor_check(cand):
         s_all = bv_all @ cand[qm:]
-        if np.min(s_all) < np.log(_VARIANCE_FLOOR):
+        if s_all.min() < _LOG_VARIANCE_FLOOR:
             raise DegenerateVariance(
                 "fitted conditional variance fell below 1e-12",
                 mean_coef=cand[:qm].copy(),
-                row=int(np.argmin(s_all)),
+                row=int(s_all.argmin()),
             )
 
     def evaluate(cand):
@@ -315,33 +321,33 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
     z = np.empty((nc, family.dim_xi), order="F")
     z[:, :qm] = bm
-    for iterations in range(1, _MAX_ITER + 1):
-        grad = np.concatenate([bm.T @ (r * w), 0.5 * bv.T @ (u - 1.0)])
-        np.multiply(bv, r[:, None], out=z[:, qm:])
-        info = z.T @ (z * w[:, None])
-        info[qm:, qm:] *= 0.5
-        try:
-            step = solve_spd(info, grad)
-            joint = True
-        except SingularMatrix:
-            # far from the optimum the cross block can make the information indefinite
-            info[:qm, qm:] = info[qm:, :qm] = 0.0
-            with _singular_as(NoConvergence, "outcome information block is singular"):
+    with np.errstate(over="ignore"):
+        for iterations in range(1, _MAX_ITER + 1):
+            grad = np.concatenate([bm.T @ (r * w), 0.5 * (bv.T @ (u - 1.0))])
+            np.multiply(bv, r[:, None], out=z[:, qm:])
+            info = z.T @ (z * w[:, None])
+            info[qm:, qm:] *= 0.5
+            try:
                 step = solve_spd(info, grad)
-            joint = False
-        # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
-        size = 0.5 * (nc * np.log(2.0 * np.pi) + np.abs(s_c).sum() + u.sum())
-        xi, loglik, (r, s_c, w, u), final = _halving_search(
-            "outcome", xi, step, grad, loglik, evaluate, size
-        )
-        _floor_check(xi)
-        if final and joint:
-            break
-        if final:
-            raise NoConvergence("outcome fit did not converge: its gradient vanished where the "
-                                "joint information is not positive definite")
-    else:
-        raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
+                joint = True
+            except SingularMatrix:
+                # far from the optimum the cross block can make the information indefinite
+                info[:qm, qm:] = info[qm:, :qm] = 0.0
+                step = _solve(info, grad, NoConvergence, "outcome information block is singular")
+                joint = False
+            # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
+            size = 0.5 * (nc * _LOG_2PI + np.abs(s_c).sum() + u.sum())
+            xi, loglik, (r, s_c, w, u), final = _halving_search(
+                "outcome", xi, step, grad, loglik, evaluate, size
+            )
+            _floor_check(xi)
+            if final and joint:
+                break
+            if final:
+                raise NoConvergence("outcome fit did not converge: its gradient vanished where the "
+                                    "joint information is not positive definite")
+        else:
+            raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
     return _outcome_fit(data, family, xi, family.mean_design(data.x), bv_all, iterations)
 
 
@@ -369,8 +375,8 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
             f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
     g = design_matrix(mean_basis, data.x_complete)
-    with _singular_as(RankDeficientDesign, "location design is rank deficient"):
-        theta = solve_spd(g.T @ g, g.T @ data.y_complete)
+    theta = _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign,
+                   "location design is rank deficient")
     return location_fit_at(data, mean_basis, theta)
 
 

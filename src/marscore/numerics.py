@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 from scipy.special import erfc, ndtri
 
 from .exceptions import SingularMatrix
@@ -31,7 +31,7 @@ _NOISE_ULPS = 256
 
 
 def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve ``m @ u = v`` for symmetric positive definite ``m`` by LAPACK ``dpotrf``/``dpotrs``.
+    """Solve ``m @ u = v`` for symmetric positive definite ``m`` by one LAPACK ``dposv`` call.
 
     ``v`` may be a vector or a matrix of right-hand sides.
 
@@ -50,7 +50,7 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
     if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
         raise SingularMatrix("matrix is not symmetric")
-    lower, info = dpotrf(a, lower=True, clean=True)
+    lower, u, info = dposv(a, v, lower=True)
     for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), a.diagonal().tolist())):
         # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
         pivot = l_jj if j == info - 1 else l_jj * l_jj
@@ -60,7 +60,7 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
                 f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
                 "matrix is not positive definite"
             )
-    return dpotrs(lower, v, lower=True)[0]
+    return u
 
 
 def quad_form_inv(m: np.ndarray, v: np.ndarray) -> float:

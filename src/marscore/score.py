@@ -15,6 +15,7 @@ negative. The standardized statistic is compared to the standard normal.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +129,7 @@ class ScoreTestResult:
 def _unexplained(pf: PropensityFit, m: np.ndarray):
     """``A1_hat`` and ``e = m - X A_hat⁻¹A1_hat``: the part of the plug-in mean ``m``
     that the propensity design ``X`` leaves unexplained (pi (1 - pi)-weighted)."""
-    a1 = pf.design.T @ (pf.pi * (1.0 - pf.pi) * m) / pf.n
+    a1 = pf.design.T @ (pf.weights * m) / pf.n
     return a1, m - pf.design @ solve_spd(pf.info_matrix, a1)
 
 
@@ -144,7 +145,7 @@ def _score_statistic(data: Dataset, pf: PropensityFit, fit, plug_in: np.ndarray)
 
 def _sigma_sq(pf: PropensityFit, e: np.ndarray, u: np.ndarray, weights: np.ndarray) -> float:
     """``(Σ pi (1 - pi) e² + Σ weights u²) / n``: S1's and S2's σ² as one sum of squares."""
-    return float(((pf.pi * (1.0 - pf.pi)) @ (e * e) + weights @ (u * u)) / pf.n)
+    return float((pf.weights @ (e * e) + weights @ (u * u)) / pf.n)
 
 
 def score_statistic_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> float:
@@ -159,7 +160,7 @@ def score_statistic_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> flo
 
 def _checked(components):
     """Return ``components``; raise unless their σ² exceeds the rounding noise of ``A2_hat``."""
-    if not components.sigma_sq_hat > _NOISE_ULPS * np.spacing(components.A2_hat):
+    if not components.sigma_sq_hat > _NOISE_ULPS * math.ulp(components.A2_hat):
         raise NegativeVariance(
             f"{components.variant} variance {components.sigma_sq_hat:.6e} is zero within rounding; "
             "model misuse or violated regularity conditions",
@@ -184,7 +185,7 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     pi = pf.pi
     m1 = of.m1
     bm = of.mean_design_all
-    b1_hat, b_hat = gaussian_information(bm, of.logvar_design_all, of.var, pi * (1.0 - pi), pi)
+    b1_hat, b_hat = gaussian_information(bm, of.logvar_design_all, of.var, pf.weights, pi)
     b1_hat, b_hat = b1_hat / n, b_hat / n
     a1_hat, e = _unexplained(pf, m1)
     # B_hat is block diagonal and B1_hat is zero in the log-variance block
@@ -197,8 +198,8 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
         B_hat=b_hat,
         A1_hat=a1_hat,
         B1_hat=b1_hat,
-        A2_hat=float(np.sum(pi * (1.0 - pi) ** 2 * of.m2) / n),
-        B2_hat=float(np.sum(pi**2 * (1.0 - pi) * m1**2) / n),
+        A2_hat=float((pi * (1.0 - pi) ** 2 * of.m2).sum() / n),
+        B2_hat=float((pi**2 * (1.0 - pi) * m1**2).sum() / n),
         sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
     ))
 
@@ -218,7 +219,7 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
     r2 = lf.residuals**2
     gc = design_matrix(lf.mean_basis, data.x_complete)
     a1_hat, e = _unexplained(pf, mu)
-    b3_hat = g.T @ (pi * (1.0 - pi)) / n
+    b3_hat = g.T @ pf.weights / n
     c1_hat = g.T @ (g * pi[:, None]) / n
     u = q_c - gc @ solve_spd(c1_hat, b3_hat)
 
@@ -226,11 +227,9 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
         A_hat=pf.info_matrix,
         A1_hat=a1_hat,
         # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
-        A2_hat=float(
-            (np.sum(pi * mu**2 * (1.0 - pi) ** 2) + np.sum(q_c**2 * r2)) / n
-        ),
+        A2_hat=float(((pi * mu**2 * (1.0 - pi) ** 2).sum() + (q_c**2 * r2).sum()) / n),
         B3_hat=b3_hat,
-        B4_hat=float(np.sum(pi**2 * (1.0 - pi) * mu**2) / n),
+        B4_hat=float((pi**2 * (1.0 - pi) * mu**2).sum() / n),
         C1_hat=c1_hat,
         C2_hat=gc.T @ (gc * r2[:, None]) / n,
         C3_hat=gc.T @ (q_c * r2) / n,
@@ -247,7 +246,7 @@ def test_report(statistic: float, components, n: int) -> ScoreTestResult:
         raise NegativeVariance(
             f"variance estimate {sigma_sq:.6e} is not positive", components=components
         )
-    z = statistic / (np.sqrt(n) * np.sqrt(sigma_sq))
+    z = statistic / (math.sqrt(n) * math.sqrt(sigma_sq))
     p_value = 2.0 * normal_cdf(-abs(z))  # the upper tail, free of cancellation for large |z|
     return ScoreTestResult(
         statistic=float(statistic),

@@ -48,6 +48,12 @@ class TestDataset:
         assert sub.y_complete.tolist() == [-1.0]
         assert sub.x[0, 1] == 2.0
 
+    @pytest.mark.parametrize("rows", [[-1], [1.7], [True, False, True, True], [4], [[0, 1]]],
+                             ids=["negative", "fractional", "boolean-mask", "past-the-end", "2-d"])
+    def test_subset_refuses_rows_that_are_not_indices(self, rows):
+        with pytest.raises(ValueError, match="row indices"):
+            small_dataset().subset(rows)
+
     def test_complete_rows_are_gathered_once_column_major(self):
         data = small_dataset()
         assert np.array_equal(data.x_complete, data.x[data.complete_idx])

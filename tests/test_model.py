@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,24 @@ def propensity_standard_errors(fit):
     """Conventional logistic SEs from the inverse averaged information."""
     k = fit.info_matrix.shape[0]
     return np.sqrt(np.diag(solve_spd(fit.info_matrix, np.eye(k))) / fit.n)
+
+
+class TestSolve:
+    def test_a_singular_matrix_is_raised_as_the_given_class(self):
+        with pytest.raises(NoConvergence, match=r"^block is singular: pivot .* at column 1;") as caught:
+            model._solve(np.ones((2, 2)), np.ones(2), NoConvergence, "block is singular")
+        assert isinstance(caught.value.__cause__, SingularMatrix)
+
+    def test_other_errors_pass_through(self, monkeypatch):
+        error = ValueError("not a singular matrix")
+
+        def failing(m, v):
+            raise error
+
+        monkeypatch.setattr(model, "solve_spd", failing)
+        with pytest.raises(ValueError) as caught:
+            model._solve(np.eye(2), np.ones(2), NoConvergence, "block is singular")
+        assert caught.value is error
 
 
 class TestHalvingSearch:
@@ -190,6 +209,15 @@ class TestFitPropensityNull:
         data = dataset_from_full([x, 2 * x], [1, 0, 1, 0], [1.0, 0.0, 2.0, 0.0])
         with pytest.raises(RankDeficientDesign):
             fit_propensity_null(data)
+
+    def test_an_overflow_is_a_classified_error_not_a_warning(self):
+        # at 1e160 the first information, with entries about 1e320, overflows in its matmul
+        data = Example2Config(n=200).generate(RngStream(3, 0))
+        scaled = Dataset(x=data.x * np.array([1.0, 1e160]), d=data.d, y_complete=data.y_complete)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(marscore.MarscoreError):
+                fit_propensity_null(scaled)
 
     def test_rounding_noise_stall_converges_with_one_blas_thread(self):
         # Near the optimum the full step's predicted gain (about 4e-11) lies below

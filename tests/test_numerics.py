@@ -1,11 +1,10 @@
-import re
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr
 
 from marscore import model, score
@@ -81,15 +80,31 @@ class TestSolveSpd:
         with pytest.raises(SingularMatrix, match=f"column {col}"):
             solve_spd(m, np.ones(3))
 
-    @pytest.mark.parametrize("m, column, pivot", [
-        ([[1.0, 2.0], [2.0, 1.0]], 1, "-3.000e+00"),
-        ([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1, "0.000e+00"),
-        ([[-1.0, 0.0], [0.0, 1.0]], 0, "-1.000e+00"),
-    ], ids=["indefinite", "singular", "negative-first"])
-    def test_message_names_the_failing_pivot_and_column(self, m, column, pivot):
-        expected = rf"pivot {re.escape(pivot)} below .* at column {column};"
-        with pytest.raises(SingularMatrix, match=expected):
+    @pytest.mark.parametrize("m, column, pivot, floor", [
+        ([[1.0, 2.0], [2.0, 1.0]], 1, "-3.000e+00", "1.000e-12"),
+        ([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1, "0.000e+00", "1.000e-12"),
+        ([[-1.0, 0.0], [0.0, 1.0]], 0, "-1.000e+00", "-1.000e-12"),
+        ([[1.0, 1.0], [1.0, 1.0]], 1, "0.000e+00", "1.000e-12"),
+        ([[1.0, 0.0], [0.0, -1.0]], 1, "-1.000e+00", "-1.000e-12"),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], 1, "9.992e-15", "1.000e-12"),
+    ], ids=["indefinite", "singular", "negative-first", "singular-2x2", "negative-last",
+            "under-the-floor"])
+    def test_message_names_the_failing_pivot_and_column(self, m, column, pivot, floor):
+        with pytest.raises(SingularMatrix) as caught:
             solve_spd(np.array(m), np.ones(len(m)))
+        assert str(caught.value) == (f"pivot {pivot} below {floor} at column {column}; "
+                                     "matrix is not positive definite")
+
+    def test_one_call_equals_factor_then_solve_bitwise(self):
+        # dposv runs dpotrf and dpotrs, so the one call changes no bit of a solution
+        rng = np.random.default_rng(4)
+        for k in range(1, 9):
+            for _ in range(25):
+                r = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-3, 3, k)
+                m = r @ r.T + 1e-3 * np.eye(k)
+                lower = dpotrf(m, lower=True, clean=True)[0]
+                for v in (rng.standard_normal(k), rng.standard_normal((k, 3))):
+                    assert np.array_equal(solve_spd(m, v), dpotrs(lower, v, lower=True)[0])
 
     def test_matches_the_column_loop(self):
         rng = np.random.default_rng(3)
