@@ -12,6 +12,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .basis import design_matrix
+from .exceptions import RankDeficientDesign
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -73,7 +76,7 @@ class Dataset:
 
     @cached_property
     def complete_idx(self) -> np.ndarray:
-        idx = np.flatnonzero(self.d == 1)
+        idx = self.d.nonzero()[0]
         idx.flags.writeable = False
         return idx
 
@@ -81,10 +84,31 @@ class Dataset:
     def n_complete(self) -> int:
         return self.complete_idx.size
 
+    def design(self, terms, complete: bool = False) -> np.ndarray:
+        """The design of basis ``terms`` over all rows, or over the complete rows when
+        ``complete``, read-only and F-ordered. Each basis is evaluated once per dataset,
+        and its complete rows are gathered from that evaluation.
+
+        Raises
+        ------
+        RankDeficientDesign
+            If a term's product of covariate columns overflows.
+        """
+        terms = tuple(terms)
+        designs = self._designs.get(terms)
+        if designs is None:
+            with np.errstate(over="ignore"):
+                out = design_matrix(terms, self.x)
+            if not np.isfinite(out).all():
+                k = int(np.isfinite(out).all(axis=0).argmin())
+                raise RankDeficientDesign(f"design column {k} ({terms[k]}) overflows")
+            out.flags.writeable = False
+            designs = self._designs[terms] = (out, _rows(out, self.complete_idx))
+        return designs[1] if complete else designs[0]
+
     @cached_property
-    def x_complete(self) -> np.ndarray:
-        """The complete rows of ``x``, F-ordered."""
-        return _rows(self.x, self.complete_idx)
+    def _designs(self) -> dict:
+        return {}
 
     @property
     def missing_fraction(self) -> float:
@@ -109,8 +133,8 @@ class Dataset:
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The given rows of an F-ordered matrix, read-only and F-ordered, gathered one
-    column at a time: a 1-D gather per column costs a fraction of one 2-D fancy index."""
-    out = np.array([col[rows] for col in x.T]).T
+    """The given rows of an F-ordered matrix, read-only and F-ordered: ``take`` along the
+    rows of its C-ordered transpose costs a fraction of a 2-D fancy index."""
+    out = x.T.take(rows, axis=1).T
     out.flags.writeable = False
     return out

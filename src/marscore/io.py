@@ -379,7 +379,10 @@ def run_configured_tests(data: Dataset, config: RunConfig) -> list[GroupTestReco
     else:
         groups = [(None, data)]
     records, errors = [], []
-    for label, subset in groups:
+    groups.reverse()
+    while groups:
+        # popped, so a group's subset and the designs it caches are freed once its cells are done
+        label, subset = groups.pop()
         try:
             pf = fit_propensity_null(subset, columns=spec.propensity_column_indices())
         except MarscoreError as exc:

@@ -230,6 +230,8 @@ class ParametricOutcomeFit:
     logvar_design_all: np.ndarray = field(repr=False)
     m1: np.ndarray = field(repr=False)  # conditional mean, all rows
     var: np.ndarray = field(repr=False)  # conditional variance, all rows
+    # (propensity fit, A1_hat, e) of the last projection of m1, kept by marscore.score
+    projection: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -286,19 +288,10 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
             f"need at least dim_xi + 1 = {family.dim_xi + 1} complete cases, have {nc}"
         )
     yc = data.y_complete
-    bm = family.mean_design(data.x_complete)
-    bv = family.logvar_design(data.x_complete)
-    bv_all = family.logvar_design(data.x)
+    bm = data.design(family.mean_basis, complete=True)
+    bv = data.design(family.logvar_basis, complete=True)
+    bv_all = data.design(family.logvar_basis)
     qm = family.dim_mean
-
-    xi_m = _solve(bm.T @ bm, bm.T @ yc, RankDeficientDesign,
-                  "outcome mean design is rank deficient")
-    r = yc - bm @ xi_m
-    # project log residual variance onto the log-variance basis as a start
-    target = np.log(max(float((r * r).mean()), 1e-300))
-    xi_v = _solve(bv.T @ bv, bv.T @ np.full(nc, target), RankDeficientDesign,
-                  "outcome log-variance design is rank deficient")
-    xi = np.concatenate([xi_m, xi_v])
 
     def _floor_check(cand):
         s_all = bv_all @ cand[qm:]
@@ -316,12 +309,26 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         u_cand = r_cand * r_cand * w_cand
         return _gaussian_loglik(s_cand, u_cand, nc), (r_cand, s_cand, w_cand, u_cand)
 
-    _floor_check(xi)
-    loglik, (r, s_c, w, u) = evaluate(xi)
-    # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
-    z = np.empty((nc, family.dim_xi), order="F")
-    z[:, :qm] = bm
+    # an overflow ends as solve_spd's non-finite verdict, a rejected -inf trial, or the
+    # start's classified error
     with np.errstate(over="ignore"):
+        xi_m = _solve(bm.T @ bm, bm.T @ yc, RankDeficientDesign,
+                      "outcome mean design is rank deficient")
+        r = yc - bm @ xi_m
+        rss = float((r * r).mean())
+        if not math.isfinite(rss):
+            raise NoConvergence(f"outcome fit cannot start: its mean residual square {rss} "
+                                "is not finite")
+        # project log residual variance onto the log-variance basis as a start
+        target = np.log(max(rss, 1e-300))
+        xi_v = _solve(bv.T @ bv, bv.T @ np.full(nc, target), RankDeficientDesign,
+                      "outcome log-variance design is rank deficient")
+        xi = np.concatenate([xi_m, xi_v])
+        _floor_check(xi)
+        loglik, (r, s_c, w, u) = evaluate(xi)
+        # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
+        z = np.empty((nc, family.dim_xi), order="F")
+        z[:, :qm] = bm
         for iterations in range(1, _MAX_ITER + 1):
             grad = np.concatenate([bm.T @ (r * w), 0.5 * (bv.T @ (u - 1.0))])
             np.multiply(bv, r[:, None], out=z[:, qm:])
@@ -348,7 +355,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                                     "joint information is not positive definite")
         else:
             raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
-    return _outcome_fit(data, family, xi, family.mean_design(data.x), bv_all, iterations)
+    return _outcome_fit(data, family, xi, data.design(family.mean_basis), bv_all, iterations)
 
 
 @dataclass(frozen=True)
@@ -361,6 +368,8 @@ class LocationFit:
     mu: np.ndarray = field(repr=False)  # fitted mean, all rows
     residuals: np.ndarray = field(repr=False)  # complete-case residuals
     complete_idx: np.ndarray = field(repr=False)
+    # (propensity fit, A1_hat, e) of the last projection of mu, kept by marscore.score
+    projection: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -374,9 +383,10 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
         raise RankDeficientDesign(
             f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
-    g = design_matrix(mean_basis, data.x_complete)
-    theta = _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign,
-                   "location design is rank deficient")
+    g = data.design(mean_basis, complete=True)
+    with np.errstate(over="ignore"):  # an overflowing Gram matrix is solve_spd's non-finite verdict
+        theta = _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign,
+                       "location design is rank deficient")
     return location_fit_at(data, mean_basis, theta)
 
 
@@ -384,7 +394,7 @@ def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:
     """Evaluate the location model at a given theta without fitting."""
     mean_basis = tuple(mean_basis)
     theta = np.asarray(theta, dtype=float)
-    g_all = design_matrix(mean_basis, data.x)
+    g_all = data.design(mean_basis)
     mu = g_all @ theta
     complete = data.complete_idx
     return LocationFit(

@@ -9,6 +9,7 @@ schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,6 +31,12 @@ _SYM_RTOL = 1e-10
 _NOISE_ULPS = 256
 
 
+@functools.cache
+def _transposed(k: int) -> tuple:
+    """Where the entries of a k×k matrix's transpose lie in its row-major list."""
+    return tuple(c * k + r for r in range(k) for c in range(k))
+
+
 def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve ``m @ u = v`` for symmetric positive definite ``m`` by one LAPACK ``dposv`` call.
 
@@ -45,13 +52,23 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SingularMatrix(f"expected a square matrix, got shape {a.shape}")
-    scale = abs(a).max(initial=0.0)
-    if not math.isfinite(scale):
-        raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
-    if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
-        raise SingularMatrix("matrix is not symmetric")
+    # On a small matrix Python floats are cheaper than numpy reductions. A sum of finite
+    # entries is finite unless it overflows; a - aᵀ is antisymmetric, so its largest entry
+    # is its largest magnitude; and max |a| is at least the largest diagonal entry. So a
+    # matrix these say is finite and symmetric is; any other gets the full checks.
+    flat = a.ravel().tolist()
+    diagonal = flat[:: a.shape[0] + 1]
+    if not (math.isfinite(sum(flat))
+            and max(map(operator.sub, flat, map(flat.__getitem__, _transposed(a.shape[0]))),
+                    default=0.0)
+            <= _SYM_RTOL * max(diagonal, default=0.0)):
+        scale = abs(a).max(initial=0.0)
+        if not math.isfinite(scale):
+            raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
+        if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
+            raise SingularMatrix("matrix is not symmetric")
     lower, u, info = dposv(a, v, lower=True)
-    for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), a.diagonal().tolist())):
+    for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), diagonal)):
         # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
         pivot = l_jj if j == info - 1 else l_jj * l_jj
         floor = _PIVOT_RTOL * a_jj

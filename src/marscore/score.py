@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import design_matrix
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
 from .model import LocationFit, ParametricOutcomeFit, PropensityFit, gaussian_information
@@ -126,11 +125,20 @@ class ScoreTestResult:
         }
 
 
-def _unexplained(pf: PropensityFit, m: np.ndarray):
+def _unexplained(pf: PropensityFit, fit, m: np.ndarray):
     """``A1_hat`` and ``e = m - X A_hat⁻¹A1_hat``: the part of the plug-in mean ``m``
-    that the propensity design ``X`` leaves unexplained (pi (1 - pi)-weighted)."""
-    a1 = pf.design.T @ (pf.weights * m) / pf.n
-    return a1, m - pf.design @ solve_spd(pf.info_matrix, a1)
+    that the propensity design ``X`` leaves unexplained (pi (1 - pi)-weighted).
+
+    Both read-only, and kept on the plug-in ``fit`` for the propensity fit they were
+    computed against, so a test's statistic and variance share one projection."""
+    memo = fit.projection
+    if memo is None or memo[0] is not pf:
+        a1 = pf.design.T @ (pf.weights * m) / pf.n
+        e = m - pf.design @ solve_spd(pf.info_matrix, a1)
+        a1.flags.writeable = e.flags.writeable = False
+        memo = (pf, a1, e)
+        object.__setattr__(fit, "projection", memo)
+    return memo[1], memo[2]
 
 
 def _score_statistic(data: Dataset, pf: PropensityFit, fit, plug_in: np.ndarray) -> float:
@@ -138,7 +146,7 @@ def _score_statistic(data: Dataset, pf: PropensityFit, fit, plug_in: np.ndarray)
     ``Xᵀ(d - pi) = 0``, this is the gamma-score ``Σ_complete (1 - pi) y - Σ_missing pi m``
     without the part of ``m`` spanned by ``X``, which would cancel only to rounding."""
     _check_same_data(data, pf, fit)
-    _, e = _unexplained(pf, plug_in)
+    _, e = _unexplained(pf, fit, plug_in)
     complete = data.complete_idx
     return float((data.d - pf.pi) @ e + (1.0 - pf.pi[complete]) @ (data.y_complete - plug_in[complete]))
 
@@ -187,7 +195,7 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     bm = of.mean_design_all
     b1_hat, b_hat = gaussian_information(bm, of.logvar_design_all, of.var, pf.weights, pi)
     b1_hat, b_hat = b1_hat / n, b_hat / n
-    a1_hat, e = _unexplained(pf, m1)
+    a1_hat, e = _unexplained(pf, of, m1)
     # B_hat is block diagonal and B1_hat is zero in the log-variance block
     qm = bm.shape[1]
     c = solve_spd(b_hat[:qm, :qm], b1_hat[:qm])
@@ -217,8 +225,8 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
     g = lf.design_all
     q_c = 1.0 - pi[lf.complete_idx]
     r2 = lf.residuals**2
-    gc = design_matrix(lf.mean_basis, data.x_complete)
-    a1_hat, e = _unexplained(pf, mu)
+    gc = data.design(lf.mean_basis, complete=True)
+    a1_hat, e = _unexplained(pf, lf, mu)
     b3_hat = g.T @ pf.weights / n
     c1_hat = g.T @ (g * pi[:, None]) / n
     u = q_c - gc @ solve_spd(c1_hat, b3_hat)

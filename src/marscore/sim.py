@@ -63,7 +63,7 @@ class Example1Config:
 
     departure = "c1"  # the field a power curve varies
     family = GaussianOutcomeFamily(mean_basis=(intercept(), raw(1), raw(2)), logvar_basis=(intercept(),))
-    location_basis = (intercept(), raw(1), raw(2))
+    location_basis = family.mean_basis
     # Z affects the outcome but not the missingness, so it stays out of the
     # fitted propensity: with Z included, the outcome mean basis spans the
     # propensity design, the logistic/least-squares normal equations absorb
@@ -112,7 +112,7 @@ class Example2Config:
 
     departure = "gamma"
     family = GaussianOutcomeFamily(mean_basis=(raw(1), square(1)), logvar_basis=(intercept(), raw(1)))
-    location_basis = (raw(1), square(1))
+    location_basis = family.mean_basis
     propensity_columns = None  # every covariate column
 
     n: int

@@ -6,7 +6,9 @@ the missing-row integral evaluated by quadrature, and derivative checks use
 central finite differences. ``read_csv_rowwise`` is the per-cell CSV reader
 that the columnar ``marscore.io.read_csv`` must agree with, and
 ``solve_spd_loop`` and ``quad_form_inv_loop`` are the column-by-column
-Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with.
+Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with,
+and ``solve_spd_numpy_checks`` is ``solve_spd`` with its input checks made by
+numpy reductions, whose verdicts and messages the Python-float checks must give.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
 ``outcome_fit_at`` plugs a known parameter into an outcome family.
@@ -20,6 +22,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dposv
 from scipy.special import expit, log_expit
 
 from marscore.data import Dataset
@@ -64,6 +67,29 @@ def solve_spd_loop(m, v):
     lower = cholesky_loop(m)
     half = solve_triangular(lower, np.asarray(v, dtype=float), lower=True)
     return solve_triangular(lower.T, half, lower=False)
+
+
+def solve_spd_numpy_checks(m, v):
+    """``marscore.numerics.solve_spd`` with its finiteness and symmetry checks made by
+    numpy reductions over the whole matrix."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise SingularMatrix(f"expected a square matrix, got shape {a.shape}")
+    scale = abs(a).max(initial=0.0)
+    if not math.isfinite(scale):
+        raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
+    if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
+        raise SingularMatrix("matrix is not symmetric")
+    lower, u, info = dposv(a, v, lower=True)
+    for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), a.diagonal().tolist())):
+        pivot = l_jj if j == info - 1 else l_jj * l_jj
+        floor = _PIVOT_RTOL * a_jj
+        if not pivot > floor:
+            raise SingularMatrix(
+                f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
+                "matrix is not positive definite"
+            )
+    return u
 
 
 def quad_form_inv_loop(m, v):

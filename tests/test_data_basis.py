@@ -4,6 +4,7 @@ import pytest
 from marscore import io, sim
 from marscore.basis import design_matrix, intercept, product, raw, square
 from marscore.data import Dataset
+from marscore.exceptions import RankDeficientDesign
 from marscore.numerics import RngStream
 
 
@@ -56,11 +57,20 @@ class TestDataset:
 
     def test_complete_rows_are_gathered_once_column_major(self):
         data = small_dataset()
-        assert np.array_equal(data.x_complete, data.x[data.complete_idx])
-        assert data.x.flags["F_CONTIGUOUS"] and data.x_complete.flags["F_CONTIGUOUS"]
-        assert data.x_complete is data.x_complete and data.complete_idx is data.complete_idx
-        with pytest.raises(ValueError):
-            data.x_complete[0, 0] = 5.0
+        assert data.x.flags["F_CONTIGUOUS"] and data.complete_idx is data.complete_idx
+        terms = (intercept(), raw(1), square(1))
+        complete = data.design(terms, complete=True)
+        # the complete rows of the all-row design are the design of the complete rows, bit for bit
+        assert np.array_equal(complete, design_matrix(terms, data.x[data.complete_idx]))
+        assert complete.flags["F_CONTIGUOUS"] and complete is data.design(terms, complete=True)
+
+    def test_an_overflowing_design_is_rank_deficient(self):
+        # 1e160 squared is beyond the double range; the suite turns an escaping warning into a failure
+        data = small_dataset()
+        scaled = Dataset(x=data.x * np.array([1.0, 1e160]), d=data.d, y_complete=data.y_complete)
+        assert np.isfinite(scaled.design((intercept(), raw(1)))).all()
+        with pytest.raises(RankDeficientDesign, match=r"design column 1 \(BasisTerm\(i=1, j=1\)\) overflows"):
+            scaled.design((raw(1), square(1)))
 
     @pytest.mark.parametrize("build", ["example1", "example2", "read_csv"])
     def test_builders_hand_over_a_column_major_x_uncopied(self, build, monkeypatch, tmp_path):

@@ -443,6 +443,36 @@ class TestFitLocation:
             fit_location(data, (intercept(), raw(1)))
 
 
+class TestOverflowOutsideTheLoops:
+    """An overflow in a design, a Gram matrix or the outcome fit's start is a classified
+    error, not a warning (which the suite would turn into a failure anyway)."""
+
+    @staticmethod
+    def scaled(x_scale=1.0, y_scale=1.0):
+        data = Example2Config(n=200).generate(RngStream(3, 0))
+        return Dataset(x=data.x * np.array([1.0, x_scale]), d=data.d, y_complete=data.y_complete * y_scale)
+
+    @pytest.mark.parametrize("x_scale, match", [
+        (1e160, r"design column 1 \(BasisTerm\(i=1, j=1\)\) overflows"),  # x² is beyond the double range
+        (1e100, "design is rank deficient: non-finite entry"),  # x² is not, but the Gram matrix's x⁴ is
+    ], ids=["design", "gram-matrix"])
+    def test_a_covariate_scale(self, x_scale, match):
+        data = self.scaled(x_scale=x_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficientDesign, match=match):
+                fit_outcome_parametric(data, Example2Config.family)
+            with pytest.raises(RankDeficientDesign, match=match):
+                fit_location(data, Example2Config.location_basis)
+
+    def test_an_outcome_scale(self):
+        # the start's mean residual square, about 1e320, overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="cannot start: its mean residual square inf"):
+                fit_outcome_parametric(self.scaled(y_scale=1e160), Example2Config.family)
+
+
 def synthetic_fit(xi, family=None, x_value=0.7):
     family = family or GaussianOutcomeFamily((intercept(),), (intercept(),))
     data = dataset_from_full([[x_value]], [1], [0.0]) if family.mean_basis[0] != intercept() else dataset_from_full([], [1], [0.0])

@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
@@ -17,7 +19,50 @@ from marscore.numerics import (
     solve_spd,
 )
 from marscore.sim import Example1Config, Example2Config, run_rejection_study
-from tests.oracles import gaussian_moment, quad_form_inv_loop, solve_spd_loop
+from tests.oracles import (
+    gaussian_moment,
+    quad_form_inv_loop,
+    solve_spd_loop,
+    solve_spd_numpy_checks,
+)
+
+_CHECKED_KINDS = ("spd", "asymmetric", "non-finite", "indefinite", "under-the-floor")
+
+
+def checked_matrix(kind: str, k: int, seed: int, log_scale: float) -> np.ndarray:
+    """A k×k matrix of the given kind: symmetric with random eigenvalues (all positive,
+    some not, or one under the pivot floor) and unequal diagonal scales, or such a
+    matrix with one entry moved near the 1e-10 symmetry bound or entries made non-finite."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    eigen = 10.0 ** rng.uniform(-3.0, 3.0, k)
+    if kind == "indefinite" or kind == "asymmetric" and rng.random() < 0.5:
+        eigen[rng.integers(k)] *= rng.choice([-1.0, 0.0])
+    elif kind == "under-the-floor":
+        eigen[rng.integers(k)] = 10.0 ** rng.uniform(-20.0, -11.0)
+    m = (q * eigen) @ q.T
+    d = 10.0 ** rng.uniform(-2.0, 2.0, k)
+    m = (m + m.T) * np.outer(d, d) * 10.0 ** log_scale  # exactly symmetric
+    if kind == "asymmetric" and k > 1:
+        i, j = rng.choice(k, 2, replace=False)
+        m[i, j] += rng.choice([0.5, 0.99, 1.0, 1.01, 2.0]) * 1e-10 * abs(m).max()
+    elif kind == "non-finite":
+        rows, cols = rng.integers(k, size=(2, rng.integers(1, k + 2)))
+        m[rows, cols] = rng.choice([np.nan, np.inf, -np.inf], rows.size)
+    return m
+
+
+def verdict(solve, m, v):
+    try:
+        return "solved", solve(m, v)
+    except SingularMatrix as exc:
+        return "raised", str(exc)
+
+
+def assert_same_verdict(m, v):
+    (want, want_out), (got, got_out) = verdict(solve_spd_numpy_checks, m, v), verdict(solve_spd, m, v)
+    assert got == want
+    assert got_out == want_out if want == "raised" else np.array_equal(got_out, want_out)
 
 
 class TestSolveSpd:
@@ -155,6 +200,32 @@ def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
     assert np.array_equal(lapack.failed, loop.failed)
     assert_allclose(lapack.z_s1, loop.z_s1, rtol=1e-10)
     assert_allclose(lapack.z_s2, loop.z_s2, rtol=1e-10)
+
+
+class TestSolveSpdChecks:
+    """solve_spd checks Python floats; numpy reductions over the whole matrix are the reference."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(_CHECKED_KINDS), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.floats(-150.0, 150.0))
+    def test_same_verdict_and_message_as_the_numpy_checks(self, kind, k, seed, log_scale):
+        assert_same_verdict(checked_matrix(kind, k, seed, log_scale), np.ones(k))
+
+    @pytest.mark.parametrize("m, want", [
+        ([[1.0, 100.0], [100.0 + 5e-9, 1.0]], "pivot -9.999e+03 below 1.000e-12 at column 1; "
+                                               "matrix is not positive definite"),
+        ([[1.0, 100.0], [100.0 + 2e-8, 1.0]], "matrix is not symmetric"),
+        ([[4.0, 0.0], [4e-10, 1.0]], "solved"),
+        ([[4.0, 0.0], [np.nextafter(4e-10, 1.0), 1.0]], "matrix is not symmetric"),
+    ], ids=["past-the-diagonal-bound", "past-the-entry-bound", "on-the-bound", "one-ulp-over"])
+    def test_asymmetry_near_the_bound(self, m, want):
+        # the quick bound, 1e-10 times the largest diagonal entry, lies below the symmetry
+        # bound, 1e-10 max |a_ij|, when an off-diagonal entry is the largest; between the
+        # two the full checks decide
+        m = np.array(m)
+        assert_same_verdict(m, np.ones(2))
+        kind, out = verdict(solve_spd, m, np.ones(2))
+        assert (kind if kind == "solved" else out) == want
 
 
 class TestNormalCdf:

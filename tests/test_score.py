@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from marscore import data as data_module
 from marscore.basis import intercept, raw, square
 from marscore.data import Dataset
 from marscore.exceptions import (
@@ -35,8 +37,10 @@ from marscore.score import (
 )
 from marscore.score import test_report as score_report
 from marscore.sim import (
+    Example1Config,
     Example2Config,
     generate_example2,
+    run_single_replication,
 )
 from tests.oracles import (
     assemble,
@@ -277,6 +281,58 @@ def _s1_components(sigma_sq):
         B2_hat=sigma_sq / 2,
         sigma_sq_hat=sigma_sq,
     )
+
+
+class TestSharedWork:
+    """A replication evaluates each basis once per dataset and projects each plug-in
+    mean once per propensity fit; neither cache changes a result."""
+
+    @staticmethod
+    def results(data, pf, of, lf, variance_first):
+        """Each test's statistic and variance components, in the order asked for."""
+        out = []
+        for statistic, variance, fit in ((score_statistic_s1, variance_s1, of),
+                                         (score_statistic_s2, variance_s2, lf)):
+            if variance_first:
+                components = variance(data, pf, fit).to_dict()
+                out += [statistic(data, pf, fit), components]
+            else:
+                out += [statistic(data, pf, fit), variance(data, pf, fit).to_dict()]
+        return out
+
+    def test_the_projection_follows_the_propensity_fit(self):
+        cfg = Example2Config(n=300)
+        data = cfg.generate(RngStream(4, 0))
+        of, lf = fit_outcome_parametric(data, cfg.family), fit_location(data, cfg.location_basis)
+        intercept_only, full = fit_propensity_null(data, columns=(0,)), fit_propensity_null(data)
+        # each propensity fit is met again after the other, once in each order of the calls
+        for variance_first, pf in zip((False, False, True, True), (intercept_only, full, full, intercept_only)):
+            got = self.results(data, pf, of, lf, variance_first)
+            # a new dataset holds no designs, and new fits hold no projection
+            fresh = Dataset(x=data.x, d=data.d, y_complete=data.y_complete)
+            want = self.results(fresh, pf, fit_outcome_parametric(fresh, cfg.family),
+                                fit_location(fresh, cfg.location_basis), False)
+            assert got == want  # floats and lists of floats, compared exactly
+            assert of.projection[0] is pf and lf.projection[0] is pf
+        cached = (of.mean_design_all, of.logvar_design_all, lf.design_all,
+                  data.design(cfg.location_basis, complete=True), *of.projection[1:], *lf.projection[1:])
+        assert not any(array.flags.writeable for array in cached)
+
+    @pytest.mark.parametrize("cfg", [Example1Config(n=200), Example2Config(n=200)],
+                             ids=["example1", "example2"])
+    def test_a_replication_evaluates_each_basis_once(self, monkeypatch, cfg):
+        # the location basis is the outcome mean basis, and complete rows are gathered
+        # from the all-row design, so two evaluations serve all three fits and both tests
+        calls = Counter()
+        evaluate = data_module.design_matrix
+
+        def counted(terms, x):
+            calls[terms, x.shape[0]] += 1
+            return evaluate(terms, x)
+
+        monkeypatch.setattr(data_module, "design_matrix", counted)
+        run_single_replication(cfg, RngStream(4, 1))
+        assert calls == {(cfg.family.mean_basis, cfg.n): 1, (cfg.family.logvar_basis, cfg.n): 1}
 
 
 class TestTestReport:
