@@ -36,14 +36,16 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asfortranarray(np.asarray(self.x, dtype=float))
-        d = np.asarray(self.d, dtype=np.int8)
+        d = np.asarray(self.d)
         y = np.asarray(self.y_complete, dtype=float)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("x must be a nonempty (n, p) matrix")
         if d.shape != (x.shape[0],):
             raise ValueError("d must have one entry per row of x")
+        # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
         if not ((d == 0) | (d == 1)).all():
             raise ValueError("d must be 0/1")
+        d = d.astype(np.int8, copy=False)
         if y.shape != (int(d.sum()),):
             raise ValueError("y_complete must have one entry per d == 1 row")
         if not np.isfinite(x).all() or not np.isfinite(y).all():

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisTerm, design_matrix
+from .basis import BasisTerm, design_matrix, intercept
 from .data import Dataset
 from .exceptions import (
     DegenerateVariance,
@@ -98,8 +98,21 @@ class PropensityFit:
         return self.pi * (1.0 - self.pi)
 
 
+def _propensity_start(columns, n1: int, n: int) -> np.ndarray:
+    """The propensity fit's start (see :func:`fit_propensity_null`)."""
+    beta = np.zeros(len(columns))
+    if 0 in columns:
+        beta[columns.index(0)] = math.log(n1 / (n - n1))
+    return beta
+
+
 def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     """Maximize the null propensity likelihood over beta.
+
+    Newton starts at β = 0, except that when covariate column 0 (the
+    constant) is in the design, its coefficient starts at the intercept-only
+    MLE ``log(n₁/(n − n₁))``, so every fitted probability starts at the
+    observed fraction ``n₁/n``.
 
     Parameters
     ----------
@@ -114,13 +127,19 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         coefficient exceeds magnitude 30 or every fitted probability is
         within 1e-6 of its indicator (the MLE does not exist).
     RankDeficientDesign
-        If the first Newton information, ``¼·XᵀX`` at beta = 0, is singular.
+        If the first Newton information is singular. Every row starts at one
+        weight ``w``, so that information is ``w·XᵀX`` and its per-pivot floor,
+        relative to each diagonal entry, gives ``XᵀX``'s verdict.
     NoConvergence
         If a later information is singular or the line search stalls.
     """
-    design = data.x if columns is None else data.x.T[[int(c) for c in columns]].T
+    if columns is None:
+        columns, design = range(data.p), data.x
+    else:
+        columns = [int(c) for c in columns]
+        design = data.x.T[columns].T
     d = data.d.astype(float)
-    n, p = design.shape
+    n = data.n
     n1 = data.n_complete
     if n1 == 0 or n1 == n:
         raise Separation(f"all outcomes are {'observed' if n1 == n else 'missing'}; "
@@ -132,14 +151,14 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         loglik_cand, pi_cand = _bernoulli(eta_cand, d)
         return loglik_cand, (eta_cand, pi_cand)
 
-    beta = np.zeros(p)
+    beta = _propensity_start(columns, n1, n)
     loglik, (eta, pi) = evaluate(beta)
     # an overflow in the loop ends as a rejected -inf trial or as solve_spd's non-finite verdict
     with np.errstate(over="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
             grad = design.T @ (d - pi)
             hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
-            # at beta = 0 every weight is 1/4, so the first solve is the design's rank check
+            # every row starts at one weight, so the first solve is the design's rank check
             error, what = ((RankDeficientDesign, "propensity design is rank deficient") if iterations == 1
                            else (NoConvergence, "propensity information is singular"))
             step = _solve(hessian, grad, error, what)
@@ -268,16 +287,39 @@ def _outcome_fit(data, family, xi, bm_all, bv_all, iterations) -> ParametricOutc
     )
 
 
+def _logvar_start(r, rss: float, bv, logvar_basis) -> np.ndarray:
+    """The outcome fit's log-variance start from its least-squares residuals ``r``, whose
+    mean square is ``rss``: the projection of ``log r²`` onto ``bv`` (Harvey 1976), its
+    intercept then moved by ``log mean(r²·exp(−bv·ξ_v))`` to the likelihood's maximiser
+    along the intercept. A basis without an intercept term starts at the projection of
+    the constant ``log rss``. Each ``r²`` is floored at 1e-300."""
+    const = intercept()
+    if const in logvar_basis:
+        target = np.log(np.maximum(r * r, 1e-300))
+    else:
+        target = np.full(r.size, np.log(max(rss, 1e-300)))
+    xi_v = _solve(bv.T @ bv, bv.T @ target, RankDeficientDesign,
+                  "outcome log-variance design is rank deficient")
+    if const in logvar_basis:
+        # log mean exp(t), t = log r² − bv·ξ_v, taken about its largest t so no exp overflows
+        t = target - bv @ xi_v
+        top = t.max()
+        xi_v[logvar_basis.index(const)] += top + math.log(float(np.exp(t - top).mean()))
+    return xi_v
+
+
 def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> ParametricOutcomeFit:
     """Maximize the complete-case Gaussian likelihood over xi.
 
     Newton steps on the joint xi with step halving, from the least-squares
-    mean and the projected log residual variance. Each step solves the
-    observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``, formed as the
-    weighted Gram matrix ``zᵀW z`` of ``z = [bm, r·bv]`` with its
-    log-variance block halved, or where that is not positive definite the
-    same matrix with ``C`` zeroed, whose per-pivot floor gives each diagonal
-    block its own verdict (``NoConvergence`` if either is singular). Any
+    mean and a log variance fitted to its squared residuals: the projection
+    of ``log r²`` onto the log-variance basis, its intercept moved to the
+    maximiser along the intercept (see :func:`_logvar_start`). Each step
+    solves the observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``,
+    formed as the weighted Gram matrix ``zᵀW z`` of ``z = [bm, r·bv]`` with
+    its log-variance block halved, or where that is not positive definite
+    the same matrix with ``C`` zeroed, whose per-pivot floor gives each
+    diagonal block its own verdict (``NoConvergence`` if either is singular). Any
     step whose predicted gain is within rounding noise ends the fit: a joint
     one at the optimum, a block one with ``NoConvergence``, its gradient
     about zero where the joint solve fails.
@@ -319,11 +361,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         if not math.isfinite(rss):
             raise NoConvergence(f"outcome fit cannot start: its mean residual square {rss} "
                                 "is not finite")
-        # project log residual variance onto the log-variance basis as a start
-        target = np.log(max(rss, 1e-300))
-        xi_v = _solve(bv.T @ bv, bv.T @ np.full(nc, target), RankDeficientDesign,
-                      "outcome log-variance design is rank deficient")
-        xi = np.concatenate([xi_m, xi_v])
+        xi = np.concatenate([xi_m, _logvar_start(r, rss, bv, family.logvar_basis)])
         _floor_check(xi)
         loglik, (r, s_c, w, u) = evaluate(xi)
         # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u

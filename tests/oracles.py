@@ -12,12 +12,17 @@ numpy reductions, whose verdicts and messages the Python-float checks must give.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
 ``outcome_fit_at`` plugs a known parameter into an outcome family.
+``former_starts`` runs both null fits from their earlier starts, β = 0 and the
+projection of the constant ``log mean(r²)``, which the closed-form starts must
+reach the same optimum as.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -25,6 +30,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dposv
 from scipy.special import expit, log_expit
 
+from marscore import model
 from marscore.data import Dataset
 from marscore.exceptions import (
     EmptyDataset,
@@ -32,6 +38,7 @@ from marscore.exceptions import (
     MissingColumn,
     MissingCovariate,
     NonNumericCell,
+    RankDeficientDesign,
     SingularMatrix,
 )
 from marscore.io import _NA_STRINGS, _undecodable_offset
@@ -126,6 +133,27 @@ def outcome_fit_at(data, family, xi):
     """The family evaluated at ``xi`` without optimizing, marked converged."""
     bm_all, bv_all = family.mean_design(data.x), family.logvar_design(data.x)
     return _outcome_fit(data, family, np.asarray(xi, dtype=float), bm_all, bv_all, iterations=0)
+
+
+def propensity_start_zero(columns, n1, n):
+    """The propensity fit's former start, β = 0."""
+    return np.zeros(len(columns))
+
+
+def logvar_start_constant(r, rss, bv, logvar_basis):
+    """The outcome fit's former log-variance start: the projection of the constant
+    ``log rss`` onto the log-variance basis, whatever its terms."""
+    target = np.log(max(rss, 1e-300))
+    return model._solve(bv.T @ bv, bv.T @ np.full(r.size, target), RankDeficientDesign,
+                        "outcome log-variance design is rank deficient")
+
+
+@contextmanager
+def former_starts():
+    """Inside the block, ``marscore.model``'s null fits start where they used to."""
+    with mock.patch.object(model, "_propensity_start", propensity_start_zero), \
+            mock.patch.object(model, "_logvar_start", logvar_start_constant):
+        yield
 
 
 def observed_loglik(data, pf, of, gamma, order=60):

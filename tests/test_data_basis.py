@@ -42,6 +42,14 @@ class TestDataset:
                 x=np.ones((2, 1)), d=np.array([1, 0]), y_complete=np.array([1.0, 2.0])
             )
 
+    # each y_complete fits the indicators an int8 cast would make of d
+    @pytest.mark.parametrize("d, y", [([1, 256, 257], [1.0, 2.0]), ([1, 0.5, 1], [1.0, 2.0]),
+                                      ([1.7, 0.2], [1.0])],
+                             ids=["wraps-in-int8", "half", "truncates"])
+    def test_indicators_are_checked_before_the_cast(self, d, y):
+        with pytest.raises(ValueError, match="d must be 0/1"):
+            Dataset(x=np.ones((len(d), 1)), d=np.array(d), y_complete=np.array(y))
+
     def test_subset_keeps_order_and_outcomes(self):
         data = small_dataset()
         sub = data.subset(np.array([2, 3]))

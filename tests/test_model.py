@@ -36,10 +36,12 @@ from marscore.sim import (
     Example2Config,
     generate_example1,
     generate_example2,
+    run_single_replication,
 )
 from tests.oracles import (
     fd_integrated_hessian,
     fd_mean_gradient,
+    former_starts,
     outcome_fit_at,
     quadrature_moments,
     solve_spd_loop,
@@ -402,6 +404,77 @@ class TestFitOutcomeParametric:
         family = GaussianOutcomeFamily(mean_basis, logvar_basis)
         with pytest.raises(RankDeficientDesign, match=what):
             fit_outcome_parametric(data, family)
+
+
+def fits_and_z(cfg, stream):
+    """``(β̂, ξ̂, (z_S1, z_S2))`` of one replication, or the class of the error that ends it."""
+    try:
+        data = cfg.generate(stream)
+        pf = fit_propensity_null(data, cfg.propensity_columns)
+        of = fit_outcome_parametric(data, cfg.family)
+        r1, r2 = run_single_replication(cfg, stream)
+    except marscore.MarscoreError as exc:
+        return type(exc)
+    return pf.beta_hat, of.xi_hat, np.array([r1.z, r2.z])
+
+
+# the mc_ex2_het_n1000 benchmark design
+HET_N1000 = Example2Config(n=1000, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25)
+
+
+class TestClosedFormStarts:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 300),
+           xi_true=st.sampled_from([(-1.0, 1.0, 0.5, 0.0), (1.0, 1.0, 0.5, 1.0)]))
+    def test_same_optimum_as_the_former_starts(self, seed, n, xi_true):
+        cfg = Example2Config(n=n, xi_true=xi_true)
+        got = fits_and_z(cfg, RngStream(seed, 0))
+        with former_starts():
+            want = fits_and_z(cfg, RngStream(seed, 0))
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert not isinstance(got, type), got
+        # relative to each vector's largest entry: an entry near zero keeps only absolute rounding
+        # (ξ̂₄ = -2.4e-4 on RngStream(516890627, 0) at n = 267 moves by 2.7e-14)
+        for got_part, want_part in zip(got, want):
+            assert_allclose(got_part, want_part, rtol=0, atol=1e-10 * np.abs(want_part).max())
+
+    def test_propensity_without_the_constant_keeps_the_zero_start(self):
+        data = HET_N1000.generate(RngStream(1, 0))
+        got = fit_propensity_null(data, columns=(1,))
+        with former_starts():
+            want = fit_propensity_null(data, columns=(1,))
+        assert np.array_equal(got.beta_hat, want.beta_hat) and np.array_equal(got.pi, want.pi)
+        assert (got.loglik, got.iterations) == (want.loglik, want.iterations)
+
+    def test_log_variance_basis_without_an_intercept_keeps_the_constant_start(self):
+        data = HET_N1000.generate(RngStream(1, 0))
+        family = GaussianOutcomeFamily((raw(1), square(1)), (raw(1), square(1)))
+        got = fit_outcome_parametric(data, family)
+        with former_starts():
+            want = fit_outcome_parametric(data, family)
+        assert np.array_equal(got.xi_hat, want.xi_hat)
+        assert (got.loglik, got.iterations) == (want.loglik, want.iterations)
+
+    def test_a_duplicated_column_fails_the_first_solve_with_the_intercept_started(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(40)
+        d = np.array([1] * 30 + [0] * 10)  # the constant starts at log 3, not 0
+        data = dataset_from_full([x, x], d, x)
+        with pytest.raises(RankDeficientDesign, match="propensity design is rank deficient"):
+            fit_propensity_null(data)
+
+    def test_example1_at_n10000_takes_few_iterations(self):
+        cfg = Example1Config(n=10_000, c1=0.0)
+        data = cfg.generate(RngStream(1, 0))
+        assert fit_outcome_parametric(data, cfg.family).iterations == 1
+        assert fit_propensity_null(data, cfg.propensity_columns).iterations <= 3
+
+    def test_heteroskedastic_outcome_fits_take_at_most_five_iterations_on_average(self):
+        iterations = [fit_outcome_parametric(HET_N1000.generate(RngStream(1, r)), HET_N1000.family)
+                      .iterations for r in range(20)]
+        assert np.mean(iterations) <= 5.0
 
 
 class TestFitLocation:
