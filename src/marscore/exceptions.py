@@ -48,11 +48,15 @@ class FitMismatch(MarscoreError):
 
 
 class NegativeVariance(MarscoreError):
-    """A plug-in variance estimate was zero within rounding, or not positive.
+    """A plug-in variance estimate was zero within rounding, or not positive,
+    or could not be formed because the mean block of S1's ``B_hat`` was
+    singular.
 
     The estimate is a sum of squares, never negative; zero means violated
     regularity conditions or model misuse. The offending component set is
-    attached as ``components`` for diagnosis.
+    attached as ``components`` for diagnosis (None for a singular block,
+    whose message starts ``S1 variance: mean information block is
+    singular: `` and names the failing pivot).
     """
 
     def __init__(self, message, components=None):

@@ -6,6 +6,10 @@ outcome as missing; covariate cells must always be present. Every present
 cell must be a finite number. The constant intercept column is synthesized
 here, never read from the file. JSON reports carry a top-level
 ``schema_version``.
+
+``read_csv`` reads plain blocks of lines with numpy's C parser and every
+other block with the ``csv`` module; the two routes give the same dataset,
+and only the ``csv`` route raises, so errors are the same too.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import json
 import math
 import os
+import re
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
@@ -45,7 +50,8 @@ from .score import (
 SCHEMA_VERSION = 1
 
 _NA_STRINGS = {"", "na"}
-_BLOCK_ROWS = 4096  # records parsed per step
+_BLOCK_ROWS = 4096  # lines, or records after a quote, parsed per step
+_LONE_CR = re.compile("\r(?!\n)")
 
 
 def parse_term(term: str, covariate_names) -> BasisTerm:
@@ -156,10 +162,21 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
     through, stripped of surrounding whitespace, in ``Dataset.labels``.
     Blank lines are skipped, cells past the header's width are ignored, and a
     short row reads as blank cells. A selected column that the header names
-    twice is an error. Rows are parsed one block of records at a time, a
-    column per step, so the transient cost is one block's cells.
+    twice is an error.
+
+    The file is read one block of lines at a time, so the transient cost is
+    one block's cells, by one of two routes with identical results. A plain
+    block (no quote, no NUL, no carriage return outside ``\\r\\n``, no
+    field past the csv size limit) has one record per non-blank line and
+    goes through numpy's C parser in one call. Any other block, and the rest
+    of the file after a quote (a quoted field can run on into the next
+    block), goes through ``csv.reader`` and is parsed a column per step.
+    Only that exact route raises: a plain block that numpy refuses, or that
+    holds a non-finite or unparsable value, is parsed again by it, so every
+    error, row number and line number is the exact route's.
     """
     keep_columns = tuple(keep_columns)
+    offset = 0  # lines read before `reader` started
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -173,26 +190,49 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
                         f"cannot parse {path}, line 1: column {col!r} appears more than once in the header"
                     )
                 at[col] = header.index(col)
-            parts, records = [], filter(None, reader)
+            parts, records, consumed = [], 0, reader.line_num
             while True:
-                rows, first_row = [], 2 + _BLOCK_ROWS * len(parts)
+                lines, rest = [], None
                 try:
-                    for row in islice(records, _BLOCK_ROWS):
-                        rows.append(row)
-                except (csv.Error, UnicodeDecodeError):
-                    if rows:  # a bad cell read before the failure is the error reported
-                        _parse_block(rows, first_row, at, spec, keep_columns)
-                    raise
-                if rows:
-                    parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
-                if len(rows) < _BLOCK_ROWS:
+                    for line in islice(handle, _BLOCK_ROWS):
+                        lines.append(line)
+                except UnicodeDecodeError as exc:
+                    rest = _raising(exc)  # the exact route reads the lines before the failure first
+                else:
+                    if not _is_plain(lines):
+                        rest = handle
+                if rest is not None:
                     break
+                part = _parse_plain(lines, 2 + records, at, spec, keep_columns)
+                if part is not None:
+                    parts.append(part)
+                    records += len(part[0])
+                consumed += len(lines)
+                if len(lines) < _BLOCK_ROWS:
+                    break
+            if rest is not None:
+                offset, reader = consumed, csv.reader(chain(lines, rest))
+                rows_left = filter(None, reader)
+                while True:
+                    rows, first_row = [], 2 + records
+                    try:
+                        for row in islice(rows_left, _BLOCK_ROWS):
+                            rows.append(row)
+                    except (csv.Error, UnicodeDecodeError):
+                        if rows:  # a bad cell read before the failure is the error reported
+                            _parse_block(rows, first_row, at, spec, keep_columns)
+                        raise
+                    if rows:
+                        parts.append(_parse_block(rows, first_row, at, spec, keep_columns))
+                        records += len(rows)
+                    if len(rows) < _BLOCK_ROWS:
+                        break
             if not parts:
                 raise EmptyDataset(f"{path} contains no data rows")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
-        raise IoFailure(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
+        raise IoFailure(f"cannot parse {path}, line {offset + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise IoFailure(f"{path} is not UTF-8: byte {_undecodable_offset(path)}: {exc.reason}") from None
     d, y, x, labels = zip(*parts)
@@ -200,6 +240,56 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
         x=np.concatenate(x, axis=1).T, d=np.concatenate(d), y_complete=np.concatenate(y),
         labels={c: tuple(chain.from_iterable(block[c] for block in labels)) for c in keep_columns},
     )
+
+
+def _raising(exc):
+    """An iterator that raises ``exc`` when it is first read."""
+    raise exc
+    yield
+
+
+def _is_plain(lines) -> bool:
+    """Whether csv.reader would read each line as one record, or none if
+    blank, with every cell the line's text between commas."""
+    text, limit = "".join(lines), csv.field_size_limit()
+    return (
+        '"' not in text and "\0" not in text and not _LONE_CR.search(text)
+        # a line within csv's field limit holds no field past it; else measure the fields
+        and (max(map(len, lines), default=0) <= limit or max(map(len, re.split("[,\n]", text))) <= limit)
+    )
+
+
+def _parse_plain(lines, first_row: int, at: dict, spec: ColumnSpec, keep_columns: tuple):
+    """``_parse_block`` of a plain block of lines through one ``np.loadtxt``
+    call, or None if every line is blank. A block that call refuses, or with
+    a value that is not finite or an outcome ``float()`` refuses, goes
+    through ``_parse_block``, which raises its first bad cell."""
+    records = len(lines) - lines.count("\n") - lines.count("\r\n")
+    if not records:
+        return None  # loadtxt warns on input with no data
+    columns = (spec.outcome_column, *spec.covariate_columns, *keep_columns)
+    p = len(spec.covariate_columns)
+    dtype = np.dtype([(f"f{k}", "f8" if 1 <= k <= p else object) for k in range(len(columns))])
+    try:
+        table = np.loadtxt(
+            lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+            usecols=[at[c] for c in columns], ndmin=1,
+        )
+        outcome = list(map(str.strip, table["f0"].tolist()))
+        observed = [cell.lower() not in _NA_STRINGS for cell in outcome]
+        y = np.array(list(map(float, compress(outcome, observed))), dtype=float)
+    except ValueError:
+        table = None
+    # numpy skips the blank lines csv.reader skips; a version that also skipped a line
+    # of whitespace, which csv.reader reads as a record, sends the block to the exact route
+    if table is not None and len(table) == records:
+        x = np.ones((1 + p, records))  # term-major: one row per covariate column
+        for j in range(1, 1 + p):
+            x[j] = table[f"f{j}"]
+        if np.isfinite(x).all() and np.isfinite(y).all():
+            labels = {c: list(map(str.strip, table[f"f{k}"].tolist())) for k, c in enumerate(keep_columns, 1 + p)}
+            return np.array(observed, dtype=np.int8), y, x, labels
+    return _parse_block(list(filter(None, csv.reader(lines))), first_row, at, spec, keep_columns)
 
 
 def _parse_block(rows, first_row: int, at: dict, spec: ColumnSpec, keep_columns: tuple):

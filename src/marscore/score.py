@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
-from .model import LocationFit, ParametricOutcomeFit, PropensityFit, gaussian_information
+from .model import LocationFit, ParametricOutcomeFit, PropensityFit, _solve, gaussian_information
 from .numerics import _NOISE_ULPS, normal_cdf, normal_quantile, solve_spd
 # unused here; perfbench/tracing.py looks the name up in this module and wraps it
 from .numerics import quad_form_inv  # noqa: F401
@@ -198,7 +198,7 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     a1_hat, e = _unexplained(pf, of, m1)
     # B_hat is block diagonal and B1_hat is zero in the log-variance block
     qm = bm.shape[1]
-    c = solve_spd(b_hat[:qm, :qm], b1_hat[:qm])
+    c = _solve(b_hat[:qm, :qm], b1_hat[:qm], NegativeVariance, "S1 variance: mean information block is singular")
     u = (1.0 - pi) - bm @ c / of.var
 
     return _checked(VarianceComponentsS1(

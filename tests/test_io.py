@@ -187,30 +187,60 @@ def read_outcome(reader, path, spec=SPEC, keep_columns=()):
 
 # cells a generated CSV draws from besides finite numbers: each fault the
 # row-wise reader reports, padded and case-varied NA, whitespace that
-# float() keeps but str.strip() drops, and quoted commas and newlines
+# float() keeps but str.strip() drops, cells where numpy's parser and float()
+# could disagree, and quoted commas and newlines
 FAULT_CELLS = (
-    "", "NA", " Na ", "na", "oops", "nan", "inf", "-Infinity", "\x1c1.5", " 2.5\t",
-    "1,5", "3\n", "x\ny", "9" * 50,
+    "", "NA", " Na ", "na", "oops", "nan", "inf", "-Infinity", "\x1c1.5", " 2.5\t", "9" * 50,
+    "1_5", "0x10", "\u0661.5", " 1.5", "\x0b2.5", "+1.5", ".5", "5.", "1e400", "-0", "#3",
 )
+QUOTED_CELLS = ("1,5", "3\n", "x\ny")  # csv.writer quotes these
 FIELD_LIMIT = 40  # shrunk for the property, so a 50-character cell is oversized
 
 
 @st.composite
 def faulty_csv(draw):
-    """CSV text over columns y, u, z, g and w in any order, with faults."""
+    """CSV text over columns y, u, z, g and w in any order, with faults.
+
+    Most texts hold no quote, so their blocks take numpy's route."""
     header = draw(st.permutations(["y", "u", "z", "g", "w"]))
     number = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.integers(-999, 999).map(str),
     )
-    cell = st.one_of(number, number, number, st.sampled_from(FAULT_CELLS))
+    faults = FAULT_CELLS + QUOTED_CELLS if draw(st.sampled_from([False, False, False, True])) else FAULT_CELLS
+    cell = st.one_of(number, number, number, st.sampled_from(faults))
     width = st.sampled_from([5, 5, 5, 5, 0, 2, 4, 6])  # 0 is a blank line
-    rows = draw(st.lists(width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k)), max_size=12))
+    cells = width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k))
+    whitespace = st.sampled_from([[" "], ["\t "]])  # a record, not a blank line
+    rows = draw(st.lists(st.one_of(*[cells] * 7, whitespace), max_size=12))
+    if draw(st.booleans()):  # five blank lines hold a whole block of every size the property tries but 4096
+        at = draw(st.integers(0, len(rows)))
+        rows[at:at] = [[]] * 5
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
     writer.writerow(header)
     writer.writerows(rows)
     return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()
+
+
+BENCHMARK_SPEC = ColumnSpec(outcome_column="y", covariate_columns=("a", "b", "c"))
+
+
+def write_benchmark_shaped_csv(path):
+    """Shaped like the benchmark's `marscore test` input: 50 000 rows, three
+    covariates, an outcome with NA cells and an 8-level group, written by
+    csv.writer."""
+    n = 50_000
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((n, 3))
+    y = rng.standard_normal(n)
+    observed = rng.random(n) < 0.7
+    groups = rng.integers(0, 8, n)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a", "b", "c", "y", "g"])
+        for i in range(n):
+            writer.writerow([*map(repr, x[i].tolist()), repr(float(y[i])) if observed[i] else "NA", f"g{groups[i]}"])
 
 
 class TestColumnarReader:
@@ -282,30 +312,68 @@ class TestColumnarReader:
         )
 
     def test_peak_memory_stays_near_the_dataset(self, tmp_path):
-        # shaped like the benchmark's `marscore test` input: 50 000 rows,
-        # three covariates, an outcome with NA cells and an 8-level group
-        rng = np.random.default_rng(7)
-        n = 50_000
-        x = rng.standard_normal((n, 3))
-        y = rng.standard_normal(n)
-        observed = rng.random(n) < 0.7
-        groups = rng.integers(0, 8, n)
         path = tmp_path / "big.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["a", "b", "c", "y", "g"])
-            for i in range(n):
-                writer.writerow([*map(repr, x[i].tolist()), repr(float(y[i])) if observed[i] else "NA", f"g{groups[i]}"])
-        spec = ColumnSpec(outcome_column="y", covariate_columns=("a", "b", "c"))
+        write_benchmark_shaped_csv(path)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            data = read_csv(path, spec, keep_columns=("g",))
+            data = read_csv(path, BENCHMARK_SPEC, keep_columns=("g",))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert data.n == n
+        assert data.n == 50_000
         assert peak - base < 2 * (held - base)
+
+    def test_benchmark_shaped_file_never_takes_the_exact_route(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_benchmark_shaped_csv(path)
+        with mock.patch.object(marscore.io, "_parse_block", wraps=marscore.io._parse_block) as exact:
+            got = read_outcome(read_csv, path, BENCHMARK_SPEC, keep_columns=("g",))
+        assert exact.call_count == 0
+        assert got == read_outcome(read_csv_rowwise, path, BENCHMARK_SPEC, keep_columns=("g",))
+
+    @pytest.mark.parametrize("tail", ["none", "bad-cell", "oversized-field"])
+    def test_quoted_field_runs_on_into_the_next_block(self, tmp_path, tail):
+        block = marscore.io._BLOCK_ROWS
+        lines = ["y,u,z,g"] + [f"{i}.5,0.{i},1.{i},a" for i in range(4 * block)]
+        lines[3 * block] = '7.5,0.1,1.1,"opens in block 3'  # the last line of block 3
+        lines[3 * block + 1] = 'closes in block 4"'
+        # from here on lines[k] is row k, and line k + 1 of the file
+        if tail == "bad-cell":
+            lines[3 * block + 5] = "1.0,oops,0.2,a"
+            want = f"row {3 * block + 5}, column 'u': cannot parse 'oops' as a number"
+        elif tail == "oversized-field":
+            lines[3 * block + 9] = f'1.0,0.1,0.2,"{"9" * 200_000}"'
+            want = f"line {3 * block + 10}: field larger than field limit"
+        path = tmp_path / "d.csv"
+        write_lines(path, lines)
+        got = read_outcome(read_csv, path, keep_columns=("g",))
+        assert got == read_outcome(read_csv_rowwise, path, keep_columns=("g",))
+        if tail == "none":
+            assert got[3]["g"][3 * block - 1] == "opens in block 3\ncloses in block 4"
+        else:
+            assert want in got[1]
+
+    def test_blank_lines_do_not_shift_row_numbers(self, tmp_path):
+        block = marscore.io._BLOCK_ROWS
+        lines = ["y,u,z"] + [f"{i}.5,0.{i},1.{i}" for i in range(2 * block)]
+        lines[3] = lines[7] = ""  # in block 1
+        lines[block + 10] = "1.0,oops,0.2"  # in block 2, after block + 7 records
+        path = tmp_path / "d.csv"
+        write_lines(path, lines)
+        want = ("NonNumericCell", f"row {block + 9}, column 'u': cannot parse 'oops' as a number")
+        assert read_outcome(read_csv, path) == want
+        assert read_outcome(read_csv_rowwise, path) == want
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_bad_cell_before_an_undecodable_byte_comes_first(self, tmp_path, quote):
+        # the byte lies past the first 8 KiB that the text layer decodes, in the same block
+        lines = ["y,u,z,g", "1.0,oops,0.2,a"] + [f"{i}.5,0.{i},1.{i},{quote}b{quote}" for i in range(1000)]
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"2.0,0.1,0.2,\xff\n")
+        want = ("NonNumericCell", "row 2, column 'u': cannot parse 'oops' as a number")
+        assert read_outcome(read_csv, path, keep_columns=("g",)) == want
+        assert read_outcome(read_csv_rowwise, path, keep_columns=("g",)) == want
 
     @pytest.mark.parametrize(
         "header, keep, repeated",

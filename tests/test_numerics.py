@@ -228,6 +228,41 @@ class TestSolveSpdChecks:
         assert (kind if kind == "solved" else out) == want
 
 
+# the matrices of the verdict tests above, at their own order
+VERDICT_CASES = {
+    "indefinite": [[1.0, 2.0], [2.0, 1.0]],
+    "singular": [[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "negative-first": [[-1.0, 0.0], [0.0, 1.0]],
+    "singular-2x2": [[1.0, 1.0], [1.0, 1.0]],
+    "negative-last": [[1.0, 0.0], [0.0, -1.0]],
+    "under-the-floor": [[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+    "asymmetric": [[1.0, 0.5], [0.0, 1.0]],
+    "nan-diagonal": [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "inf-pair": [[1.0, np.inf, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "nan-above": [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "minus-inf-last": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -np.inf]],
+    "past-the-diagonal-bound": [[1.0, 100.0], [100.0 + 5e-9, 1.0]],
+    "past-the-entry-bound": [[1.0, 100.0], [100.0 + 2e-8, 1.0]],
+    "on-the-bound": [[4.0, 0.0], [4e-10, 1.0]],
+    "one-ulp-over": [[4.0, 0.0], [np.nextafter(4e-10, 1.0), 1.0]],
+}
+
+
+@pytest.mark.parametrize("m", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+def test_the_verdict_cases_at_k12(m):
+    """Each case as the leading block of a 12×12 identity, an order whose checks are numpy's:
+    the same pivots, columns and symmetry bounds, so the same verdict and message."""
+    m = np.array(m)
+    k = len(m)
+    big = np.eye(12)
+    big[:k, :k] = m
+    assert_same_verdict(big, np.ones(12))
+    (small, small_out), (got, got_out) = verdict(solve_spd, m, np.ones(k)), verdict(solve_spd, big, np.ones(12))
+    assert got == small
+    if got == "raised":
+        assert got_out == small_out
+
+
 class TestNormalCdf:
     def test_zero(self):
         assert normal_cdf(0.0) == 0.5

@@ -219,6 +219,21 @@ class TestVarianceS1:
         np.testing.assert_allclose(comp.B1_hat, b1_sum / data.n, rtol=1e-12, atol=0)
 
 
+    def test_a_singular_mean_block_is_a_classified_failure(self):
+        # mc_ex2_hom_n15's design: the fit ends with a log-variance slope near
+        # -8.4, so the pi / var weights span about twelve orders of magnitude
+        cfg = Example2Config(n=15, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0, gamma=0)
+        data = generate_example2(cfg, RngStream(424242, 280))
+        pf = fit_propensity_null(data, columns=cfg.propensity_columns)
+        of = fit_outcome_parametric(data, cfg.family)
+        with pytest.raises(
+            NegativeVariance, match=r"^S1 variance: mean information block is singular: pivot .* at column 1;"
+        ) as info:
+            variance_s1(data, pf, of)
+        assert isinstance(info.value.__cause__, SingularMatrix)
+        assert info.value.components is None
+
+
 class TestVarianceS2:
     def test_assembly_integrity_and_positivity(self):
         cfg = Example2Config(n=1500, xi_true=(1, 1, 0.5, 1), beta0=0.85, beta1=0.0)
