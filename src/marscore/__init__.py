@@ -34,7 +34,6 @@ from .io import (
     group_by,
     read_csv,
     run_configured_tests,
-    write_dataset_csv,
     write_report,
 )
 from .model import (
@@ -46,7 +45,6 @@ from .model import (
     fit_outcome_parametric,
     fit_propensity_null,
     location_fit_at,
-    outcome_moment_gradients,
 )
 from .numerics import (
     RngStream,

@@ -48,15 +48,19 @@ class FitMismatch(MarscoreError):
 
 
 class NegativeVariance(MarscoreError):
-    """A plug-in variance estimate was zero within rounding, or not positive,
-    or could not be formed because the mean block of S1's ``B_hat`` was
-    singular.
+    """A plug-in variance estimate was zero within rounding, not positive or
+    not finite, or could not be formed because a matrix it solves was
+    singular: the propensity information ``A_hat``, the mean block of S1's
+    ``B_hat`` or S2's ``C1_hat``.
 
     The estimate is a sum of squares, never negative; zero means violated
-    regularity conditions or model misuse. The offending component set is
-    attached as ``components`` for diagnosis (None for a singular block,
-    whose message starts ``S1 variance: mean information block is
-    singular: `` and names the failing pivot).
+    regularity conditions or model misuse, and a non-finite value an
+    overflowing term. The offending component set is attached as
+    ``components`` for diagnosis. For a singular matrix it is None, the
+    ``SingularMatrix`` is the ``__cause__``, and the message starts
+    ``propensity information A_hat is singular: ``, ``S1 variance: mean
+    information block is singular: `` or ``S2 variance: C1_hat is
+    singular: `` and names the failing pivot.
     """
 
     def __init__(self, message, components=None):

@@ -353,28 +353,6 @@ def _undecodable_offset(path) -> int:
     return -1
 
 
-def write_dataset_csv(data: Dataset, path, outcome_column: str, covariate_columns) -> None:
-    """Write a dataset back to CSV (intercept column omitted, full precision).
-
-    Missing outcomes become empty cells, so a round trip through
-    :func:`read_csv` reproduces the dataset exactly.
-    """
-    covariate_columns = tuple(covariate_columns)
-    if len(covariate_columns) != data.p - 1:
-        raise ValueError(
-            f"need {data.p - 1} covariate names for this dataset, got {len(covariate_columns)}"
-        )
-    with _replacing(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow([*covariate_columns, outcome_column, *data.labels.keys()])
-        y_iter = iter(data.y_complete)
-        for i in range(data.n):
-            cells = [repr(float(v)) for v in data.x[i, 1:]]
-            cells.append(repr(float(next(y_iter))) if data.d[i] == 1 else "")
-            cells.extend(str(data.labels[c][i]) for c in data.labels)
-            writer.writerow(cells)
-
-
 @contextmanager
 def _replacing(path):
     """Write through ``<path>.tmp``, renamed over ``path`` once complete.

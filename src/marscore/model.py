@@ -9,8 +9,11 @@ Three fits, all requiring estimation only under the missing-at-random null:
   linear mean and log-variance bases, fit on complete cases.
 * :func:`fit_location` — least-squares mean model on complete cases.
 
-The Gaussian family exposes closed-form conditional moments and the
-moment/information gradients the plug-in variance estimators need.
+The outcome and location fits hold their fitted values over all rows, not
+their designs: those are the dataset's (``Dataset.design``), one evaluation
+of each basis that the fits and the variance estimators share. :func:`gaussian_information` gives
+the Gaussian family's moment gradients and information, which the plug-in
+variance estimators need.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import BasisTerm, design_matrix, intercept
+from .basis import BasisTerm, intercept
 from .data import Dataset
 from .exceptions import (
     DegenerateVariance,
@@ -229,24 +232,17 @@ class GaussianOutcomeFamily:
             raise ValueError(f"xi must have length {self.dim_xi}, got {xi.shape}")
         return xi[: self.dim_mean], xi[self.dim_mean :]
 
-    def mean_design(self, x: np.ndarray) -> np.ndarray:
-        return design_matrix(self.mean_basis, x)
-
-    def logvar_design(self, x: np.ndarray) -> np.ndarray:
-        return design_matrix(self.logvar_basis, x)
-
 
 @dataclass(frozen=True)
 class ParametricOutcomeFit:
-    """Gaussian outcome MLE plus per-row moment caches over the full dataset."""
+    """Gaussian outcome MLE plus its fitted moments over the full dataset; its designs
+    are the dataset's (``Dataset.design`` of the family's bases)."""
 
     family: GaussianOutcomeFamily
     xi_hat: np.ndarray
     loglik: float
     converged: bool
     iterations: int
-    mean_design_all: np.ndarray = field(repr=False)
-    logvar_design_all: np.ndarray = field(repr=False)
     m1: np.ndarray = field(repr=False)  # conditional mean, all rows
     var: np.ndarray = field(repr=False)  # conditional variance, all rows
     # (propensity fit, A1_hat, e) of the last projection of m1, kept by marscore.score
@@ -266,11 +262,11 @@ def _gaussian_loglik(s, r2_over_v, n_complete) -> float:
     return float(-0.5 * (n_complete * _LOG_2PI + s.sum() + r2_over_v.sum()))
 
 
-def _outcome_fit(data, family, xi, bm_all, bv_all, iterations) -> ParametricOutcomeFit:
-    """The family at ``xi``, with moments over the all-row designs."""
+def _outcome_fit(data, family, xi, iterations) -> ParametricOutcomeFit:
+    """The family at ``xi``, with moments over all rows."""
     xi_m, xi_v = family.split(xi)
-    m1 = bm_all @ xi_m
-    var = np.exp(bv_all @ xi_v)
+    m1 = data.design(family.mean_basis) @ xi_m
+    var = np.exp(data.design(family.logvar_basis) @ xi_v)
     complete = data.complete_idx
     r = data.y_complete - m1[complete]
     loglik = _gaussian_loglik(np.log(var[complete]), r * r / var[complete], complete.size)
@@ -280,8 +276,6 @@ def _outcome_fit(data, family, xi, bm_all, bv_all, iterations) -> ParametricOutc
         loglik=loglik,
         converged=True,
         iterations=iterations,
-        mean_design_all=bm_all,
-        logvar_design_all=bv_all,
         m1=m1,
         var=var,
     )
@@ -393,19 +387,18 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                                     "joint information is not positive definite")
         else:
             raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
-    return _outcome_fit(data, family, xi, data.design(family.mean_basis), bv_all, iterations)
+    return _outcome_fit(data, family, xi, iterations)
 
 
 @dataclass(frozen=True)
 class LocationFit:
-    """Complete-case least-squares mean model y = mu(x, theta) + eps."""
+    """Complete-case least-squares mean model y = mu(x, theta) + eps; the gradient of mu
+    per row is the dataset's design of ``mean_basis``."""
 
     theta_hat: np.ndarray
     mean_basis: tuple[BasisTerm, ...]
-    design_all: np.ndarray = field(repr=False)  # gradient of mu per row
     mu: np.ndarray = field(repr=False)  # fitted mean, all rows
     residuals: np.ndarray = field(repr=False)  # complete-case residuals
-    complete_idx: np.ndarray = field(repr=False)
     # (propensity fit, A1_hat, e) of the last projection of mu, kept by marscore.score
     projection: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -432,16 +425,12 @@ def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:
     """Evaluate the location model at a given theta without fitting."""
     mean_basis = tuple(mean_basis)
     theta = np.asarray(theta, dtype=float)
-    g_all = data.design(mean_basis)
-    mu = g_all @ theta
-    complete = data.complete_idx
+    mu = data.design(mean_basis) @ theta
     return LocationFit(
         theta_hat=theta,
         mean_basis=mean_basis,
-        design_all=g_all,
         mu=mu,
-        residuals=data.y_complete - mu[complete],
-        complete_idx=complete,
+        residuals=data.y_complete - mu[data.complete_idx],
     )
 
 
@@ -461,18 +450,3 @@ def gaussian_information(bm, bv, var, grad_weights, info_weights):
     info[qm:, qm:] = 0.5 * bv.T @ (bv * info_weights[:, None])
     return np.concatenate([bm.T @ grad_weights, np.zeros(qv)]), info
 
-
-def outcome_moment_gradients(fit: ParametricOutcomeFit, x):
-    """Gradient of the conditional mean in xi, and the model-integrated
-    Hessian of the log density, at covariate ``x``.
-
-    The one-row view of :func:`gaussian_information`: the integrated Hessian
-    is the negative Fisher information at ``(x, xi_hat)``.
-    """
-    row = np.atleast_2d(np.asarray(x, dtype=float))
-    family = fit.family
-    bv = family.logvar_design(row)
-    _, xi_v = family.split(fit.xi_hat)
-    one = np.ones(1)
-    grad_m1, info = gaussian_information(family.mean_design(row), bv, np.exp(bv @ xi_v), one, one)
-    return grad_m1, -info

@@ -65,10 +65,6 @@ class VarianceComponentsS1:
 
     variant = "S1"
 
-    def noncentrality_base(self) -> float:
-        """Local-alternative mean shift per unit gamma0 (equals sigma^2 for S1)."""
-        return self.sigma_sq_hat
-
     to_dict = _components_dict
 
 
@@ -134,7 +130,8 @@ def _unexplained(pf: PropensityFit, fit, m: np.ndarray):
     memo = fit.projection
     if memo is None or memo[0] is not pf:
         a1 = pf.design.T @ (pf.weights * m) / pf.n
-        e = m - pf.design @ solve_spd(pf.info_matrix, a1)
+        e = m - pf.design @ _solve(pf.info_matrix, a1, NegativeVariance,
+                                   "propensity information A_hat is singular")
         a1.flags.writeable = e.flags.writeable = False
         memo = (pf, a1, e)
         object.__setattr__(fit, "projection", memo)
@@ -167,14 +164,14 @@ def score_statistic_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> flo
 
 
 def _checked(components):
-    """Return ``components``; raise unless their σ² exceeds the rounding noise of ``A2_hat``."""
-    if not components.sigma_sq_hat > _NOISE_ULPS * math.ulp(components.A2_hat):
-        raise NegativeVariance(
-            f"{components.variant} variance {components.sigma_sq_hat:.6e} is zero within rounding; "
-            "model misuse or violated regularity conditions",
-            components=components,
-        )
-    return components
+    """Return ``components``; raise unless their σ² is finite and exceeds the rounding
+    noise of ``A2_hat``."""
+    sigma_sq = components.sigma_sq_hat
+    if math.isfinite(sigma_sq) and sigma_sq > _NOISE_ULPS * math.ulp(components.A2_hat):
+        return components
+    problem = ("is zero within rounding; model misuse or violated regularity conditions"
+               if math.isfinite(sigma_sq) else "is not finite: a plug-in term overflowed")
+    raise NegativeVariance(f"{components.variant} variance {sigma_sq:.6e} {problem}", components=components)
 
 
 def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> VarianceComponentsS1:
@@ -192,24 +189,26 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     n = data.n
     pi = pf.pi
     m1 = of.m1
-    bm = of.mean_design_all
-    b1_hat, b_hat = gaussian_information(bm, of.logvar_design_all, of.var, pf.weights, pi)
-    b1_hat, b_hat = b1_hat / n, b_hat / n
-    a1_hat, e = _unexplained(pf, of, m1)
-    # B_hat is block diagonal and B1_hat is zero in the log-variance block
-    qm = bm.shape[1]
-    c = _solve(b_hat[:qm, :qm], b1_hat[:qm], NegativeVariance, "S1 variance: mean information block is singular")
-    u = (1.0 - pi) - bm @ c / of.var
-
-    return _checked(VarianceComponentsS1(
-        A_hat=pf.info_matrix,
-        B_hat=b_hat,
-        A1_hat=a1_hat,
-        B1_hat=b1_hat,
-        A2_hat=float((pi * (1.0 - pi) ** 2 * of.m2).sum() / n),
-        B2_hat=float((pi**2 * (1.0 - pi) * m1**2).sum() / n),
-        sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
-    ))
+    bm = data.design(of.family.mean_basis)
+    # an overflow (an outcome near the double range) ends as a non-finite σ², which _checked names
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1_hat, b_hat = gaussian_information(bm, data.design(of.family.logvar_basis), of.var, pf.weights, pi)
+        b1_hat, b_hat = b1_hat / n, b_hat / n
+        a1_hat, e = _unexplained(pf, of, m1)
+        # B_hat is block diagonal and B1_hat is zero in the log-variance block
+        qm = bm.shape[1]
+        c = _solve(b_hat[:qm, :qm], b1_hat[:qm], NegativeVariance,
+                   "S1 variance: mean information block is singular")
+        u = (1.0 - pi) - bm @ c / of.var
+        return _checked(VarianceComponentsS1(
+            A_hat=pf.info_matrix,
+            B_hat=b_hat,
+            A1_hat=a1_hat,
+            B1_hat=b1_hat,
+            A2_hat=float((pi * (1.0 - pi) ** 2 * of.m2).sum() / n),
+            B2_hat=float((pi**2 * (1.0 - pi) * m1**2).sum() / n),
+            sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
+        ))
 
 
 def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceComponentsS2:
@@ -222,27 +221,28 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
     n = data.n
     pi = pf.pi
     mu = lf.mu
-    g = lf.design_all
-    q_c = 1.0 - pi[lf.complete_idx]
-    r2 = lf.residuals**2
+    g = data.design(lf.mean_basis)
     gc = data.design(lf.mean_basis, complete=True)
-    a1_hat, e = _unexplained(pf, lf, mu)
-    b3_hat = g.T @ pf.weights / n
-    c1_hat = g.T @ (g * pi[:, None]) / n
-    u = q_c - gc @ solve_spd(c1_hat, b3_hat)
-
-    return _checked(VarianceComponentsS2(
-        A_hat=pf.info_matrix,
-        A1_hat=a1_hat,
-        # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
-        A2_hat=float(((pi * mu**2 * (1.0 - pi) ** 2).sum() + (q_c**2 * r2).sum()) / n),
-        B3_hat=b3_hat,
-        B4_hat=float((pi**2 * (1.0 - pi) * mu**2).sum() / n),
-        C1_hat=c1_hat,
-        C2_hat=gc.T @ (gc * r2[:, None]) / n,
-        C3_hat=gc.T @ (q_c * r2) / n,
-        sigma_sq_hat=_sigma_sq(pf, e, u, r2),
-    ))
+    q_c = 1.0 - pi[data.complete_idx]
+    # an overflow (an outcome near the double range) ends as a non-finite σ², which _checked names
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = lf.residuals**2
+        a1_hat, e = _unexplained(pf, lf, mu)
+        b3_hat = g.T @ pf.weights / n
+        c1_hat = g.T @ (g * pi[:, None]) / n
+        u = q_c - gc @ _solve(c1_hat, b3_hat, NegativeVariance, "S2 variance: C1_hat is singular")
+        return _checked(VarianceComponentsS2(
+            A_hat=pf.info_matrix,
+            A1_hat=a1_hat,
+            # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
+            A2_hat=float(((pi * mu**2 * (1.0 - pi) ** 2).sum() + (q_c**2 * r2).sum()) / n),
+            B3_hat=b3_hat,
+            B4_hat=float((pi**2 * (1.0 - pi) * mu**2).sum() / n),
+            C1_hat=c1_hat,
+            C2_hat=gc.T @ (gc * r2[:, None]) / n,
+            C3_hat=gc.T @ (q_c * r2) / n,
+            sigma_sq_hat=_sigma_sq(pf, e, u, r2),
+        ))
 
 
 def test_report(statistic: float, components, n: int) -> ScoreTestResult:

@@ -13,6 +13,11 @@ its departure parameter (``departure``):
   quadratic mean and log-linear variance, logistic missingness
   ``pi(beta0 + beta1 * x + gamma * y)``; ``gamma = 0`` is the null.
 
+A study under other working models is a subclass that sets them as class
+attributes, e.g. ``family = dataclasses.replace(Example2Config.family,
+logvar_basis=(intercept(),))``. A replication's outcome and location fits
+hold fitted values; their designs come from the drawn ``Dataset.design``.
+
 Replication ``r`` of a study always uses ``stream_id = r``, so any single
 replication can be re-run from ``(base_seed, r)`` alone.
 """
@@ -241,14 +246,11 @@ class RejectionRateReport:
         ]
 
 
-def run_single_replication(cfg, stream: RngStream, family=None):
-    """Generate one dataset and run both tests; returns the two reports.
-
-    ``family`` replaces the design's outcome family when given.
-    """
+def run_single_replication(cfg, stream: RngStream):
+    """Generate one dataset, fit the config's models and run both tests; returns the two reports."""
     data = generate(cfg, stream)
     pf = fit_propensity_null(data, columns=cfg.propensity_columns)
-    of = fit_outcome_parametric(data, family or cfg.family)
+    of = fit_outcome_parametric(data, cfg.family)
     lf = fit_location(data, cfg.location_basis)
     r1 = test_report(score_statistic_s1(data, pf, of), variance_s1(data, pf, of), data.n)
     r2 = test_report(score_statistic_s2(data, pf, lf), variance_s2(data, pf, lf), data.n)
@@ -260,15 +262,13 @@ def run_rejection_study(
     replications: int,
     alpha: float = 0.05,
     base_seed: int = 0,
-    family=None,
     keep_details: bool = False,
 ) -> RejectionRateReport:
     """Estimate empirical rejection rates of both tests over replications.
 
     Replication ``r`` owns stream ``(base_seed, r)``; failed fits are counted
     and excluded from the denominator. The models are the config's
-    (``cfg.family``, ``cfg.location_basis``, ``cfg.propensity_columns``), with
-    ``family`` replacing its outcome family when given.
+    (``cfg.family``, ``cfg.location_basis``, ``cfg.propensity_columns``).
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -278,7 +278,7 @@ def run_rejection_study(
     failed = np.zeros(replications, dtype=bool)
     for r in range(replications):
         try:
-            r1, r2 = run_single_replication(cfg, RngStream(base_seed, r), family)
+            r1, r2 = run_single_replication(cfg, RngStream(base_seed, r))
         except MarscoreError:
             failed[r] = True
             continue

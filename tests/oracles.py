@@ -11,7 +11,10 @@ and ``solve_spd_numpy_checks`` is ``solve_spd`` with its input checks made by
 numpy reductions, whose verdicts and messages the Python-float checks must give.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
-``outcome_fit_at`` plugs a known parameter into an outcome family.
+``outcome_fit_at`` plugs a known parameter into an outcome family, and
+``outcome_moment_gradients`` is the one-row view of ``marscore.model``'s
+``gaussian_information`` that the finite-difference checks compare with.
+``write_dataset_csv`` writes a dataset as the CSV that ``read_csv`` reads back.
 ``former_starts`` runs both null fits from their earlier starts, β = 0 and the
 projection of the constant ``log mean(r²)``, which the closed-form starts must
 reach the same optimum as.
@@ -31,6 +34,7 @@ from scipy.linalg.lapack import dposv
 from scipy.special import expit, log_expit
 
 from marscore import model
+from marscore.basis import design_matrix
 from marscore.data import Dataset
 from marscore.exceptions import (
     EmptyDataset,
@@ -42,7 +46,7 @@ from marscore.exceptions import (
     SingularMatrix,
 )
 from marscore.io import _NA_STRINGS, _undecodable_offset
-from marscore.model import _outcome_fit
+from marscore.model import _outcome_fit, gaussian_information
 from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
 
@@ -131,8 +135,23 @@ def reduced_sigma_sq(comp, residual_variance):
 
 def outcome_fit_at(data, family, xi):
     """The family evaluated at ``xi`` without optimizing, marked converged."""
-    bm_all, bv_all = family.mean_design(data.x), family.logvar_design(data.x)
-    return _outcome_fit(data, family, np.asarray(xi, dtype=float), bm_all, bv_all, iterations=0)
+    return _outcome_fit(data, family, np.asarray(xi, dtype=float), iterations=0)
+
+
+def outcome_moment_gradients(fit, x):
+    """Gradient of the conditional mean in xi, and the model-integrated
+    Hessian of the log density, at covariate ``x``.
+
+    The one-row view of ``gaussian_information``: the integrated Hessian is
+    the negative Fisher information at ``(x, xi_hat)``.
+    """
+    row = np.atleast_2d(np.asarray(x, dtype=float))
+    family = fit.family
+    bv = design_matrix(family.logvar_basis, row)
+    _, xi_v = family.split(fit.xi_hat)
+    one = np.ones(1)
+    grad_m1, info = gaussian_information(design_matrix(family.mean_basis, row), bv, np.exp(bv @ xi_v), one, one)
+    return grad_m1, -info
 
 
 def propensity_start_zero(columns, n1, n):
@@ -199,8 +218,8 @@ def gaussian_density(family, y, x_row, xi):
     for an array of outcomes y."""
     xi_m, xi_v = family.split(xi)
     row = np.atleast_2d(np.asarray(x_row, dtype=float))
-    m = float(family.mean_design(row)[0] @ xi_m)
-    v = float(np.exp(family.logvar_design(row)[0] @ xi_v))
+    m = float(design_matrix(family.mean_basis, row)[0] @ xi_m)
+    v = float(np.exp(design_matrix(family.logvar_basis, row)[0] @ xi_v))
     return np.exp(-((y - m) ** 2) / (2.0 * v)) / np.sqrt(2.0 * np.pi * v)
 
 
@@ -209,8 +228,8 @@ def quadrature_moments(fit, x, order=30):
     by Gauss-Hermite integration of the family density (no closed forms)."""
     row = np.atleast_2d(np.asarray(x, dtype=float))
     xi_m, xi_v = fit.family.split(fit.xi_hat)
-    m = float(fit.family.mean_design(row)[0] @ xi_m)
-    v = float(np.exp(fit.family.logvar_design(row)[0] @ xi_v))
+    m = float(design_matrix(fit.family.mean_basis, row)[0] @ xi_m)
+    v = float(np.exp(design_matrix(fit.family.logvar_basis, row)[0] @ xi_v))
     nodes, weights = hermgauss(order)
     sigma = np.sqrt(v)
     y = m + np.sqrt(2.0) * sigma * nodes
@@ -241,8 +260,8 @@ def fd_integrated_hessian(family, xi, x, step=1e-4, order=40):
     xi = np.asarray(xi, dtype=float)
     row = np.atleast_2d(np.asarray(x, dtype=float))
     xi_m, xi_v = family.split(xi)
-    m = float(family.mean_design(row)[0] @ xi_m)
-    v = float(np.exp(family.logvar_design(row)[0] @ xi_v))
+    m = float(design_matrix(family.mean_basis, row)[0] @ xi_m)
+    v = float(np.exp(design_matrix(family.logvar_basis, row)[0] @ xi_v))
     nodes, weights = hermgauss(order)
     yy = m + np.sqrt(2.0 * v) * nodes
 
@@ -382,3 +401,18 @@ def read_csv_rowwise(path, spec, keep_columns=()):
         y_complete=np.array(y_list, dtype=float),
         labels={c: tuple(v) for c, v in labels.items()},
     )
+
+
+def write_dataset_csv(data, path, outcome_column, covariate_columns):
+    """Write a dataset as CSV: the covariates (intercept column omitted) at full
+    precision, the outcome, empty where missing, then the label columns, so
+    ``read_csv`` reads the same dataset back."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([*covariate_columns, outcome_column, *data.labels])
+        y_iter = iter(data.y_complete.tolist())
+        for i in range(data.n):
+            cells = [repr(v) for v in data.x[i, 1:].tolist()]
+            cells.append(repr(next(y_iter)) if data.d[i] == 1 else "")
+            cells.extend(data.labels[c][i] for c in data.labels)
+            writer.writerow(cells)

@@ -1,14 +1,15 @@
 import codecs
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marscore.cli import main
 from marscore.data import Dataset
-from marscore.io import write_dataset_csv
 from marscore.numerics import RngStream
 from marscore.sim import Example2Config, generate_example2
+from tests.oracles import write_dataset_csv
 
 
 def make_trial_csv(tmp_path, n=800, gamma=0.0, with_z=False):
@@ -281,3 +282,21 @@ class TestPowerCurve:
         assert len(lines) == 5  # header + 2 grid points x 2 variants
         stdout = capsys.readouterr().out
         assert "gamma=0:" in stdout
+
+
+class TestGoldenReports:
+    """Reports at fixed seeds, byte for byte. They hold rates and counts only, so they
+    do not depend on BLAS rounding; a change that moves one regenerates its file with
+    the command in its name and says why."""
+
+    @pytest.mark.parametrize("argv, name", [
+        ("simulate --example 1 --n 300 --reps 100 --seed 3", "simulate_ex1_n300_reps100_seed3.json"),
+        # about 2% of these replications fail to fit
+        ("simulate --example 2 --n 15 --reps 300 --seed 3", "simulate_ex2_n15_reps300_seed3.json"),
+        ("power-curve --example 2 --n 200 --reps 50 --grid 0,0.5 --seed 4",
+         "power_curve_ex2_n200_reps50_seed4.json"),
+    ], ids=["simulate-ex1", "simulate-ex2-n15", "power-curve"])
+    def test_report_is_unchanged(self, tmp_path, argv, name):
+        out = tmp_path / name
+        assert main([*argv.split(), "--output", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()

@@ -31,7 +31,6 @@ from marscore.io import (
     parse_term,
     read_csv,
     run_configured_tests,
-    write_dataset_csv,
     write_report,
 )
 from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
@@ -49,7 +48,7 @@ from marscore.sim import (
     generate_example2,
     run_rejection_study,
 )
-from tests.oracles import read_csv_rowwise
+from tests.oracles import read_csv_rowwise, write_dataset_csv
 
 
 def write_lines(path, lines):
@@ -496,16 +495,11 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             write_report([fixture_record(0.5)], tmp_path / "x", format="xml")
 
-    @pytest.mark.parametrize("writer", ["write_report", "write_dataset_csv"])
-    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, writer):
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
         target = tmp_path / "out"
         target.mkdir()  # renaming a file over a directory fails
         with pytest.raises(IoFailure, match="cannot write"):
-            if writer == "write_report":
-                write_report([fixture_record(0.5)], target, format="csv")
-            else:
-                data = Dataset(x=np.ones((2, 2)), d=[1, 0], y_complete=[0.5])
-                write_dataset_csv(data, target, outcome_column="y", covariate_columns=("x",))
+            write_report([fixture_record(0.5)], target, format="csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 

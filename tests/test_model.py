@@ -28,7 +28,6 @@ from marscore.model import (
     fit_outcome_parametric,
     fit_propensity_null,
     location_fit_at,
-    outcome_moment_gradients,
 )
 from marscore.numerics import RngStream, solve_spd
 from marscore.sim import (
@@ -43,6 +42,7 @@ from tests.oracles import (
     fd_mean_gradient,
     former_starts,
     outcome_fit_at,
+    outcome_moment_gradients,
     quadrature_moments,
     solve_spd_loop,
 )
@@ -283,7 +283,7 @@ class TestFitOutcomeParametric:
         d[:100] = 0  # keep a token missing group; fit uses complete cases
         data = dataset_from_full([x], d, y)
         fit = fit_outcome_parametric(data, homoskedastic_family())
-        bm = fit.mean_design_all[data.complete_idx]
+        bm = data.design(fit.family.mean_basis, complete=True)
         cov = solve_spd(bm.T @ bm, np.eye(3)) * np.exp(0.5)
         se_mean = np.sqrt(np.diag(cov))
         se_logvar = np.sqrt(2.0 / data.n_complete)
@@ -297,10 +297,10 @@ class TestFitOutcomeParametric:
         data = generate_example2(cfg, RngStream(13, 0))
         fit = fit_outcome_parametric(data, Example2Config.family)
         nc = data.n_complete
-        bm = fit.mean_design_all[data.complete_idx]
+        bm = data.design(fit.family.mean_basis, complete=True)
         w = 1.0 / fit.var[data.complete_idx]
         se_mean = np.sqrt(np.diag(solve_spd(bm.T @ (bm * w[:, None]), np.eye(2))))
-        bv = fit.logvar_design_all[data.complete_idx]
+        bv = data.design(fit.family.logvar_basis, complete=True)
         se_logvar = np.sqrt(np.diag(solve_spd(0.5 * bv.T @ bv, np.eye(2))))
         truth = (-1.0, 1.0, 0.5, 0.0)
         for got, want, se in zip(fit.xi_hat, truth, np.concatenate([se_mean, se_logvar])):
@@ -318,8 +318,8 @@ class TestFitOutcomeParametric:
         data = generate_example2(cfg, RngStream(14, 0))
         fit = fit_outcome_parametric(data, Example2Config.family)
         complete = data.complete_idx
-        bm = fit.mean_design_all[complete]
-        bv = fit.logvar_design_all[complete]
+        bm = data.design(fit.family.mean_basis, complete=True)
+        bv = data.design(fit.family.logvar_basis, complete=True)
         r = data.y_complete - fit.m1[complete]
         u = r * r / fit.var[complete]
         grad_m = bm.T @ (r / fit.var[complete])
@@ -489,7 +489,7 @@ class TestFitLocation:
         cfg = Example1Config(n=100_000, b_z=0.5, c1=0.0, c2=0.5)
         data = generate_example1(cfg, RngStream(15, 0))
         fit = fit_location(data, Example1Config.location_basis)
-        g = fit.design_all[data.complete_idx]
+        g = data.design(fit.mean_basis, complete=True)
         se = np.sqrt(np.diag(solve_spd(g.T @ g, np.eye(3))))
         for got, want, s in zip(fit.theta_hat, (1.0, 1.0, 0.5), se):
             assert abs(got - want) < 3 * s
@@ -506,7 +506,7 @@ class TestFitLocation:
         cfg = Example1Config(n=3000, b_z=0.5, c1=0.1, c2=0.25)
         data = generate_example1(cfg, RngStream(17, 0))
         fit = fit_location(data, Example1Config.location_basis)
-        g = fit.design_all[data.complete_idx]
+        g = data.design(fit.mean_basis, complete=True)
         assert np.max(np.abs(g.T @ fit.residuals)) <= GRAD_RTOL * data.n
 
     def test_rank_deficient_raises(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,6 @@ from marscore.model import (
     fit_outcome_parametric,
     fit_propensity_null,
     location_fit_at,
-    outcome_moment_gradients,
 )
 from marscore.numerics import RngStream, normal_cdf
 from marscore.score import (
@@ -46,6 +46,7 @@ from tests.oracles import (
     assemble,
     fd_gamma_score,
     outcome_fit_at,
+    outcome_moment_gradients,
     quad_form_inv_loop,
     reduced_sigma_sq,
     solve_spd_loop,
@@ -245,23 +246,29 @@ class TestVarianceS2:
         assert comp.sigma_sq_hat > 0
 
     def test_identical_rows_raise_singular(self):
+        # a constant covariate makes singular both A_hat, when it is in the propensity
+        # design, and C1_hat, whose location basis holds it beside the intercept
         n = 30
         x = np.full(n, 2.0)
         d = np.array([1, 0] * 15, dtype=np.int8)
         y = np.where(d == 1, 1.5, 0.0) + np.linspace(0, 0.1, n) * d
         data = dataset_from_full([x], d, y)
-        pf = PropensityFit(
-            beta_hat=np.zeros(2),
-            info_matrix=0.25 * data.x.T @ data.x / n,
-            loglik=0.0,
-            iterations=0,
-            converged=True,
-            pi=np.full(n, 0.5),
-            design=data.x,
-        )
         lf = location_fit_at(data, (intercept(), raw(1)), np.array([0.0, 0.75]))
-        with pytest.raises(SingularMatrix):
-            variance_s2(data, pf, lf)
+        for design, match in ((data.x, "propensity information A_hat is singular: pivot"),
+                              (data.x[:, :1], "S2 variance: C1_hat is singular: pivot")):
+            pf = PropensityFit(
+                beta_hat=np.zeros(design.shape[1]),
+                info_matrix=0.25 * design.T @ design / n,
+                loglik=0.0,
+                iterations=0,
+                converged=True,
+                pi=np.full(n, 0.5),
+                design=design,
+            )
+            with pytest.raises(NegativeVariance, match=f"^{match}") as info:
+                variance_s2(data, pf, lf)
+            assert isinstance(info.value.__cause__, SingularMatrix)
+            assert info.value.components is None
 
     def test_reduced_form_identity_under_exact_homoskedasticity(self):
         # with C2 = C1 * v and C3 = B3 * v the robust assembly collapses to
@@ -298,6 +305,35 @@ def _s1_components(sigma_sq):
     )
 
 
+class TestOverflow:
+    """An outcome scale near the double range ends a variance as a classified error,
+    not a warning: the squares of the fitted means (and S2's residuals) overflow."""
+
+    @staticmethod
+    def scaled():
+        data = Example2Config(n=200).generate(RngStream(3, 0))
+        return data, Dataset(x=data.x, d=data.d, y_complete=data.y_complete * 1e160)
+
+    def test_s1(self):
+        data, scaled = self.scaled()
+        # the outcome fit refuses this scale at its start, so its mean is scaled by hand
+        xi = fit_outcome_parametric(data, Example2Config.family).xi_hat * np.array([1e160, 1e160, 1.0, 1.0])
+        with np.errstate(over="ignore"):  # in the pinned fit's log-likelihood
+            of = outcome_fit_at(scaled, Example2Config.family, xi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegativeVariance, match=r"^S1 variance inf is not finite"):
+                variance_s1(scaled, fit_propensity_null(scaled), of)
+
+    def test_s2(self):
+        _, scaled = self.scaled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lf = fit_location(scaled, Example2Config.location_basis)
+            with pytest.raises(NegativeVariance, match=r"^S2 variance inf is not finite"):
+                variance_s2(scaled, fit_propensity_null(scaled), lf)
+
+
 class TestSharedWork:
     """A replication evaluates each basis once per dataset and projects each plug-in
     mean once per propensity fit; neither cache changes a result."""
@@ -329,7 +365,7 @@ class TestSharedWork:
                                 fit_location(fresh, cfg.location_basis), False)
             assert got == want  # floats and lists of floats, compared exactly
             assert of.projection[0] is pf and lf.projection[0] is pf
-        cached = (of.mean_design_all, of.logvar_design_all, lf.design_all,
+        cached = (data.design(cfg.family.mean_basis), data.design(cfg.family.logvar_basis),
                   data.design(cfg.location_basis, complete=True), *of.projection[1:], *lf.projection[1:])
         assert not any(array.flags.writeable for array in cached)
 
