@@ -239,10 +239,10 @@ def _composed(cfg, data, family):
     ids=["example1", "example2"],
 )
 def test_replication_is_the_configs_own_composition(cfg, other_logvar):
-    # another working outcome model is a subclass of the design that sets its family
-    other_model = type("OtherModel", (type(cfg),),
-                       {"family": dataclasses.replace(cfg.family, logvar_basis=other_logvar)})
-    other = other_model(**dataclasses.asdict(cfg))
+    class OtherModel(type(cfg)):  # another working outcome model is a subclass that sets it
+        family = dataclasses.replace(cfg.family, logvar_basis=other_logvar)
+
+    other = OtherModel(**dataclasses.asdict(cfg))
     for seed, r in ((1, 0), (2, 3)):
         got = [(t.statistic, t.sigma_sq_hat, t.z) for t in run_single_replication(cfg, RngStream(seed, r))]
         assert got == _composed(cfg, cfg.generate(RngStream(seed, r)), cfg.family)
