@@ -33,7 +33,7 @@ from .exceptions import (
     Separation,
     SingularMatrix,
 )
-from .numerics import _NOISE_ULPS, solve_spd
+from .numerics import _NOISE_ULPS, gram_solution, solve_spd
 
 _MAX_ITER = 100
 _SEPARATION_BOUND = 30.0
@@ -42,13 +42,42 @@ _LOG_VARIANCE_FLOOR = np.log(1e-12)
 _LOG_2PI = np.log(2.0 * np.pi)
 _HALVINGS = 30
 
+# The Newton loops take products with ndarray.dot, not @: the same BLAS routine and bits,
+# without @'s ufunc dispatch, which at n = 15 costs as much as the product (a matrix-vector
+# one, best of 5×20000 on a 2-core x86-64 host: 1.1 µs against 1.9 µs).
+
+
+def _solve_gram(m, v):
+    """``solve_spd(m, v)`` for a weighted Gram matrix ``m = XᵀWX`` with ``W ≥ 0``, the only
+    kind the fits and the variances solve: the checked fast path of
+    :func:`~marscore.numerics.gram_solution`, and solve_spd for any matrix it declines, so
+    a refusal has solve_spd's verdict and message."""
+    u = gram_solution(m, v)
+    return solve_spd(m, v) if u is None else u
+
 
 def _solve(m, v, error, what: str):
-    """``solve_spd(m, v)``; a singular ``m`` raises ``error``, its message prefixed by ``what``."""
+    """``_solve_gram(m, v)``; a singular ``m`` raises ``error``, its message prefixed by ``what``."""
     try:
-        return solve_spd(m, v)
+        return _solve_gram(m, v)
     except SingularMatrix as exc:
         raise error(f"{what}: {exc}") from exc
+
+
+def _least_squares(data: Dataset, basis, what: str) -> np.ndarray:
+    """The complete-case least-squares coefficients of ``y`` on ``basis``, read-only. They
+    are solved once per dataset and basis, so the outcome fit's start and a location fit
+    on its mean basis share one solve. A rank-deficient design raises
+    ``RankDeficientDesign``, its message prefixed by ``what``, and is not kept, so each
+    fit names its own design."""
+    g = data.design(basis, complete=True)
+    # keyed by the design's identity: the dataset keeps its designs, so no id is reused
+    theta = data._solutions.get(id(g))
+    if theta is None:
+        theta = _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign, what)
+        theta.flags.writeable = False
+        data._solutions[id(g)] = theta
+    return theta
 
 
 def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: float):
@@ -62,9 +91,9 @@ def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: flo
     first of 30 halvings whose log-likelihood exceeds ``loglik`` is taken,
     or ``NoConvergence`` raised; an overflowing trial fails through its -inf.
     """
-    final = 0.5 * (grad @ step) <= _NOISE_ULPS * math.ulp(size)
+    final = 0.5 * grad.dot(step) <= _NOISE_ULPS * math.ulp(size)
     for halvings in range(_HALVINGS):
-        cand = x + 0.5**halvings * step
+        cand = x + (0.5**halvings * step if halvings else step)
         loglik_cand, extra = evaluate(cand)
         if final or loglik_cand > loglik:
             return cand, loglik_cand, extra, final
@@ -75,7 +104,7 @@ def _bernoulli(eta: np.ndarray, d: np.ndarray):
     """The logistic log-likelihood ``Σ d·η − log(1 + exp η)`` and the probabilities
     ``π = 1 / (1 + exp −η)``, both from one ``exp(−|η|)`` per row, which never overflows."""
     e = np.exp(-np.abs(eta))
-    loglik = float(d @ eta - (np.maximum(eta, 0.0) + np.log1p(e)).sum())
+    loglik = float(d.dot(eta) - (np.maximum(eta, 0.0) + np.log1p(e)).sum())
     return loglik, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
 
 
@@ -150,7 +179,7 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     sign = 2.0 * d - 1.0
 
     def evaluate(cand):
-        eta_cand = design @ cand
+        eta_cand = design.dot(cand)
         loglik_cand, pi_cand = _bernoulli(eta_cand, d)
         return loglik_cand, (eta_cand, pi_cand)
 
@@ -159,8 +188,8 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     # an overflow in the loop ends as a rejected -inf trial or as solve_spd's non-finite verdict
     with np.errstate(over="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
-            grad = design.T @ (d - pi)
-            hessian = design.T @ (design * (pi * (1.0 - pi))[:, None])
+            grad = design.T.dot(d - pi)
+            hessian = design.T.dot(design * (pi * (1.0 - pi))[:, None])
             # every row starts at one weight, so the first solve is the design's rank check
             error, what = ((RankDeficientDesign, "propensity design is rank deficient") if iterations == 1
                            else (NoConvergence, "propensity information is singular"))
@@ -258,18 +287,19 @@ class ParametricOutcomeFit:
         return self.m1**2 + self.var
 
 
-def _gaussian_loglik(s, r2_over_v, n_complete) -> float:
-    return float(-0.5 * (n_complete * _LOG_2PI + s.sum() + r2_over_v.sum()))
+def _gaussian_loglik(s_sum, r2_over_v_sum, n_complete) -> float:
+    """The Gaussian log-likelihood from the sums of the log variances and of ``r²/var``."""
+    return float(-0.5 * (n_complete * _LOG_2PI + s_sum + r2_over_v_sum))
 
 
-def _outcome_fit(data, family, xi, iterations) -> ParametricOutcomeFit:
-    """The family at ``xi``, with moments over all rows."""
-    xi_m, xi_v = family.split(xi)
-    m1 = data.design(family.mean_basis) @ xi_m
-    var = np.exp(data.design(family.logvar_basis) @ xi_v)
+def _outcome_fit(data, family, xi, iterations, s_all) -> ParametricOutcomeFit:
+    """The family at ``xi``, whose log variances over all rows are ``s_all``, with
+    moments over all rows."""
+    m1 = data.design(family.mean_basis) @ family.split(xi)[0]
+    var = np.exp(s_all)
     complete = data.complete_idx
     r = data.y_complete - m1[complete]
-    loglik = _gaussian_loglik(np.log(var[complete]), r * r / var[complete], complete.size)
+    loglik = _gaussian_loglik(np.log(var[complete]).sum(), (r * r / var[complete]).sum(), complete.size)
     return ParametricOutcomeFit(
         family=family,
         xi_hat=xi,
@@ -298,7 +328,7 @@ def _logvar_start(r, rss: float, bv, logvar_basis) -> np.ndarray:
         # log mean exp(t), t = log r² − bv·ξ_v, taken about its largest t so no exp overflows
         t = target - bv @ xi_v
         top = t.max()
-        xi_v[logvar_basis.index(const)] += top + math.log(float(np.exp(t - top).mean()))
+        xi_v[logvar_basis.index(const)] += top + math.log(float(np.exp(t - top).sum() / t.size))
     return xi_v
 
 
@@ -330,44 +360,45 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
     qm = family.dim_mean
 
     def _floor_check(cand):
-        s_all = bv_all @ cand[qm:]
+        s_all = bv_all.dot(cand[qm:])
         if s_all.min() < _LOG_VARIANCE_FLOOR:
             raise DegenerateVariance(
                 "fitted conditional variance fell below 1e-12",
                 mean_coef=cand[:qm].copy(),
                 row=int(s_all.argmin()),
             )
+        return s_all
 
     def evaluate(cand):
-        s_cand = bv @ cand[qm:]
-        r_cand = yc - bm @ cand[:qm]
+        s_cand = bv.dot(cand[qm:])
+        r_cand = yc - bm.dot(cand[:qm])
         w_cand = np.exp(-s_cand)
         u_cand = r_cand * r_cand * w_cand
-        return _gaussian_loglik(s_cand, u_cand, nc), (r_cand, s_cand, w_cand, u_cand)
+        u_sum = u_cand.sum()
+        return _gaussian_loglik(s_cand.sum(), u_sum, nc), (r_cand, s_cand, w_cand, u_cand, u_sum)
 
     # an overflow ends as solve_spd's non-finite verdict, a rejected -inf trial, or the
     # start's classified error
     with np.errstate(over="ignore"):
-        xi_m = _solve(bm.T @ bm, bm.T @ yc, RankDeficientDesign,
-                      "outcome mean design is rank deficient")
+        xi_m = _least_squares(data, family.mean_basis, "outcome mean design is rank deficient")
         r = yc - bm @ xi_m
-        rss = float((r * r).mean())
+        rss = float((r * r).sum() / r.size)
         if not math.isfinite(rss):
             raise NoConvergence(f"outcome fit cannot start: its mean residual square {rss} "
                                 "is not finite")
         xi = np.concatenate([xi_m, _logvar_start(r, rss, bv, family.logvar_basis)])
         _floor_check(xi)
-        loglik, (r, s_c, w, u) = evaluate(xi)
+        loglik, (r, s_c, w, u, u_sum) = evaluate(xi)
         # row i adds w·z zᵀ with z = [bm, r·bv]; its log-variance block w·r² = u
         z = np.empty((nc, family.dim_xi), order="F")
         z[:, :qm] = bm
         for iterations in range(1, _MAX_ITER + 1):
-            grad = np.concatenate([bm.T @ (r * w), 0.5 * (bv.T @ (u - 1.0))])
+            grad = np.concatenate([bm.T.dot(r * w), 0.5 * bv.T.dot(u - 1.0)])
             np.multiply(bv, r[:, None], out=z[:, qm:])
-            info = z.T @ (z * w[:, None])
+            info = z.T.dot(z * w[:, None])
             info[qm:, qm:] *= 0.5
             try:
-                step = solve_spd(info, grad)
+                step = _solve_gram(info, grad)
                 joint = True
             except SingularMatrix:
                 # far from the optimum the cross block can make the information indefinite
@@ -375,11 +406,11 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                 step = _solve(info, grad, NoConvergence, "outcome information block is singular")
                 joint = False
             # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
-            size = 0.5 * (nc * _LOG_2PI + np.abs(s_c).sum() + u.sum())
-            xi, loglik, (r, s_c, w, u), final = _halving_search(
+            size = 0.5 * (nc * _LOG_2PI + np.abs(s_c).sum() + u_sum)
+            xi, loglik, (r, s_c, w, u, u_sum), final = _halving_search(
                 "outcome", xi, step, grad, loglik, evaluate, size
             )
-            _floor_check(xi)
+            s_all = _floor_check(xi)
             if final and joint:
                 break
             if final:
@@ -387,7 +418,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                                     "joint information is not positive definite")
         else:
             raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
-    return _outcome_fit(data, family, xi, iterations)
+    return _outcome_fit(data, family, xi, iterations, s_all)
 
 
 @dataclass(frozen=True)
@@ -414,11 +445,9 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
         raise RankDeficientDesign(
             f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
-    g = data.design(mean_basis, complete=True)
     with np.errstate(over="ignore"):  # an overflowing Gram matrix is solve_spd's non-finite verdict
-        theta = _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign,
-                       "location design is rank deficient")
-    return location_fit_at(data, mean_basis, theta)
+        theta = _least_squares(data, mean_basis, "location design is rank deficient")
+    return location_fit_at(data, mean_basis, theta.copy())
 
 
 def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:

@@ -1,6 +1,9 @@
 """Numerical substrate: small SPD solves through LAPACK, normal CDF, and
 reproducible random streams.
 
+:func:`solve_spd` checks and solves any SPD matrix; :func:`gram_solution` is its fast
+path for the weighted Gram matrices the fits solve, and declines to it any other.
+
 Everything here is a pure function of its inputs. Streams are counter-based
 (Philox keyed by ``(seed, stream_id)``), so replication ``r`` of a Monte Carlo
 run can use ``stream_id = r`` and reproduce identically under any execution
@@ -87,6 +90,41 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
                 f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
                 "matrix is not positive definite"
             )
+    return u
+
+
+# Smallest diagonal entry the Gram path accepts. Above it a Gram matrix's rounding is
+# relative; below it a subnormal partial sum can err by more than 1e-10 of the matrix.
+_GRAM_MIN_DIAG = 1e-200
+
+
+def gram_solution(m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """:func:`solve_spd`'s solution of ``m @ u = v`` for a weighted Gram matrix
+    ``m = XᵀWX`` with ``W ≥ 0``, or ``None`` where ``m`` needs :func:`solve_spd`'s verdict.
+
+    Such a matrix is symmetric by construction: each entry sums the same n products, so
+    ``|a_ij − a_ji|`` is at most about ``n·ε·max a_ii``, far inside solve_spd's 1e-10
+    bound, and the symmetry check is skipped. One sum over every entry checks finiteness,
+    above the diagonal too, which ``dposv`` never reads; above order 7, where Python
+    floats cost more, ``np.isfinite`` checks instead. An accepted matrix gets the same
+    ``dposv`` call, so the same bits, as from solve_spd. ``None`` means a non-finite
+    entry or sum, a diagonal entry under 1e-200, or a pivot at or under solve_spd's
+    floor: the caller hands ``m`` to solve_spd, whose verdict and message are the contract.
+    """
+    k = m.shape[0]
+    if k > _PYTHON_CHECKS_MAX_K:
+        finite, diagonal = np.isfinite(m).all(), m.diagonal().tolist()
+    else:
+        flat = m.ravel().tolist()
+        finite, diagonal = math.isfinite(sum(flat)), flat[:: k + 1]
+    if not finite:
+        return None
+    lower, u, info = dposv(m, v, lower=True)
+    if info:
+        return None
+    for l_jj, a_jj in zip(lower.diagonal().tolist(), diagonal):
+        if not (a_jj > _GRAM_MIN_DIAG and l_jj * l_jj > _PIVOT_RTOL * a_jj):
+            return None
     return u
 
 

@@ -135,7 +135,9 @@ def reduced_sigma_sq(comp, residual_variance):
 
 def outcome_fit_at(data, family, xi):
     """The family evaluated at ``xi`` without optimizing, marked converged."""
-    return _outcome_fit(data, family, np.asarray(xi, dtype=float), iterations=0)
+    xi = np.asarray(xi, dtype=float)
+    s_all = data.design(family.logvar_basis) @ family.split(xi)[1]
+    return _outcome_fit(data, family, xi, iterations=0, s_all=s_all)
 
 
 def outcome_moment_gradients(fit, x):

@@ -69,14 +69,17 @@ class TestSolve:
 
     def test_other_errors_pass_through(self, monkeypatch):
         error = ValueError("not a singular matrix")
+        calls = []
 
         def failing(m, v):
+            calls.append(m)
             raise error
 
-        monkeypatch.setattr(model, "solve_spd", failing)
+        monkeypatch.setattr(model, "_solve_gram", failing)
         with pytest.raises(ValueError) as caught:
             model._solve(np.eye(2), np.ones(2), NoConvergence, "block is singular")
         assert caught.value is error
+        assert len(calls) == 1
 
 
 class TestHalvingSearch:
@@ -328,9 +331,10 @@ class TestFitOutcomeParametric:
 
     @staticmethod
     def refusing_joint_solves(monkeypatch, family, refusals):
-        """Make ``model.solve_spd`` refuse the first ``refusals`` joint information solves: those
-        whose cross block is nonzero, so the solve without it still goes through."""
-        solve = model.solve_spd
+        """Make ``model._solve_gram``, which every fit solve goes through, refuse the first
+        ``refusals`` joint information solves: those whose cross block is nonzero, so the
+        solve without it still goes through."""
+        solve = model._solve_gram
         qm = family.dim_mean
         refused = []
 
@@ -340,7 +344,7 @@ class TestFitOutcomeParametric:
                 raise SingularMatrix("pivot -1.000e+00 below 1.000e-12 at column 3")
             return solve(m, v)
 
-        monkeypatch.setattr(model, "solve_spd", refuse_joint)
+        monkeypatch.setattr(model, "_solve_gram", refuse_joint)
         return refused
 
     def test_block_step_after_a_refused_joint_solve_reaches_the_same_fit(self, monkeypatch):
@@ -361,7 +365,7 @@ class TestFitOutcomeParametric:
         with pytest.raises(NoConvergence, match="did not converge"):
             fit_outcome_parametric(data, family)
         # a final block step ends the fit at once instead of repeating until the iteration cap
-        assert len(refused) < model._MAX_ITER
+        assert 0 < len(refused) < model._MAX_ITER
 
     @pytest.mark.parametrize("r", [357, 470, 715, 831, 1311, 1760])
     def test_small_sample_fits_end_alike_under_both_kernels(self, monkeypatch, r):
@@ -370,8 +374,17 @@ class TestFitOutcomeParametric:
         data = generate_example2(Example2Config(n=15), RngStream(2, r))
         family = Example2Config.family
         lapack = fit_outcome_parametric(data, family)
-        monkeypatch.setattr(model, "solve_spd", solve_spd_loop)
+        calls = []
+
+        def loop_solve(m, v):
+            calls.append(m)
+            return solve_spd_loop(m, v)
+
+        # every fit solve goes through model._solve_gram
+        monkeypatch.setattr(model, "_solve_gram", loop_solve)
         loop = fit_outcome_parametric(data, family)
+        # the two least-squares starts, and per step a joint solve and any block solve after it
+        assert len(calls) >= loop.iterations + 2
         assert_allclose(loop.xi_hat, lapack.xi_hat, rtol=1e-12)
 
     def test_loglik_near_zero_still_finishes(self):
@@ -514,6 +527,30 @@ class TestFitLocation:
         data = dataset_from_full([x], [1, 1, 1, 0], x)
         with pytest.raises(RankDeficientDesign):
             fit_location(data, (intercept(), raw(1)))
+
+    def test_the_outcome_start_and_the_location_fit_share_one_solve(self, monkeypatch):
+        cfg = Example2Config(n=200)
+        data = cfg.generate(RngStream(5, 0))
+        fresh = Dataset(x=data.x, d=data.d, y_complete=data.y_complete)
+        want = fit_location(fresh, cfg.location_basis).theta_hat
+        fit_outcome_parametric(data, cfg.family)
+        solves = []
+        monkeypatch.setattr(model, "_solve_gram", lambda m, v: solves.append(m))
+        got = fit_location(data, cfg.location_basis).theta_hat
+        assert solves == []
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.writeable  # the fit's own copy, not the dataset's
+
+    def test_a_rank_deficient_basis_is_named_by_each_fit(self):
+        # x is 1 on every complete row, so x and x² are one column there
+        x = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        data = dataset_from_full([x], [1, 1, 1, 1, 1, 1, 0], np.arange(7.0))
+        family = Example2Config.family
+        for fit, basis, what in [(fit_outcome_parametric, family, "outcome mean"),
+                                 (fit_location, family.mean_basis, "location"),
+                                 (fit_outcome_parametric, family, "outcome mean")]:
+            with pytest.raises(RankDeficientDesign, match=f"^{what} design is rank deficient: pivot"):
+                fit(data, basis)
 
 
 class TestOverflowOutsideTheLoops:

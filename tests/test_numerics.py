@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 from scipy.special import ndtr
 
 from marscore import model, score
 from marscore.exceptions import SingularMatrix
 from marscore.numerics import (
     RngStream,
+    gram_solution,
     normal_cdf,
     normal_quantile,
     quad_form_inv,
@@ -193,10 +194,18 @@ class TestSolveSpd:
 def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
     """Whole replications through the column-loop solves give the same z and failures."""
     lapack = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
-    monkeypatch.setattr(model, "solve_spd", solve_spd_loop)
+    calls = []
+
+    def loop_solve(m, v):
+        calls.append(m)
+        return solve_spd_loop(m, v)
+
+    # every fit and variance solve goes through model._solve_gram
+    monkeypatch.setattr(model, "_solve_gram", loop_solve)
     monkeypatch.setattr(score, "solve_spd", solve_spd_loop)
     monkeypatch.setattr(score, "quad_form_inv", quad_form_inv_loop)
     loop = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
+    assert len(calls) >= 40 * 5  # at least a propensity step, two starts, an outcome step, A_hat
     assert np.array_equal(lapack.failed, loop.failed)
     assert_allclose(lapack.z_s1, loop.z_s1, rtol=1e-10)
     assert_allclose(lapack.z_s2, loop.z_s2, rtol=1e-10)
@@ -261,6 +270,69 @@ def test_the_verdict_cases_at_k12(m):
     assert got == small
     if got == "raised":
         assert got_out == small_out
+
+
+_WEIGHT_KINDS = ("ordinary", "zero", "tiny", "huge", "nan")
+# log10 ranges of each kind's weights: "tiny" makes subnormal entries, and "huge" with
+# the columns' spread of scales overflows some entries of a matrix and not others
+_WEIGHT_LOG10 = {"ordinary": (-1.0, 1.0), "tiny": (-322.0, -300.0), "huge": (280.0, 308.0)}
+
+
+@st.composite
+def weighted_grams(draw):
+    """``(XᵀWX, v)`` with X of order n×k, 1 ≤ k ≤ 8, k − 1 ≤ n ≤ 50, and W ≥ 0 or NaN."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k - 1, 50))
+    kinds = draw(st.lists(st.sampled_from(_WEIGHT_KINDS), min_size=1, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-5.0, 5.0, k)
+    w = np.empty(n)
+    for i, kind in enumerate(rng.choice(kinds, n)):
+        w[i] = 0.0 if kind == "zero" else np.nan if kind == "nan" else 10.0 ** rng.uniform(*_WEIGHT_LOG10[kind])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.T @ (x * w[:, None]), rng.standard_normal(k)
+
+
+class TestGramPath:
+    """``model._solve_gram`` takes a checked fast path for the fits' weighted Gram matrices
+    and hands any matrix it declines to solve_spd: either way the verdict is solve_spd's."""
+
+    @staticmethod
+    def assert_as_solve_spd(m, v):
+        (want, want_out), (got, got_out) = verdict(solve_spd, m, v), verdict(model._solve_gram, m, v)
+        assert got == want
+        assert got_out == want_out if want == "raised" else got_out.tobytes() == want_out.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_grams())
+    def test_same_bits_or_the_same_refusal_as_solve_spd(self, gram):
+        self.assert_as_solve_spd(*gram)
+
+    def test_the_fast_path_solves_an_ordinary_gram_matrix(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((20, 4))
+        m, v = x.T @ (x * rng.random(20)[:, None]), rng.standard_normal(4)
+        assert gram_solution(m, v).tobytes() == solve_spd(m, v).tobytes()
+
+    def test_a_non_finite_entry_above_the_diagonal_only_is_refused(self):
+        # dposv reads the lower triangle alone, so it would solve this matrix
+        x = np.random.default_rng(6).standard_normal((20, 3))
+        m, v = x.T @ x, np.ones(3)
+        m[0, 2] = np.inf
+        assert dposv(m, v, lower=True)[2] == 0
+        assert gram_solution(m, v) is None
+        with pytest.raises(SingularMatrix, match="^non-finite entry at column 2$"):
+            model._solve_gram(m, v)
+
+    def test_a_matrix_of_subnormal_entries_goes_to_solve_spd(self):
+        # XᵀWX of three rows with weights near 1e-310: subnormal rounding is absolute, so
+        # entry (1, 2) lies one step of 2⁻¹⁰⁷⁴ from entry (2, 1), past the symmetry bound,
+        # though every pivot clears the floor
+        m = np.array([[1560.0, -682.0, -227680.0],
+                      [-682.0, 316.0, 100839.0],
+                      [-227680.0, 100840.0, 33328076.0]]) * 2.0**-1074
+        with pytest.raises(SingularMatrix, match="^matrix is not symmetric$"):
+            model._solve_gram(m, np.ones(3))
 
 
 class TestNormalCdf:
