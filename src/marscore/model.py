@@ -33,7 +33,8 @@ from .exceptions import (
     Separation,
     SingularMatrix,
 )
-from .numerics import _NOISE_ULPS, gram_solution, solve_spd
+from .numerics import _NOISE_ULPS, solve_gram
+from .numerics import solve_spd  # noqa: F401  perfbench/tracing.py wraps marscore.model.solve_spd
 
 _MAX_ITER = 100
 _SEPARATION_BOUND = 30.0
@@ -47,19 +48,10 @@ _HALVINGS = 30
 # one, best of 5×20000 on a 2-core x86-64 host: 1.1 µs against 1.9 µs).
 
 
-def _solve_gram(m, v):
-    """``solve_spd(m, v)`` for a weighted Gram matrix ``m = XᵀWX`` with ``W ≥ 0``, the only
-    kind the fits and the variances solve: the checked fast path of
-    :func:`~marscore.numerics.gram_solution`, and solve_spd for any matrix it declines, so
-    a refusal has solve_spd's verdict and message."""
-    u = gram_solution(m, v)
-    return solve_spd(m, v) if u is None else u
-
-
 def _solve(m, v, error, what: str):
-    """``_solve_gram(m, v)``; a singular ``m`` raises ``error``, its message prefixed by ``what``."""
+    """``solve_gram(m, v)``; a singular ``m`` raises ``error``, its message prefixed by ``what``."""
     try:
-        return _solve_gram(m, v)
+        return solve_gram(m, v)
     except SingularMatrix as exc:
         raise error(f"{what}: {exc}") from exc
 
@@ -398,7 +390,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
             info = z.T.dot(z * w[:, None])
             info[qm:, qm:] *= 0.5
             try:
-                step = _solve_gram(info, grad)
+                step = solve_gram(info, grad)
                 joint = True
             except SingularMatrix:
                 # far from the optimum the cross block can make the information indefinite

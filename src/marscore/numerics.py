@@ -1,8 +1,8 @@
 """Numerical substrate: small SPD solves through LAPACK, normal CDF, and
 reproducible random streams.
 
-:func:`solve_spd` checks and solves any SPD matrix; :func:`gram_solution` is its fast
-path for the weighted Gram matrices the fits solve, and declines to it any other.
+:func:`solve_spd` checks and solves any SPD matrix; :func:`solve_gram` is its fast
+path for the weighted Gram matrices the fits solve, and hands it any matrix it cannot vouch for.
 
 Everything here is a pure function of its inputs. Streams are counter-based
 (Philox keyed by ``(seed, stream_id)``), so replication ``r`` of a Monte Carlo
@@ -80,6 +80,12 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
             raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
         if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
             raise SingularMatrix("matrix is not symmetric")
+    return _factor_and_solve(a, v, diagonal)
+
+
+def _factor_and_solve(a: np.ndarray, v: np.ndarray, diagonal: list) -> np.ndarray:
+    """One ``dposv`` call on ``a``, a finite symmetric matrix whose diagonal is ``diagonal``,
+    then :func:`solve_spd`'s per-pivot floor."""
     lower, u, info = dposv(a, v, lower=True)
     for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), diagonal)):
         # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
@@ -93,23 +99,22 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u
 
 
-# Smallest diagonal entry the Gram path accepts. Above it a Gram matrix's rounding is
+# Smallest diagonal entry the Gram path takes. Above it a Gram matrix's rounding is
 # relative; below it a subnormal partial sum can err by more than 1e-10 of the matrix.
 _GRAM_MIN_DIAG = 1e-200
 
 
-def gram_solution(m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """:func:`solve_spd`'s solution of ``m @ u = v`` for a weighted Gram matrix
-    ``m = XᵀWX`` with ``W ≥ 0``, or ``None`` where ``m`` needs :func:`solve_spd`'s verdict.
+def solve_gram(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`solve_spd` for a weighted Gram matrix ``m = XᵀWX`` with ``W ≥ 0`` of ``n``
+    rows, ``n`` at most 4·10⁵: the same solution bits, or the same refusal and message.
 
-    Such a matrix is symmetric by construction: each entry sums the same n products, so
-    ``|a_ij − a_ji|`` is at most about ``n·ε·max a_ii``, far inside solve_spd's 1e-10
-    bound, and the symmetry check is skipped. One sum over every entry checks finiteness,
+    Each entry of such a matrix sums n products, so rounding puts ``|a_ij − a_ji|`` within
+    about ``2(n + 2)·2⁻⁵³·max a_ii``, inside solve_spd's 1e-10 symmetry bound for those
+    n, and the symmetry check is skipped. One sum over every entry checks finiteness,
     above the diagonal too, which ``dposv`` never reads; above order 7, where Python
-    floats cost more, ``np.isfinite`` checks instead. An accepted matrix gets the same
-    ``dposv`` call, so the same bits, as from solve_spd. ``None`` means a non-finite
-    entry or sum, a diagonal entry under 1e-200, or a pivot at or under solve_spd's
-    floor: the caller hands ``m`` to solve_spd, whose verdict and message are the contract.
+    floats cost more, ``np.isfinite`` checks instead. Then come solve_spd's ``dposv``
+    call and pivot floor. A matrix with a non-finite entry or sum, or a diagonal entry
+    under 1e-200, goes to solve_spd itself.
     """
     k = m.shape[0]
     if k > _PYTHON_CHECKS_MAX_K:
@@ -117,15 +122,9 @@ def gram_solution(m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     else:
         flat = m.ravel().tolist()
         finite, diagonal = math.isfinite(sum(flat)), flat[:: k + 1]
-    if not finite:
-        return None
-    lower, u, info = dposv(m, v, lower=True)
-    if info:
-        return None
-    for l_jj, a_jj in zip(lower.diagonal().tolist(), diagonal):
-        if not (a_jj > _GRAM_MIN_DIAG and l_jj * l_jj > _PIVOT_RTOL * a_jj):
-            return None
-    return u
+    if finite and k and min(diagonal) > _GRAM_MIN_DIAG:
+        return _factor_and_solve(m, v, diagonal)
+    return solve_spd(m, v)
 
 
 def quad_form_inv(m: np.ndarray, v: np.ndarray) -> float:

@@ -75,7 +75,7 @@ class TestSolve:
             calls.append(m)
             raise error
 
-        monkeypatch.setattr(model, "_solve_gram", failing)
+        monkeypatch.setattr(model, "solve_gram", failing)
         with pytest.raises(ValueError) as caught:
             model._solve(np.eye(2), np.ones(2), NoConvergence, "block is singular")
         assert caught.value is error
@@ -331,10 +331,10 @@ class TestFitOutcomeParametric:
 
     @staticmethod
     def refusing_joint_solves(monkeypatch, family, refusals):
-        """Make ``model._solve_gram``, which every fit solve goes through, refuse the first
+        """Make ``model.solve_gram``, which every fit solve goes through, refuse the first
         ``refusals`` joint information solves: those whose cross block is nonzero, so the
         solve without it still goes through."""
-        solve = model._solve_gram
+        solve = model.solve_gram
         qm = family.dim_mean
         refused = []
 
@@ -344,7 +344,7 @@ class TestFitOutcomeParametric:
                 raise SingularMatrix("pivot -1.000e+00 below 1.000e-12 at column 3")
             return solve(m, v)
 
-        monkeypatch.setattr(model, "_solve_gram", refuse_joint)
+        monkeypatch.setattr(model, "solve_gram", refuse_joint)
         return refused
 
     def test_block_step_after_a_refused_joint_solve_reaches_the_same_fit(self, monkeypatch):
@@ -380,9 +380,10 @@ class TestFitOutcomeParametric:
             calls.append(m)
             return solve_spd_loop(m, v)
 
-        # every fit solve goes through model._solve_gram
-        monkeypatch.setattr(model, "_solve_gram", loop_solve)
-        loop = fit_outcome_parametric(data, family)
+        # every fit solve goes through model.solve_gram; a fresh dataset holds no solved
+        # least-squares start, so the loop kernel solves that start too
+        monkeypatch.setattr(model, "solve_gram", loop_solve)
+        loop = fit_outcome_parametric(Dataset(x=data.x, d=data.d, y_complete=data.y_complete), family)
         # the two least-squares starts, and per step a joint solve and any block solve after it
         assert len(calls) >= loop.iterations + 2
         assert_allclose(loop.xi_hat, lapack.xi_hat, rtol=1e-12)
@@ -535,7 +536,7 @@ class TestFitLocation:
         want = fit_location(fresh, cfg.location_basis).theta_hat
         fit_outcome_parametric(data, cfg.family)
         solves = []
-        monkeypatch.setattr(model, "_solve_gram", lambda m, v: solves.append(m))
+        monkeypatch.setattr(model, "solve_gram", lambda m, v: solves.append(m))
         got = fit_location(data, cfg.location_basis).theta_hat
         assert solves == []
         assert got.tobytes() == want.tobytes()

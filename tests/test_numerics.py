@@ -9,14 +9,14 @@ from scipy.linalg import block_diag
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 from scipy.special import ndtr
 
-from marscore import model, score
+from marscore import model, numerics, score
 from marscore.exceptions import SingularMatrix
 from marscore.numerics import (
     RngStream,
-    gram_solution,
     normal_cdf,
     normal_quantile,
     quad_form_inv,
+    solve_gram,
     solve_spd,
 )
 from marscore.sim import Example1Config, Example2Config, run_rejection_study
@@ -200,8 +200,8 @@ def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
         calls.append(m)
         return solve_spd_loop(m, v)
 
-    # every fit and variance solve goes through model._solve_gram
-    monkeypatch.setattr(model, "_solve_gram", loop_solve)
+    # every fit and variance solve goes through model.solve_gram
+    monkeypatch.setattr(model, "solve_gram", loop_solve)
     monkeypatch.setattr(score, "solve_spd", solve_spd_loop)
     monkeypatch.setattr(score, "quad_form_inv", quad_form_inv_loop)
     loop = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
@@ -294,12 +294,12 @@ def weighted_grams(draw):
 
 
 class TestGramPath:
-    """``model._solve_gram`` takes a checked fast path for the fits' weighted Gram matrices
-    and hands any matrix it declines to solve_spd: either way the verdict is solve_spd's."""
+    """``solve_gram`` takes a checked fast path for the fits' weighted Gram matrices and
+    hands any matrix it cannot vouch for to solve_spd: either way the verdict is solve_spd's."""
 
     @staticmethod
     def assert_as_solve_spd(m, v):
-        (want, want_out), (got, got_out) = verdict(solve_spd, m, v), verdict(model._solve_gram, m, v)
+        (want, want_out), (got, got_out) = verdict(solve_spd, m, v), verdict(solve_gram, m, v)
         assert got == want
         assert got_out == want_out if want == "raised" else got_out.tobytes() == want_out.tobytes()
 
@@ -308,23 +308,44 @@ class TestGramPath:
     def test_same_bits_or_the_same_refusal_as_solve_spd(self, gram):
         self.assert_as_solve_spd(*gram)
 
-    def test_the_fast_path_solves_an_ordinary_gram_matrix(self):
+    @pytest.fixture
+    def handed_on(self, monkeypatch):
+        """The matrices solve_gram hands to solve_spd."""
+        handed = []
+
+        def recording(m, v):
+            handed.append(m)
+            return solve_spd(m, v)
+
+        monkeypatch.setattr(numerics, "solve_spd", recording)
+        return handed
+
+    def test_the_fast_path_solves_an_ordinary_gram_matrix(self, handed_on):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 4))
         m, v = x.T @ (x * rng.random(20)[:, None]), rng.standard_normal(4)
-        assert gram_solution(m, v).tobytes() == solve_spd(m, v).tobytes()
+        assert solve_gram(m, v).tobytes() == solve_spd(m, v).tobytes()
+        assert handed_on == []
 
-    def test_a_non_finite_entry_above_the_diagonal_only_is_refused(self):
+    def test_the_fast_path_refuses_a_singular_gram_matrix_as_solve_spd_does(self, handed_on):
+        # three rows span at most three of the four columns
+        x = np.random.default_rng(7).standard_normal((3, 4))
+        m, v = x.T @ x, np.ones(4)
+        self.assert_as_solve_spd(m, v)
+        assert verdict(solve_gram, m, v)[0] == "raised"
+        assert handed_on == []
+
+    def test_a_non_finite_entry_above_the_diagonal_only_is_refused(self, handed_on):
         # dposv reads the lower triangle alone, so it would solve this matrix
         x = np.random.default_rng(6).standard_normal((20, 3))
         m, v = x.T @ x, np.ones(3)
         m[0, 2] = np.inf
         assert dposv(m, v, lower=True)[2] == 0
-        assert gram_solution(m, v) is None
         with pytest.raises(SingularMatrix, match="^non-finite entry at column 2$"):
-            model._solve_gram(m, v)
+            solve_gram(m, v)
+        assert len(handed_on) == 1
 
-    def test_a_matrix_of_subnormal_entries_goes_to_solve_spd(self):
+    def test_a_matrix_of_subnormal_entries_goes_to_solve_spd(self, handed_on):
         # XᵀWX of three rows with weights near 1e-310: subnormal rounding is absolute, so
         # entry (1, 2) lies one step of 2⁻¹⁰⁷⁴ from entry (2, 1), past the symmetry bound,
         # though every pivot clears the floor
@@ -332,7 +353,8 @@ class TestGramPath:
                       [-682.0, 316.0, 100839.0],
                       [-227680.0, 100840.0, 33328076.0]]) * 2.0**-1074
         with pytest.raises(SingularMatrix, match="^matrix is not symmetric$"):
-            model._solve_gram(m, np.ones(3))
+            solve_gram(m, np.ones(3))
+        assert len(handed_on) == 1
 
 
 class TestNormalCdf:
