@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -128,15 +129,23 @@ class Dataset:
         if (rows.ndim != 1 or rows.dtype.kind not in "iu"
                 or rows.size and not 0 <= rows.min() <= rows.max() < self.n):
             raise ValueError(f"rows must be a 1-D array of integer row indices in [0, {self.n})")
-        mask_complete = self.d[rows] == 1
-        full_pos = np.cumsum(self.d) - 1
-        labels = {k: tuple([v[i] for i in rows.tolist()]) for k, v in self.labels.items()}
+        return self._subset(rows, {})
+
+    def _subset(self, rows: np.ndarray, labels: dict) -> "Dataset":
+        """``subset`` of checked ``rows``, its label columns taken from ``labels`` where it
+        holds them (``marscore.io.group_by`` knows its group column's) and gathered otherwise."""
+        d = self.d[rows]
         return Dataset(
             x=_rows(self.x, rows),
-            d=self.d[rows],
-            y_complete=self.y_complete[full_pos[rows[mask_complete]]],
-            labels=labels,
+            d=d,
+            y_complete=self.y_complete[self._complete_rank[rows[d == 1]]],
+            labels={k: labels[k] if k in labels else _gather(v, rows) for k, v in self.labels.items()},
         )
+
+    @cached_property
+    def _complete_rank(self) -> np.ndarray:
+        """Each row's index into ``y_complete`` (that of the complete row at or before it)."""
+        return np.cumsum(self.d) - 1
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -145,3 +154,11 @@ def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     out = x.T.take(rows, axis=1).T
     out.flags.writeable = False
     return out
+
+
+def _gather(values, rows: np.ndarray) -> tuple:
+    """``values`` at ``rows``, as a tuple, without a Python loop."""
+    index = rows.tolist()
+    if len(index) < 2:  # itemgetter needs an index, and of one it returns the bare item
+        return tuple([values[i] for i in index])
+    return itemgetter(*index)(values)

@@ -51,6 +51,7 @@ SCHEMA_VERSION = 1
 
 _NA_STRINGS = {"", "na"}
 _BLOCK_ROWS = 4096  # lines, or records after a quote, parsed per step
+# one search costs a third of counting "\r" and "\r\n" on a block of "\r\n"-ended lines
 _LONE_CR = re.compile("\r(?!\n)")
 
 
@@ -275,9 +276,15 @@ def _parse_plain(lines, first_row: int, at: dict, spec: ColumnSpec, keep_columns
             lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
             usecols=[at[c] for c in columns], ndmin=1,
         )
-        outcome = list(map(str.strip, table["f0"].tolist()))
-        observed = [cell.lower() not in _NA_STRINGS for cell in outcome]
-        y = np.array(list(map(float, compress(outcome, observed))), dtype=float)
+        outcome = table["f0"]
+        observed = (outcome != "NA") & (outcome != "")
+        try:
+            # float() refuses every NA cell, so a cell it takes is observed
+            y = outcome[observed].astype(float)
+        except ValueError:  # a padded or lower-case NA cell, or an outcome float() refuses
+            outcome = list(map(str.strip, outcome.tolist()))
+            observed = np.array([cell.lower() not in _NA_STRINGS for cell in outcome])
+            y = np.array(list(map(float, compress(outcome, observed))), dtype=float)
     except ValueError:
         table = None
     # numpy skips the blank lines csv.reader skips; a version that also skipped a line
@@ -288,7 +295,7 @@ def _parse_plain(lines, first_row: int, at: dict, spec: ColumnSpec, keep_columns
             x[j] = table[f"f{j}"]
         if np.isfinite(x).all() and np.isfinite(y).all():
             labels = {c: list(map(str.strip, table[f"f{k}"].tolist())) for k, c in enumerate(keep_columns, 1 + p)}
-            return np.array(observed, dtype=np.int8), y, x, labels
+            return observed.view(np.int8), y, x, labels
     return _parse_block(list(filter(None, csv.reader(lines))), first_row, at, spec, keep_columns)
 
 
@@ -384,7 +391,9 @@ def group_by(data: Dataset, group_column: str) -> list[tuple[str, Dataset]]:
     members: dict[str, list[int]] = defaultdict(list)  # keeps first-appearance order
     for i, v in enumerate(data.labels[group_column]):
         members[v].append(i)
-    return [(label, data.subset(np.array(rows))) for label, rows in members.items()]
+    # every row of a group carries its label, so only the other label columns are gathered
+    return [(label, data._subset(np.array(rows), {group_column: (label,) * len(rows)}))
+            for label, rows in members.items()]
 
 
 @dataclass(frozen=True)

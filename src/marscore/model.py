@@ -45,7 +45,9 @@ _HALVINGS = 30
 
 # The Newton loops take products with ndarray.dot, not @: the same BLAS routine and bits,
 # without @'s ufunc dispatch, which at n = 15 costs as much as the product (a matrix-vector
-# one, best of 5×20000 on a 2-core x86-64 host: 1.1 µs against 1.9 µs).
+# one, best of 5×20000 on a 2-core x86-64 host: 1.1 µs against 1.9 µs). Their per-trial sums
+# call the reduction that ndarray.sum wraps in Python, for the same bits.
+_sum = np.add.reduce
 
 
 def _solve(m, v, error, what: str):
@@ -96,7 +98,7 @@ def _bernoulli(eta: np.ndarray, d: np.ndarray):
     """The logistic log-likelihood ``Σ d·η − log(1 + exp η)`` and the probabilities
     ``π = 1 / (1 + exp −η)``, both from one ``exp(−|η|)`` per row, which never overflows."""
     e = np.exp(-np.abs(eta))
-    loglik = float(d.dot(eta) - (np.maximum(eta, 0.0) + np.log1p(e)).sum())
+    loglik = float(d.dot(eta) - _sum(np.maximum(eta, 0.0) + np.log1p(e)))
     return loglik, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
 
 
@@ -117,9 +119,14 @@ class PropensityFit:
         return self.design.shape[0]
 
     @cached_property
+    def q(self) -> np.ndarray:
+        """The fitted missing probabilities ``1 - pi``, all rows."""
+        return 1.0 - self.pi
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """The Bernoulli variances ``pi (1 - pi)``, all rows."""
-        return self.pi * (1.0 - self.pi)
+        return self.pi * self.q
 
 
 def _propensity_start(columns, n1: int, n: int) -> np.ndarray:
@@ -203,7 +210,8 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         else:
             raise NoConvergence(f"propensity fit did not converge in {_MAX_ITER} iterations")
 
-    weights = pi * (1.0 - pi)
+    q = 1.0 - pi
+    weights = pi * q
     fit = PropensityFit(
         beta_hat=beta,
         info_matrix=design.T @ (design * weights[:, None]) / n,
@@ -213,7 +221,8 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         pi=pi,
         design=design,
     )
-    fit.__dict__["weights"] = weights  # fills the cached property with the array just computed
+    # fill the cached properties with the arrays just computed
+    fit.__dict__["q"], fit.__dict__["weights"] = q, weights
     return fit
 
 
@@ -366,8 +375,8 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         r_cand = yc - bm.dot(cand[:qm])
         w_cand = np.exp(-s_cand)
         u_cand = r_cand * r_cand * w_cand
-        u_sum = u_cand.sum()
-        return _gaussian_loglik(s_cand.sum(), u_sum, nc), (r_cand, s_cand, w_cand, u_cand, u_sum)
+        u_sum = _sum(u_cand)
+        return _gaussian_loglik(_sum(s_cand), u_sum, nc), (r_cand, s_cand, w_cand, u_cand, u_sum)
 
     # an overflow ends as solve_spd's non-finite verdict, a rejected -inf trial, or the
     # start's classified error
@@ -398,7 +407,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                 step = _solve(info, grad, NoConvergence, "outcome information block is singular")
                 joint = False
             # the log variances' sum can cancel the constant, leaving |loglik| far below its terms
-            size = 0.5 * (nc * _LOG_2PI + np.abs(s_c).sum() + u_sum)
+            size = 0.5 * (nc * _LOG_2PI + _sum(np.abs(s_c)) + u_sum)
             xi, loglik, (r, s_c, w, u, u_sum), final = _halving_search(
                 "outcome", xi, step, grad, loglik, evaluate, size
             )

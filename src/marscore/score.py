@@ -145,7 +145,7 @@ def _score_statistic(data: Dataset, pf: PropensityFit, fit, plug_in: np.ndarray)
     _check_same_data(data, pf, fit)
     _, e = _unexplained(pf, fit, plug_in)
     complete = data.complete_idx
-    return float((data.d - pf.pi) @ e + (1.0 - pf.pi[complete]) @ (data.y_complete - plug_in[complete]))
+    return float((data.d - pf.pi) @ e + pf.q[complete] @ (data.y_complete - plug_in[complete]))
 
 
 def _sigma_sq(pf: PropensityFit, e: np.ndarray, u: np.ndarray, weights: np.ndarray) -> float:
@@ -187,7 +187,7 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     """
     _check_same_data(data, pf, of)
     n = data.n
-    pi = pf.pi
+    pi, q = pf.pi, pf.q
     m1 = of.m1
     bm = data.design(of.family.mean_basis)
     # an overflow (an outcome near the double range) ends as a non-finite σ², which _checked names
@@ -199,14 +199,14 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
         qm = bm.shape[1]
         c = _solve(b_hat[:qm, :qm], b1_hat[:qm], NegativeVariance,
                    "S1 variance: mean information block is singular")
-        u = (1.0 - pi) - bm @ c / of.var
+        u = q - bm @ c / of.var
         return _checked(VarianceComponentsS1(
             A_hat=pf.info_matrix,
             B_hat=b_hat,
             A1_hat=a1_hat,
             B1_hat=b1_hat,
-            A2_hat=float((pi * (1.0 - pi) ** 2 * of.m2).sum() / n),
-            B2_hat=float((pi**2 * (1.0 - pi) * m1**2).sum() / n),
+            A2_hat=float((pi * q**2 * of.m2).sum() / n),
+            B2_hat=float((pi**2 * q * m1**2).sum() / n),
             sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
         ))
 
@@ -219,11 +219,11 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
     """
     _check_same_data(data, pf, lf)
     n = data.n
-    pi = pf.pi
+    pi, q = pf.pi, pf.q
     mu = lf.mu
     g = data.design(lf.mean_basis)
     gc = data.design(lf.mean_basis, complete=True)
-    q_c = 1.0 - pi[data.complete_idx]
+    q_c = q[data.complete_idx]
     # an overflow (an outcome near the double range) ends as a non-finite σ², which _checked names
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = lf.residuals**2
@@ -235,9 +235,9 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
             A_hat=pf.info_matrix,
             A1_hat=a1_hat,
             # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
-            A2_hat=float(((pi * mu**2 * (1.0 - pi) ** 2).sum() + (q_c**2 * r2).sum()) / n),
+            A2_hat=float(((pi * mu**2 * q**2).sum() + (q_c**2 * r2).sum()) / n),
             B3_hat=b3_hat,
-            B4_hat=float((pi**2 * (1.0 - pi) * mu**2).sum() / n),
+            B4_hat=float((pi**2 * q * mu**2).sum() / n),
             C1_hat=c1_hat,
             C2_hat=gc.T @ (gc * r2[:, None]) / n,
             C3_hat=gc.T @ (q_c * r2) / n,

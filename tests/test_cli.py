@@ -1,10 +1,12 @@
 import codecs
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import marscore.io
 from marscore.cli import main
 from marscore.data import Dataset
 from marscore.numerics import RngStream
@@ -139,6 +141,40 @@ class TestTestSubcommand:
         assert groups == {"I", "II"}
         stdout = capsys.readouterr().out
         assert "group=I" in stdout and "p=" in stdout
+
+    def test_plain_and_exact_routes_write_identical_reports(self, tmp_path):
+        # blocks of 100 lines: the first half's missing outcomes are NA or blank, which the
+        # vectorised test takes; the second half's are " na " or Na, read cell by cell
+        cfg = Example2Config(n=800, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.25)
+        data = generate_example2(cfg, RngStream(61, 0))
+        xs, outcomes = data.x[:, 1].tolist(), iter(data.y_complete.tolist())
+        rows = []
+        for i in range(data.n):
+            if data.d[i]:
+                y = repr(next(outcomes))
+                cell = f" {y}  " if i % 3 == 0 else y
+            else:
+                cell = ("NA", "", " na ", "Na")[i % 2 + 2 * (i >= data.n // 2)]
+            rows.append([repr(xs[i]), cell, "I" if i % 2 == 0 else "II"])
+        exact_rows = [row.copy() for row in rows]
+        exact_rows[0][2] = '"I"'  # a quote sends the first block, and all after it, to csv.reader
+        reports = {}
+        for route, cells in (("plain", rows), ("exact", exact_rows)):
+            (tmp_path / route).mkdir()
+            path = tmp_path / route / "trial.csv"
+            path.write_text("x,y,arm\n" + "".join(",".join(row) + "\n" for row in cells), encoding="utf-8")
+            with mock.patch.object(marscore.io, "_BLOCK_ROWS", 100), \
+                    mock.patch.object(marscore.io, "_parse_block", wraps=marscore.io._parse_block) as exact:
+                for fmt in ("json", "csv"):
+                    out = tmp_path / route / f"report.{fmt}"
+                    code = main(["test", "--data", str(path), "--outcome", "y", "--covariates", "x",
+                                 "--group-by", "arm", "--output", str(out), "--format", fmt])
+                    assert code == 0
+                    reports[route, fmt] = out.read_bytes()
+            assert (exact.call_count > 0) == (route == "exact")
+        assert reports["plain", "json"] == reports["exact", "json"]
+        assert reports["plain", "csv"] == reports["exact", "csv"]
+        assert len(json.loads(reports["plain", "json"])["results"]) == 4
 
     def test_propensity_subset_flag(self, tmp_path):
         data_path = make_trial_csv(tmp_path)

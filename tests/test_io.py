@@ -436,6 +436,24 @@ class TestGroupBy:
             seen.extend(sub.x[:, 1].tolist())
         assert sorted(seen) == sorted(data.x[:, 1].tolist())
 
+    def test_every_kept_column_follows_its_rows(self):
+        # interleaved groups, one of them a single row, and a second kept column
+        arm = ("a", "b", "a", "c", "b", "a", "b")
+        site = ("s0", "s1", "s2", "s3", "s4", "s5", "s6")
+        d = np.array([1, 0, 1, 1, 0, 1, 1])
+        y_full = 10.0 * np.arange(7)
+        data = Dataset(x=np.column_stack([np.ones(7), np.arange(7.0)]), d=d, y_complete=y_full[d == 1],
+                       labels={"arm": arm, "site": site})
+        groups = group_by(data, "arm")
+        assert [label for label, _ in groups] == ["a", "b", "c"]
+        for label, sub in groups:
+            rows = [i for i, v in enumerate(arm) if v == label]
+            # a tuple per column, never a one-row group's bare string
+            assert sub.labels == {"arm": tuple(arm[i] for i in rows), "site": tuple(site[i] for i in rows)}
+            assert sub.x[:, 1].tolist() == rows
+            assert sub.d.tolist() == d[rows].tolist()
+            assert sub.y_complete.tolist() == [y_full[i] for i in rows if d[i]]
+
 
 def fixture_record(p_value, variant="S2", group="IV"):
     result = ScoreTestResult(
