@@ -54,6 +54,9 @@ def design_matrix(terms, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not terms:
         raise ValueError("basis must contain at least one term")
+    for t in terms:
+        if t.i >= x.shape[1]:
+            raise ValueError(f"basis term {t} reads column {t.i}, but x has {x.shape[1]} columns")
     # each term's column is contiguous: row weights then scale whole columns, and the
     # fits' Gram and mat-vec products hand BLAS a column-major operand
     return np.array([x[:, t.i] * x[:, t.j] for t in terms]).T

@@ -19,6 +19,7 @@ variance estimators need.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -148,11 +149,14 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     Parameters
     ----------
     data : Dataset
-    columns : optional sequence of covariate-matrix column indices forming
-        the propensity design; defaults to all columns of ``data.x``.
+    columns : optional nonempty sequence of covariate-matrix column indices,
+        each in ``[0, data.p)``, forming the propensity design; defaults to all
+        columns of ``data.x``.
 
     Raises
     ------
+    ValueError
+        If ``columns`` is given and is not such a sequence.
     Separation
         If either missingness pattern is absent, or after a Newton step a
         coefficient exceeds magnitude 30 or every fitted probability is
@@ -167,7 +171,13 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
     if columns is None:
         columns, design = range(data.p), data.x
     else:
-        columns = [int(c) for c in columns]
+        try:
+            columns = [operator.index(c) for c in columns]
+        except TypeError:
+            columns = None
+        if not columns or not 0 <= min(columns) <= max(columns) < data.p:
+            raise ValueError("propensity columns must be a nonempty sequence of integer "
+                             f"indices in [0, {data.p})")
         design = data.x.T[columns].T
     d = data.d.astype(float)
     n = data.n

@@ -1,8 +1,9 @@
 """Numerical substrate: small SPD solves through LAPACK, normal CDF, and
 reproducible random streams.
 
-:func:`solve_spd` checks and solves any SPD matrix; :func:`solve_gram` is its fast
-path for the weighted Gram matrices the fits solve, and hands it any matrix it cannot vouch for.
+:func:`solve_spd` checks any SPD matrix with numpy reductions (finite entries,
+symmetry to 1e-10) and solves it; :func:`solve_gram` is its fast path for the weighted
+Gram matrices the fits solve, and hands it any matrix it cannot vouch for.
 
 Everything here is a pure function of its inputs. Streams are counter-based
 (Philox keyed by ``(seed, stream_id)``), so replication ``r`` of a Monte Carlo
@@ -12,7 +13,6 @@ schedule.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,20 +30,15 @@ _PIVOT_RTOL = 1e-12
 
 _SYM_RTOL = 1e-10
 
-# Largest order whose finiteness and symmetry pre-check runs on Python floats. Those
-# cost O(k²) interpreted steps: best of 7×2000 calls on a 2-core x86-64 host, an SPD
-# solve took 11.5 µs against 9.9 µs with numpy's checks at k = 7, 14.7 against 8.7 at
-# k = 9 and 40.2 against 15.2 at k = 16, and 7.7 against 10.1 at k = 4.
+# Largest order whose Gram matrix solve_gram checks for finiteness on Python floats. That
+# costs O(k²) interpreted steps: best of 7×2000 calls on a 2-core x86-64 host, the
+# check and the diagonal's extraction took 1.07 µs against 1.64 µs with np.isfinite at
+# k = 4, 1.57 against 1.70 at k = 7, 1.76 against 1.64 at k = 8, 2.05 against 1.71 at
+# k = 9 and 5.34 against 1.81 at k = 16.
 _PYTHON_CHECKS_MAX_K = 7
 
 # Rounding noise of a sum, in ulps of its terms' summed magnitude.
 _NOISE_ULPS = 256
-
-
-@functools.cache
-def _transposed(k: int) -> tuple:
-    """Where the entries of a k×k matrix's transpose lie in its row-major list."""
-    return tuple(c * k + r for r in range(k) for c in range(k))
 
 
 def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -54,33 +49,20 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        If an entry is not finite, the matrix is not symmetric to within
-        1e-10 relative, or a pivot (a squared diagonal entry of the factor)
-        is not above ``1e-12`` times its own diagonal entry of the matrix.
+        If the matrix is empty or not square, an entry is not finite, the matrix
+        is not symmetric to within 1e-10 relative, or a pivot (a squared diagonal
+        entry of the factor) is not above ``1e-12`` times its own diagonal entry
+        of the matrix.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SingularMatrix(f"expected a square matrix, got shape {a.shape}")
-    # On a small matrix Python floats are cheaper than numpy reductions. A sum of finite
-    # entries is finite unless it overflows; a - aᵀ is antisymmetric, so its largest entry
-    # is its largest magnitude; and max |a| is at least the largest diagonal entry. So a
-    # matrix these say is finite and symmetric is; any other gets the full checks.
-    k = a.shape[0]
-    if k > _PYTHON_CHECKS_MAX_K:
-        diagonal, checked = a.diagonal().tolist(), False
-    else:
-        flat = a.ravel().tolist()
-        diagonal = flat[:: k + 1]
-        checked = (math.isfinite(sum(flat))
-                   and max(map(operator.sub, flat, map(flat.__getitem__, _transposed(k))), default=0.0)
-                   <= _SYM_RTOL * max(diagonal, default=0.0))
-    if not checked:
-        scale = abs(a).max(initial=0.0)
-        if not math.isfinite(scale):
-            raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
-        if abs(a - a.T).max(initial=0.0) > _SYM_RTOL * scale:
-            raise SingularMatrix("matrix is not symmetric")
-    return _factor_and_solve(a, v, diagonal)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise SingularMatrix(f"expected a nonempty square matrix, got shape {a.shape}")
+    scale = abs(a).max()
+    if not math.isfinite(scale):
+        raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
+    if abs(a - a.T).max() > _SYM_RTOL * scale:
+        raise SingularMatrix("matrix is not symmetric")
+    return _factor_and_solve(a, v, a.diagonal().tolist())
 
 
 def _factor_and_solve(a: np.ndarray, v: np.ndarray, diagonal: list) -> np.ndarray:

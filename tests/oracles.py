@@ -8,7 +8,7 @@ that the columnar ``marscore.io.read_csv`` must agree with, and
 ``solve_spd_loop`` and ``quad_form_inv_loop`` are the column-by-column
 Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with,
 and ``solve_spd_numpy_checks`` is ``solve_spd`` with its input checks made by
-numpy reductions, whose verdicts and messages the Python-float checks must give.
+numpy reductions, whose verdicts and messages ``solve_spd`` must keep giving.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
 ``outcome_fit_at`` plugs a known parameter into an outcome family, and
@@ -84,8 +84,8 @@ def solve_spd_numpy_checks(m, v):
     """``marscore.numerics.solve_spd`` with its finiteness and symmetry checks made by
     numpy reductions over the whole matrix."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SingularMatrix(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise SingularMatrix(f"expected a nonempty square matrix, got shape {a.shape}")
     scale = abs(a).max(initial=0.0)
     if not math.isfinite(scale):
         raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")

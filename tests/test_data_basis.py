@@ -115,6 +115,14 @@ class TestBasis:
         with pytest.raises(ValueError):
             design_matrix((), np.ones((1, 1)))
 
+    def test_term_past_the_columns_rejected(self):
+        # numpy would raise a bare IndexError from inside the fit that asked for the design
+        with pytest.raises(ValueError, match=r"^basis term BasisTerm\(i=5, j=0\) reads column 5, "
+                                             "but x has 2 columns$"):
+            design_matrix((intercept(), raw(5)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"BasisTerm\(i=2, j=2\)"):
+            small_dataset().design((intercept(), square(2)))
+
     def test_negative_and_non_integer_indices_rejected(self):
         # a negative index would otherwise read a column from the end
         for make in (lambda: raw(-1), lambda: square(-2), lambda: product(1, -1)):

@@ -215,6 +215,19 @@ class TestFitPropensityNull:
         with pytest.raises(RankDeficientDesign):
             fit_propensity_null(data)
 
+    @pytest.mark.parametrize("columns, error", [
+        ([-1], ValueError), ([1.5], ValueError), ([0, 5], ValueError), ([0, 2], ValueError),
+        ([], ValueError), (1, ValueError), ([1, 1], RankDeficientDesign),
+    ], ids=["negative", "non-integer", "past-the-columns", "one-past", "empty", "not-a-sequence",
+            "repeated"])
+    def test_columns_are_checked(self, columns, error):
+        # a negative index would read a column from the end and a float would be truncated;
+        # a repeated column is a valid index whose design is rank deficient
+        data = Example2Config(n=200).generate(RngStream(1, 0))
+        match = r"^propensity columns must be a nonempty sequence of integer indices in \[0, 2\)$"
+        with pytest.raises(error, match=match if error is ValueError else None):
+            fit_propensity_null(data, columns=columns)
+
     def test_an_overflow_is_a_classified_error_not_a_warning(self):
         # at 1e160 the first information, with entries about 1e320, overflows in its matmul
         data = Example2Config(n=200).generate(RngStream(3, 0))

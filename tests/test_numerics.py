@@ -110,6 +110,11 @@ class TestSolveSpd:
         with pytest.raises(SingularMatrix):
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("solve", [solve_spd, solve_gram], ids=["solve_spd", "solve_gram"])
+    def test_an_empty_matrix_is_refused(self, solve):
+        with pytest.raises(SingularMatrix, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+            solve(np.empty((0, 0)), np.empty(0))
+
     def test_positive_pivot_under_the_floor_raises(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
         assert dpotrf(m, lower=True)[1] == 0  # LAPACK alone factors it
@@ -193,7 +198,18 @@ class TestSolveSpd:
 ], ids=["example1", "example2-heteroskedastic", "example2-homoskedastic-n15"])
 def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
     """Whole replications through the column-loop solves give the same z and failures."""
-    lapack = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
+    checked = []
+
+    def recording(m, v):
+        checked.append(m)
+        return solve_spd(m, v)
+
+    # every fit and variance solve takes solve_gram's fast path: none pays for solve_spd's checks
+    with monkeypatch.context() as patch:
+        for module in (numerics, model, score):
+            patch.setattr(module, "solve_spd", recording)
+        lapack = run_rejection_study(cfg, 40, base_seed=2, keep_details=True).details
+    assert checked == []
     calls = []
 
     def loop_solve(m, v):
@@ -212,7 +228,8 @@ def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
 
 
 class TestSolveSpdChecks:
-    """solve_spd checks Python floats; numpy reductions over the whole matrix are the reference."""
+    """solve_spd's checks are numpy reductions over the whole matrix, as the reference's are:
+    the same verdict and message at every order and scale, and near the symmetry bound."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.sampled_from(_CHECKED_KINDS), st.integers(1, 12), st.integers(0, 2**32 - 1),
@@ -228,9 +245,8 @@ class TestSolveSpdChecks:
         ([[4.0, 0.0], [np.nextafter(4e-10, 1.0), 1.0]], "matrix is not symmetric"),
     ], ids=["past-the-diagonal-bound", "past-the-entry-bound", "on-the-bound", "one-ulp-over"])
     def test_asymmetry_near_the_bound(self, m, want):
-        # the quick bound, 1e-10 times the largest diagonal entry, lies below the symmetry
-        # bound, 1e-10 max |a_ij|, when an off-diagonal entry is the largest; between the
-        # two the full checks decide
+        # the symmetry bound is 1e-10 max |a_ij|, which an off-diagonal entry can set: then
+        # it lies above 1e-10 times the largest diagonal entry
         m = np.array(m)
         assert_same_verdict(m, np.ones(2))
         kind, out = verdict(solve_spd, m, np.ones(2))
@@ -259,8 +275,8 @@ VERDICT_CASES = {
 
 @pytest.mark.parametrize("m", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
 def test_the_verdict_cases_at_k12(m):
-    """Each case as the leading block of a 12×12 identity, an order whose checks are numpy's:
-    the same pivots, columns and symmetry bounds, so the same verdict and message."""
+    """Each case as the leading block of a 12×12 identity: the same pivots, columns and
+    symmetry bounds, so the same verdict and message as the case alone."""
     m = np.array(m)
     k = len(m)
     big = np.eye(12)
