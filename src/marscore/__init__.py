@@ -44,7 +44,6 @@ from .model import (
     fit_location,
     fit_outcome_parametric,
     fit_propensity_null,
-    location_fit_at,
 )
 from .numerics import (
     RngStream,

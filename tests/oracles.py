@@ -11,7 +11,9 @@ and ``solve_spd_numpy_checks`` is ``solve_spd`` with its input checks made by
 numpy reductions, whose verdicts and messages ``solve_spd`` must keep giving.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
-``outcome_fit_at`` plugs a known parameter into an outcome family, and
+``outcome_fit_at`` and ``location_fit_at`` plug a known parameter into an
+outcome family or a location basis, the first with its log-likelihood from
+the Gaussian density, and
 ``outcome_moment_gradients`` is the one-row view of ``marscore.model``'s
 ``gaussian_information`` that the finite-difference checks compare with.
 ``write_dataset_csv`` writes a dataset as the CSV that ``read_csv`` reads back.
@@ -46,7 +48,7 @@ from marscore.exceptions import (
     SingularMatrix,
 )
 from marscore.io import _NA_STRINGS, _undecodable_offset
-from marscore.model import _outcome_fit, gaussian_information
+from marscore.model import LocationFit, ParametricOutcomeFit, gaussian_information
 from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
 
@@ -134,10 +136,23 @@ def reduced_sigma_sq(comp, residual_variance):
 
 
 def outcome_fit_at(data, family, xi):
-    """The family evaluated at ``xi`` without optimizing, marked converged."""
+    """The family evaluated at ``xi`` without optimizing: its moments over all rows, and
+    the complete-case log-likelihood ``−½Σ(log 2πvar + r²/var)`` from the Gaussian density."""
     xi = np.asarray(xi, dtype=float)
-    s_all = data.design(family.logvar_basis) @ family.split(xi)[1]
-    return _outcome_fit(data, family, xi, iterations=0, s_all=s_all)
+    xi_m, xi_v = family.split(xi)
+    m1 = data.design(family.mean_basis) @ xi_m
+    var = np.exp(data.design(family.logvar_basis) @ xi_v)
+    r, v = data.y_complete - m1[data.complete_idx], var[data.complete_idx]
+    loglik = float(-0.5 * np.sum(np.log(2.0 * np.pi * v) + r * r / v))
+    return ParametricOutcomeFit(family=family, xi_hat=xi, loglik=loglik, iterations=0, m1=m1, var=var)
+
+
+def location_fit_at(data, mean_basis, theta):
+    """The location model evaluated at ``theta`` without fitting."""
+    mean_basis, theta = tuple(mean_basis), np.asarray(theta, dtype=float)
+    mu = data.design(mean_basis) @ theta
+    return LocationFit(theta_hat=theta, mean_basis=mean_basis, mu=mu,
+                       residuals=data.y_complete - mu[data.complete_idx])
 
 
 def outcome_moment_gradients(fit, x):

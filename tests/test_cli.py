@@ -144,7 +144,7 @@ class TestTestSubcommand:
 
     def test_plain_and_exact_routes_write_identical_reports(self, tmp_path):
         # blocks of 100 lines: the first half's missing outcomes are NA or blank, which the
-        # vectorised test takes; the second half's are " na " or Na, read cell by cell
+        # vectorised test takes; the second half's are " na " or Na, whose blocks the exact route reads
         cfg = Example2Config(n=800, xi_true=(-1, 1, 0.5, 0), beta0=0.85, beta1=0.25)
         data = generate_example2(cfg, RngStream(61, 0))
         xs, outcomes = data.x[:, 1].tolist(), iter(data.y_complete.tolist())
@@ -171,7 +171,7 @@ class TestTestSubcommand:
                                  "--group-by", "arm", "--output", str(out), "--format", fmt])
                     assert code == 0
                     reports[route, fmt] = out.read_bytes()
-            assert (exact.call_count > 0) == (route == "exact")
+            assert exact.call_count > 0
         assert reports["plain", "json"] == reports["exact", "json"]
         assert reports["plain", "csv"] == reports["exact", "csv"]
         assert len(json.loads(reports["plain", "json"])["results"]) == 4

@@ -128,7 +128,7 @@ class TestBasis:
         for make in (lambda: raw(-1), lambda: square(-2), lambda: product(1, -1)):
             with pytest.raises(ValueError):
                 make()
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="integer"):
             raw(1.5)
 
     def test_every_term_is_one_product(self):

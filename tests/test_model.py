@@ -27,7 +27,6 @@ from marscore.model import (
     fit_location,
     fit_outcome_parametric,
     fit_propensity_null,
-    location_fit_at,
 )
 from marscore.numerics import RngStream, solve_spd
 from marscore.sim import (
@@ -670,8 +669,27 @@ class TestEvaluators:
         pinned = outcome_fit_at(data, Example2Config.family, mle.xi_hat)
         assert pinned.loglik == pytest.approx(mle.loglik, rel=1e-12)
 
+    def test_outcome_loglik_is_the_accepted_one(self, monkeypatch):
+        # the fit reports the log-likelihood its last line search accepted: evaluating it again
+        # at xi_hat by another formula differs in the last bits on some of these draws
+        accepted = []
+
+        def recording(*args):
+            found = halving_search(*args)
+            accepted.append(found[1])
+            return found
+
+        halving_search = model._halving_search
+        monkeypatch.setattr(model, "_halving_search", recording)
+        het = Example2Config(n=200, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25)
+        for cfg in (het, Example1Config(n=1000, c1=0.0)):
+            for r in range(10):
+                fit = fit_outcome_parametric(cfg.generate(RngStream(5, r)), cfg.family)
+                assert fit.loglik == accepted[-1]
+
     def test_location_fit_at(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([1.0, 2.0, 2.0])  # Σx² = 9: the Cholesky solve of the normal equation is exact
         data = dataset_from_full([x], [1, 1, 1], 2.0 * x)
-        fit = location_fit_at(data, (raw(1),), np.array([2.0]))
+        fit = fit_location(data, (raw(1),))
+        assert fit.theta_hat.tolist() == [2.0]
         assert np.max(np.abs(fit.residuals)) == 0.0

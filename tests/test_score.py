@@ -24,7 +24,6 @@ from marscore.model import (
     fit_location,
     fit_outcome_parametric,
     fit_propensity_null,
-    location_fit_at,
 )
 from marscore.numerics import RngStream, normal_cdf
 from marscore.score import (
@@ -45,6 +44,7 @@ from marscore.sim import (
 from tests.oracles import (
     assemble,
     fd_gamma_score,
+    location_fit_at,
     outcome_fit_at,
     outcome_moment_gradients,
     quad_form_inv_loop,
@@ -86,7 +86,6 @@ class TestScoreStatisticS1:
             info_matrix=0.25 * np.eye(2),
             loglik=0.0,
             iterations=0,
-            converged=True,
             pi=np.full(3, 0.5),
             design=data.x,
         )
@@ -150,7 +149,6 @@ class TestVarianceS1:
             info_matrix=np.array([[0.25]]),
             loglik=0.0,
             iterations=0,
-            converged=True,
             pi=np.array([0.5]),
             design=data.x,
         )
@@ -261,7 +259,6 @@ class TestVarianceS2:
                 info_matrix=0.25 * design.T @ design / n,
                 loglik=0.0,
                 iterations=0,
-                converged=True,
                 pi=np.full(n, 0.5),
                 design=design,
             )
