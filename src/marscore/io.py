@@ -387,8 +387,12 @@ def group_by(data: Dataset, group_column: str) -> list[tuple[str, Dataset]]:
     for i, v in enumerate(data.labels[group_column]):
         members[v].append(i)
     # every row of a group carries its label, so only the other label columns are gathered
-    return [(label, data._subset(np.array(rows), {group_column: (label,) * len(rows)}))
-            for label, rows in members.items()]
+    groups = [(label, data._subset(np.array(rows), {group_column: (label,) * len(rows)}))
+              for label, rows in members.items()]
+    # needed only to cut the groups: held with the parent through every group's fits, its n
+    # entries raised the fits' minor page faults
+    data.__dict__.pop("_complete_rank", None)
+    return groups
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ Three fits, all requiring estimation only under the missing-at-random null:
   indicator on covariates (Newton with step halving, then a full step once
   its predicted gain is within rounding noise).
 * :func:`fit_outcome_parametric` — Gaussian conditional outcome model with
-  linear mean and log-variance bases, fit on complete cases.
+  linear mean and log-variance bases, fit on complete cases (in closed form
+  when the log-variance basis is the intercept alone).
 * :func:`fit_location` — least-squares mean model on complete cases.
 
 Each fit builds its result once, from the values it accepted; one that
@@ -262,12 +263,6 @@ class GaussianOutcomeFamily:
     def dim_xi(self) -> int:
         return self.dim_mean + len(self.logvar_basis)
 
-    def split(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dim_xi,):
-            raise ValueError(f"xi must have length {self.dim_xi}, got {xi.shape}")
-        return xi[: self.dim_mean], xi[self.dim_mean :]
-
 
 @dataclass(frozen=True)
 class ParametricOutcomeFit:
@@ -317,10 +312,17 @@ def _logvar_start(r, rss: float, bv, logvar_basis) -> np.ndarray:
 def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> ParametricOutcomeFit:
     """Maximize the complete-case Gaussian likelihood over xi.
 
-    Newton steps on the joint xi with step halving, from the least-squares
-    mean and a log variance fitted to its squared residuals: the projection
-    of ``log r²`` onto the log-variance basis, its intercept moved to the
-    maximiser along the intercept (see :func:`_logvar_start`). Each step
+    With an intercept-only log-variance basis the MLE has a closed form,
+    returned with ``iterations = 0``: under a constant variance the mean's
+    score equations are the least-squares normal equations, whatever the
+    variance, and the variance's score equation then gives ``RSS / n_c``,
+    so ``xi = (OLS mean, log(RSS / n_c))``.
+
+    Any other basis takes Newton steps on the joint xi with step halving,
+    from the least-squares mean and a log variance fitted to its squared
+    residuals: the projection of ``log r²`` onto the log-variance basis, its
+    intercept moved to the maximiser along the intercept (see
+    :func:`_logvar_start`). Each step
     solves the observed information ``[[bmᵀW bm, C], [Cᵀ, ½ bvᵀU bv]]``,
     formed as the weighted Gram matrix ``zᵀW z`` of ``z = [bm, r·bv]`` with
     its log-variance block halved, or where that is not positive definite
@@ -337,8 +339,10 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         )
     yc = data.y_complete
     bm = data.design(family.mean_basis, complete=True)
-    bv = data.design(family.logvar_basis, complete=True)
-    bv_all = data.design(family.logvar_basis)
+    closed = family.logvar_basis == (intercept(),)
+    if not closed:  # the closed form needs no log-variance design
+        bv = data.design(family.logvar_basis, complete=True)
+        bv_all = data.design(family.logvar_basis)
     qm = family.dim_mean
 
     def _floor_check(cand):
@@ -368,6 +372,19 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         if not math.isfinite(rss):
             raise NoConvergence(f"outcome fit cannot start: its mean residual square {rss} "
                                 "is not finite")
+        if closed:
+            xi_v = math.log(rss) if rss > 0.0 else -math.inf
+            if xi_v < _LOG_VARIANCE_FLOOR:
+                raise DegenerateVariance("fitted conditional variance fell below 1e-12",
+                                         mean_coef=xi_m.copy(), row=0)
+            return ParametricOutcomeFit(
+                family=family,
+                xi_hat=np.append(xi_m, xi_v),
+                loglik=float(-0.5 * nc * (_LOG_2PI + xi_v + 1.0)),
+                iterations=0,
+                m1=data.design(family.mean_basis) @ xi_m,
+                var=np.full(data.n, rss),
+            )
         xi = np.concatenate([xi_m, _logvar_start(r, rss, bv, family.logvar_basis)])
         _floor_check(xi)
         loglik, (r, s_c, w, u, u_sum) = evaluate(xi)

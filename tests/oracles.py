@@ -11,6 +11,7 @@ and ``solve_spd_numpy_checks`` is ``solve_spd`` with its input checks made by
 numpy reductions, whose verdicts and messages ``solve_spd`` must keep giving.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with.
+``split`` cuts an outcome family's ``xi`` into its mean and log-variance parts.
 ``outcome_fit_at`` and ``location_fit_at`` plug a known parameter into an
 outcome family or a location basis, the first with its log-likelihood from
 the Gaussian density, and
@@ -135,11 +136,19 @@ def reduced_sigma_sq(comp, residual_variance):
     )
 
 
+def split(family, xi):
+    """``xi`` of an outcome family as its mean and its log-variance coefficients."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (family.dim_xi,):
+        raise ValueError(f"xi must have length {family.dim_xi}, got {xi.shape}")
+    return xi[:family.dim_mean], xi[family.dim_mean:]
+
+
 def outcome_fit_at(data, family, xi):
     """The family evaluated at ``xi`` without optimizing: its moments over all rows, and
     the complete-case log-likelihood ``−½Σ(log 2πvar + r²/var)`` from the Gaussian density."""
     xi = np.asarray(xi, dtype=float)
-    xi_m, xi_v = family.split(xi)
+    xi_m, xi_v = split(family, xi)
     m1 = data.design(family.mean_basis) @ xi_m
     var = np.exp(data.design(family.logvar_basis) @ xi_v)
     r, v = data.y_complete - m1[data.complete_idx], var[data.complete_idx]
@@ -165,7 +174,7 @@ def outcome_moment_gradients(fit, x):
     row = np.atleast_2d(np.asarray(x, dtype=float))
     family = fit.family
     bv = design_matrix(family.logvar_basis, row)
-    _, xi_v = family.split(fit.xi_hat)
+    _, xi_v = split(family, fit.xi_hat)
     one = np.ones(1)
     grad_m1, info = gaussian_information(design_matrix(family.mean_basis, row), bv, np.exp(bv @ xi_v), one, one)
     return grad_m1, -info
@@ -233,7 +242,7 @@ def gaussian_moment(j: int) -> float:
 def gaussian_density(family, y, x_row, xi):
     """Conditional density f(y | x_row) of a Gaussian outcome family at xi,
     for an array of outcomes y."""
-    xi_m, xi_v = family.split(xi)
+    xi_m, xi_v = split(family, xi)
     row = np.atleast_2d(np.asarray(x_row, dtype=float))
     m = float(design_matrix(family.mean_basis, row)[0] @ xi_m)
     v = float(np.exp(design_matrix(family.logvar_basis, row)[0] @ xi_v))
@@ -244,7 +253,7 @@ def quadrature_moments(fit, x, order=30):
     """First and second conditional moments of the outcome at covariate x,
     by Gauss-Hermite integration of the family density (no closed forms)."""
     row = np.atleast_2d(np.asarray(x, dtype=float))
-    xi_m, xi_v = fit.family.split(fit.xi_hat)
+    xi_m, xi_v = split(fit.family, fit.xi_hat)
     m = float(design_matrix(fit.family.mean_basis, row)[0] @ xi_m)
     v = float(np.exp(design_matrix(fit.family.logvar_basis, row)[0] @ xi_v))
     nodes, weights = hermgauss(order)
@@ -276,7 +285,7 @@ def fd_integrated_hessian(family, xi, x, step=1e-4, order=40):
     f(y|x, xi) dy, the measure held fixed at xi."""
     xi = np.asarray(xi, dtype=float)
     row = np.atleast_2d(np.asarray(x, dtype=float))
-    xi_m, xi_v = family.split(xi)
+    xi_m, xi_v = split(family, xi)
     m = float(design_matrix(family.mean_basis, row)[0] @ xi_m)
     v = float(np.exp(design_matrix(family.logvar_basis, row)[0] @ xi_v))
     nodes, weights = hermgauss(order)

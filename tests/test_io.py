@@ -436,6 +436,15 @@ class TestGroupBy:
             seen.extend(sub.x[:, 1].tolist())
         assert sorted(seen) == sorted(data.x[:, 1].tolist())
 
+    def test_the_parent_lets_go_of_its_row_ranks(self):
+        # each row's index into y_complete is needed only while the groups are cut
+        data = self.grouped_dataset()
+        data._subset(np.arange(3), {})
+        assert "_complete_rank" in data.__dict__
+        groups = group_by(data, "sign")
+        assert "_complete_rank" not in data.__dict__
+        assert sum(g.n_complete for _, g in groups) == data.n_complete
+
     def test_every_kept_column_follows_its_rows(self):
         # interleaved groups, one of them a single row, and a second kept column
         arm = ("a", "b", "a", "c", "b", "a", "b")

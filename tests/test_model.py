@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from tests.oracles import (
     outcome_moment_gradients,
     quadrature_moments,
     solve_spd_loop,
+    split,
 )
 
 GRAD_RTOL = 1e-8
@@ -302,7 +304,7 @@ class TestFitOutcomeParametric:
         cov = solve_spd(bm.T @ bm, np.eye(3)) * np.exp(0.5)
         se_mean = np.sqrt(np.diag(cov))
         se_logvar = np.sqrt(2.0 / data.n_complete)
-        xi_mean, xi_logvar = fit.family.split(fit.xi_hat)
+        xi_mean, xi_logvar = split(fit.family, fit.xi_hat)
         for got, want, se in zip(xi_mean, (2.0, -1.0, 1.0), se_mean):
             assert abs(got - want) < 3 * se
         assert abs(xi_logvar[0] - 0.5) < 3 * se_logvar
@@ -416,7 +418,7 @@ class TestFitOutcomeParametric:
 
     def test_too_few_complete_cases(self):
         data = dataset_from_full([[0.1, 0.2, 0.3, 0.4]], [1, 1, 0, 0], [1.0, 2.0, 0, 0])
-        with pytest.raises(RankDeficientDesign):
+        with pytest.raises(RankDeficientDesign, match=r"^need at least dim_xi \+ 1 = 5 complete cases, have 2$"):
             fit_outcome_parametric(data, homoskedastic_family())
 
     @pytest.mark.parametrize("mean_basis, logvar_basis, what", [
@@ -494,13 +496,64 @@ class TestClosedFormStarts:
     def test_example1_at_n10000_takes_few_iterations(self):
         cfg = Example1Config(n=10_000, c1=0.0)
         data = cfg.generate(RngStream(1, 0))
-        assert fit_outcome_parametric(data, cfg.family).iterations == 1
+        assert fit_outcome_parametric(data, cfg.family).iterations == 0  # the closed form
         assert fit_propensity_null(data, cfg.propensity_columns).iterations <= 3
 
     def test_heteroskedastic_outcome_fits_take_at_most_five_iterations_on_average(self):
         iterations = [fit_outcome_parametric(HET_N1000.generate(RngStream(1, r)), HET_N1000.family)
                       .iterations for r in range(20)]
         assert np.mean(iterations) <= 5.0
+
+
+# criterion 8's homoskedastic working model on the Example 2 design
+HOM_FAMILY = dataclasses.replace(Example2Config.family, logvar_basis=(intercept(),))
+
+
+class TestClosedFormOutcomeFit:
+    """An intercept-only log-variance basis is fit in closed form: the least-squares mean
+    and the log of its mean residual square, with every refusal of the Newton path."""
+
+    @pytest.mark.parametrize("cfg, family", [
+        (Example1Config(n=30, c1=0.0), Example1Config.family),
+        (Example1Config(n=10_000, c1=0.0), Example1Config.family),
+        (Example2Config(n=30), HOM_FAMILY),
+        (Example2Config(n=1000), HOM_FAMILY),
+    ], ids=["ex1-n30", "ex1-n10000", "hom-n30", "hom-n1000"])
+    def test_least_squares_mean_and_log_mean_residual_square(self, cfg, family):
+        for r in range(5):
+            data = cfg.generate(RngStream(3, r))
+            fit = fit_outcome_parametric(data, family)
+            bm = data.design(family.mean_basis, complete=True)
+            xi_m = np.linalg.lstsq(bm, data.y_complete, rcond=None)[0]
+            rss = np.sum((data.y_complete - bm @ xi_m) ** 2)
+            assert fit.iterations == 0
+            assert_allclose(fit.xi_hat, np.append(xi_m, np.log(rss / data.n_complete)), rtol=1e-12)
+            assert fit.loglik == pytest.approx(outcome_fit_at(data, family, fit.xi_hat).loglik, rel=1e-13)
+            assert np.all(fit.var == fit.var[0]) and fit.var[0] == pytest.approx(rss / data.n_complete, rel=1e-12)
+
+    @pytest.mark.parametrize("y", [np.zeros(8), 1.0 + 2.0 * np.arange(8.0)],
+                             ids=["zero-residual-square", "rounding-residual-square"])
+    def test_an_exact_fit_flags_degenerate_variance(self, y):
+        data = dataset_from_full([np.arange(8.0)], [1] * 6 + [0, 0], y)
+        family = GaussianOutcomeFamily((intercept(), raw(1)), (intercept(),))
+        with pytest.raises(DegenerateVariance, match="^fitted conditional variance fell below 1e-12$") as excinfo:
+            fit_outcome_parametric(data, family)
+        # the least-squares mean, and the first row of a constant variance
+        assert excinfo.value.mean_coef.tobytes() == fit_location(data, family.mean_basis).theta_hat.tobytes()
+        assert excinfo.value.row == 0
+
+    def test_an_overflowing_residual_square_is_no_convergence(self):
+        data = Example1Config(n=300, c1=0.0).generate(RngStream(3, 0))
+        scaled = Dataset(x=data.x, d=data.d, y_complete=1e160 * data.y_complete)
+        with pytest.raises(NoConvergence, match=r"^outcome fit cannot start: its mean residual square inf "
+                                                r"is not finite$"):
+            fit_outcome_parametric(scaled, Example1Config.family)
+
+    def test_a_duplicated_mean_column_is_rank_deficient(self):
+        x = np.array([-1.0, -0.5, 0.2, 0.7, 1.1, 1.6, 0.4, -0.3])
+        data = dataset_from_full([x, x], [1] * 6 + [0, 0], np.arange(8.0))
+        with pytest.raises(RankDeficientDesign, match="^outcome mean design is rank deficient: pivot"):
+            fit_outcome_parametric(data, Example1Config.family)
 
 
 class TestFitLocation:
@@ -525,7 +578,7 @@ class TestFitLocation:
         data = generate_example1(cfg, RngStream(16, 0))
         of = fit_outcome_parametric(data, Example1Config.family)
         lf = fit_location(data, Example1Config.location_basis)
-        xi_mean, _ = of.family.split(of.xi_hat)
+        xi_mean, _ = split(of.family, of.xi_hat)
         assert np.max(np.abs(xi_mean - lf.theta_hat)) < 1e-8
 
     def test_normal_equations(self):
@@ -682,10 +735,16 @@ class TestEvaluators:
         halving_search = model._halving_search
         monkeypatch.setattr(model, "_halving_search", recording)
         het = Example2Config(n=200, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25)
-        for cfg in (het, Example1Config(n=1000, c1=0.0)):
-            for r in range(10):
-                fit = fit_outcome_parametric(cfg.generate(RngStream(5, r)), cfg.family)
-                assert fit.loglik == accepted[-1]
+        for r in range(10):
+            fit = fit_outcome_parametric(het.generate(RngStream(5, r)), het.family)
+            assert fit.loglik == accepted[-1]
+        # an intercept-only log variance runs no search: its loglik is the closed form's
+        cfg, searches = Example1Config(n=1000, c1=0.0), len(accepted)
+        for r in range(10):
+            data = cfg.generate(RngStream(5, r))
+            fit = fit_outcome_parametric(data, cfg.family)
+            assert fit.loglik == -0.5 * data.n_complete * (np.log(2.0 * np.pi) + fit.xi_hat[-1] + 1.0)
+        assert len(accepted) == searches
 
     def test_location_fit_at(self):
         x = np.array([1.0, 2.0, 2.0])  # Σx² = 9: the Cholesky solve of the normal equation is exact

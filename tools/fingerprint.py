@@ -5,7 +5,10 @@ One line per (Monte Carlo design, seed) hashes every replication of
 test's statistic, σ² and z, as ``float.hex``), or ``"<Class>: <message>"`` for
 a replication that fails to fit. One line per ``marscore test`` report hashes
 the report's bytes, JSON and CSV, for the benchmark's ``cli_test_csv`` input.
-The designs and the CLI input come from ``perfbench/workloads.py``.
+The benchmark's designs and the CLI input come from ``perfbench/workloads.py``.
+Two more designs fit an intercept-only log variance at sizes where some
+replications fail: Example 1 at n = 12, and Example 2 under the homoskedastic
+working model at n = 15.
 
 Run it from any directory, at two commits, and compare the outputs::
 
@@ -16,6 +19,7 @@ the BLAS build, so two machines may print different lines for one commit.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import os
 import sys
@@ -28,6 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from marscore import cli, sim  # noqa: E402
+from marscore.basis import intercept  # noqa: E402
 from marscore.exceptions import MarscoreError  # noqa: E402
 from marscore.numerics import RngStream  # noqa: E402
 from perfbench import workloads as wl  # noqa: E402
@@ -66,9 +71,20 @@ def report_digests(seed: int, work: Path) -> dict:
     return digests
 
 
+class HomWorkingModel(sim.Example2Config):
+    """Example 2 under a homoskedastic working outcome model."""
+
+    family = dataclasses.replace(sim.Example2Config.family, logvar_basis=(intercept(),))
+
+
+def designs() -> list:
+    """``(name, config, replications)`` of each Monte Carlo design."""
+    benchmark = [(name, wl.WORKLOADS[name].config(sim), reps) for name, reps in REPLICATIONS.items()]
+    return benchmark + [("ex1_n12", sim.Example1Config(n=12), 3000), ("hom_n15", HomWorkingModel(n=15), 3000)]
+
+
 def main() -> None:
-    for name, replications in REPLICATIONS.items():
-        cfg = wl.WORKLOADS[name].config(sim)
+    for name, cfg, replications in designs():
         for seed in MC_SEEDS:
             print(f"{name} seed={seed} reps={replications} {study_digest(cfg, seed, replications)}", flush=True)
     with tempfile.TemporaryDirectory() as work:
