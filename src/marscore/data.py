@@ -89,8 +89,8 @@ class Dataset:
 
     def design(self, terms, complete: bool = False) -> np.ndarray:
         """The design of basis ``terms`` over all rows, or over the complete rows when
-        ``complete``, read-only and F-ordered. Each basis is evaluated once per dataset,
-        and its complete rows are gathered from that evaluation.
+        ``complete``, read-only and F-ordered. Each is built once per dataset, on its first
+        request: the complete rows are gathered from the design over all rows.
 
         Raises
         ------
@@ -98,16 +98,19 @@ class Dataset:
             If a term's product of covariate columns overflows.
         """
         terms = tuple(terms)
-        designs = self._designs.get(terms)
-        if designs is None:
-            with np.errstate(over="ignore"):
-                out = design_matrix(terms, self.x)
-            if not np.isfinite(out).all():
-                k = int(np.isfinite(out).all(axis=0).argmin())
-                raise RankDeficientDesign(f"design column {k} ({terms[k]}) overflows")
-            out.flags.writeable = False
-            designs = self._designs[terms] = (out, _rows(out, self.complete_idx))
-        return designs[1] if complete else designs[0]
+        out = self._designs.get((terms, complete))
+        if out is None:
+            if complete:
+                out = _rows(self.design(terms), self.complete_idx)
+            else:
+                with np.errstate(over="ignore"):
+                    out = design_matrix(terms, self.x)
+                if not np.isfinite(out).all():
+                    k = int(np.isfinite(out).all(axis=0).argmin())
+                    raise RankDeficientDesign(f"design column {k} ({terms[k]}) overflows")
+                out.flags.writeable = False
+            self._designs[terms, complete] = out
+        return out
 
     @cached_property
     def _designs(self) -> dict:
@@ -129,23 +132,19 @@ class Dataset:
         if (rows.ndim != 1 or rows.dtype.kind not in "iu"
                 or rows.size and not 0 <= rows.min() <= rows.max() < self.n):
             raise ValueError(f"rows must be a 1-D array of integer row indices in [0, {self.n})")
-        return self._subset(rows, {})
+        return self._subset(rows, {}, np.cumsum(self.d) - 1)
 
-    def _subset(self, rows: np.ndarray, labels: dict) -> "Dataset":
-        """``subset`` of checked ``rows``, its label columns taken from ``labels`` where it
-        holds them (``marscore.io.group_by`` knows its group column's) and gathered otherwise."""
+    def _subset(self, rows: np.ndarray, labels: dict, rank: np.ndarray) -> "Dataset":
+        """``subset`` of checked ``rows``, ``rank`` holding each row's index into ``y_complete``
+        (that of the complete row at or before it). Label columns come from ``labels`` where it
+        holds them (``marscore.io.group_by`` knows its group column's), else are gathered."""
         d = self.d[rows]
         return Dataset(
             x=_rows(self.x, rows),
             d=d,
-            y_complete=self.y_complete[self._complete_rank[rows[d == 1]]],
+            y_complete=self.y_complete[rank[rows[d == 1]]],
             labels={k: labels[k] if k in labels else _gather(v, rows) for k, v in self.labels.items()},
         )
-
-    @cached_property
-    def _complete_rank(self) -> np.ndarray:
-        """Each row's index into ``y_complete`` (that of the complete row at or before it)."""
-        return np.cumsum(self.d) - 1
 
 
 def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -22,8 +22,7 @@ import re
 from collections import defaultdict
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
-from itertools import chain, compress, islice
-from operator import itemgetter
+from itertools import chain, islice
 
 import numpy as np
 
@@ -168,10 +167,10 @@ def read_csv(path, spec: ColumnSpec, keep_columns=()) -> Dataset:
     The file is read one block of lines at a time, so the transient cost is
     one block's cells, by one of two routes with identical results. A plain
     block (no quote, no NUL, no carriage return outside ``\\r\\n``, no
-    field past the csv size limit) has one record per non-blank line and
-    goes through numpy's C parser in one call. Any other block, and the rest
-    of the file after a quote (a quoted field can run on into the next
-    block), goes through ``csv.reader`` and is parsed a column per step.
+    line longer than the csv field size limit) has one record per non-blank
+    line and goes through numpy's C parser in one call. The rest of the file
+    from any other block on (a quoted field can run on into the next block)
+    goes through ``csv.reader`` and is read cell by cell, row by row.
     Only that exact route raises: a plain block that numpy refuses, or that
     holds a non-finite or unparsable value, is parsed again by it, so every
     error, row number and line number is the exact route's.
@@ -251,13 +250,11 @@ def _raising(exc):
 
 def _is_plain(lines) -> bool:
     """Whether csv.reader would read each line as one record, or none if
-    blank, with every cell the line's text between commas."""
-    text, limit = "".join(lines), csv.field_size_limit()
-    return (
-        '"' not in text and "\0" not in text and not _LONE_CR.search(text)
-        # a line within csv's field limit holds no field past it; else measure the fields
-        and (max(map(len, lines), default=0) <= limit or max(map(len, re.split("[,\n]", text))) <= limit)
-    )
+    blank, with every cell the line's text between commas: a line within
+    csv's field limit holds no field past it."""
+    text = "".join(lines)
+    return ('"' not in text and "\0" not in text and not _LONE_CR.search(text)
+            and max(map(len, lines), default=0) <= csv.field_size_limit())
 
 
 def _parse_plain(lines, first_row: int, at: dict, spec: ColumnSpec, keep_columns: tuple):
@@ -296,43 +293,22 @@ def _parse_plain(lines, first_row: int, at: dict, spec: ColumnSpec, keep_columns
 
 def _parse_block(rows, first_row: int, at: dict, spec: ColumnSpec, keep_columns: tuple):
     """``(d, y, x, labels)`` of one block of records, the first numbered
-    ``first_row``; raises the block's first bad cell."""
+    ``first_row``, read cell by cell in row-major order, the outcome first;
+    raises the block's first bad cell."""
     width = 1 + max(at.values())
-    if min(map(len, rows)) < width:
-        rows = [row if len(row) >= width else row + [""] * (width - len(row)) for row in rows]
-    outcome = list(map(str.strip, map(itemgetter(at[spec.outcome_column]), rows)))
-    observed = [cell.lower() not in _NA_STRINGS for cell in outcome]
-    try:
-        y = list(map(float, compress(outcome, observed)))
-        covariates = [list(map(float, map(itemgetter(at[c]), rows))) for c in spec.covariate_columns]
-    except ValueError:
-        y, covariates = _scan_block(rows, first_row, at, spec)
-    x = np.ones((1 + len(covariates), len(rows)))  # term-major: one row per covariate column
-    for j, values in enumerate(covariates, start=1):
-        x[j] = values
-    y = np.array(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        _scan_block(rows, first_row, at, spec)  # raises the first non-finite cell
-    labels = {c: list(map(str.strip, map(itemgetter(at[c]), rows))) for c in keep_columns}
-    return np.array(observed, dtype=np.int8), y, x, labels
-
-
-def _scan_block(rows, first_row: int, at: dict, spec: ColumnSpec):
-    """``(y, covariate columns)`` of one block read cell by cell in row-major
-    order, the outcome first; raises the first bad cell.
-
-    float() ignores less surrounding whitespace than str.strip(), so a block
-    can fail the column-wise parse and still read cleanly here.
-    """
     names = (spec.outcome_column, *spec.covariate_columns)
-    columns = [[] for _ in names]
+    cells = [(j, at[name], name) for j, name in enumerate(names)]
+    columns, missing = [[] for _ in names], []
     for number, row in enumerate(rows, start=first_row):
-        for j, name in enumerate(names):
-            cell = row[at[name]].strip()
+        if len(row) < width:  # a short row reads as blank cells
+            row += [""] * (width - len(row))
+        for j, k, name in cells:
+            cell = row[k].strip()
             if cell.lower() in _NA_STRINGS:
-                if j == 0:
-                    continue  # a missing outcome
-                raise MissingCovariate(f"row {number}, column {name!r}: covariates may never be missing")
+                if j:
+                    raise MissingCovariate(f"row {number}, column {name!r}: covariates may never be missing")
+                missing.append(number - first_row)
+                continue
             try:
                 value = float(cell)
             except ValueError:
@@ -342,7 +318,13 @@ def _scan_block(rows, first_row: int, at: dict, spec: ColumnSpec):
             if not math.isfinite(value):
                 raise NonNumericCell(f"row {number}, column {name!r}: {value} is not a finite number")
             columns[j].append(value)
-    return columns[0], columns[1:]
+    d = np.ones(len(rows), dtype=np.int8)
+    d[missing] = 0
+    x = np.ones((len(names), len(rows)))  # term-major: row 0 the intercept, then one per covariate
+    for j in range(1, len(names)):
+        x[j] = columns[j]
+    labels = {c: [row[at[c]].strip() for row in rows] for c in keep_columns}
+    return d, np.array(columns[0], dtype=float), x, labels
 
 
 def _undecodable_offset(path) -> int:
@@ -386,13 +368,10 @@ def group_by(data: Dataset, group_column: str) -> list[tuple[str, Dataset]]:
     members: dict[str, list[int]] = defaultdict(list)  # keeps first-appearance order
     for i, v in enumerate(data.labels[group_column]):
         members[v].append(i)
+    rank = np.cumsum(data.d) - 1
     # every row of a group carries its label, so only the other label columns are gathered
-    groups = [(label, data._subset(np.array(rows), {group_column: (label,) * len(rows)}))
-              for label, rows in members.items()]
-    # needed only to cut the groups: held with the parent through every group's fits, its n
-    # entries raised the fits' minor page faults
-    data.__dict__.pop("_complete_rank", None)
-    return groups
+    return [(label, data._subset(np.array(rows), {group_column: (label,) * len(rows)}, rank))
+            for label, rows in members.items()]
 
 
 @dataclass(frozen=True)

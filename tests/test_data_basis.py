@@ -5,7 +5,9 @@ from marscore import io, sim
 from marscore.basis import design_matrix, intercept, product, raw, square
 from marscore.data import Dataset
 from marscore.exceptions import RankDeficientDesign
+from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
 from marscore.numerics import RngStream
+from marscore.score import variance_s1, variance_s2
 
 
 def small_dataset():
@@ -71,6 +73,24 @@ class TestDataset:
         # the complete rows of the all-row design are the design of the complete rows, bit for bit
         assert np.array_equal(complete, design_matrix(terms, data.x[data.complete_idx]))
         assert complete.flags["F_CONTIGUOUS"] and complete is data.design(terms, complete=True)
+
+    def test_complete_rows_are_gathered_only_on_request(self):
+        # Example 1's closed-form outcome fit needs no log-variance design; S1's variance reads
+        # that design over all rows only
+        cfg = sim.Example1Config(n=300)
+        data = cfg.generate(RngStream(3, 0))
+        pf = fit_propensity_null(data, columns=cfg.propensity_columns)
+        of, lf = fit_outcome_parametric(data, cfg.family), fit_location(data, cfg.location_basis)
+        variance_s1(data, pf, of)
+        variance_s2(data, pf, lf)
+        mean, logvar = cfg.family.mean_basis, (intercept(),)
+        assert set(data._designs) == {(mean, False), (mean, True), (logvar, False)}
+        for terms, complete in list(data._designs):
+            if complete:
+                got = data.design(terms, complete=True)
+                want = data.design(terms)[data.complete_idx]
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert not got.flags.writeable and data.design(terms, complete=True) is got
 
     def test_an_overflowing_design_is_rank_deficient(self):
         # 1e160 squared is beyond the double range; the suite turns an escaping warning into a failure

@@ -323,6 +323,23 @@ class TestColumnarReader:
         assert data.n == 50_000
         assert peak - base < 2 * (held - base)
 
+    def test_a_line_past_the_field_limit_takes_the_exact_route(self, tmp_path):
+        # every field is within the lowered limit, but no line is
+        lines = ["y,u,z,g"] + [f"{i}.5,0.{i},1.{i},{'w' * (i % 30)}" for i in range(60)]
+        lines[7] = "NA,0.25,1.5,w"
+        path = tmp_path / "d.csv"
+        write_lines(path, lines)
+        limit = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            want = read_outcome(read_csv_rowwise, path, keep_columns=("g",))
+            with mock.patch.object(marscore.io, "_parse_block", wraps=marscore.io._parse_block) as exact:
+                got = read_outcome(read_csv, path, keep_columns=("g",))
+        finally:
+            csv.field_size_limit(limit)
+        assert max(map(len, lines)) > FIELD_LIMIT >= max(len(c) for line in lines for c in line.split(","))
+        assert exact.call_count == 1
+        assert got == want and len(got) == 4
+
     def test_benchmark_shaped_file_never_takes_the_exact_route(self, tmp_path):
         path = tmp_path / "big.csv"
         write_benchmark_shaped_csv(path)
@@ -436,14 +453,19 @@ class TestGroupBy:
             seen.extend(sub.x[:, 1].tolist())
         assert sorted(seen) == sorted(data.x[:, 1].tolist())
 
-    def test_the_parent_lets_go_of_its_row_ranks(self):
-        # each row's index into y_complete is needed only while the groups are cut
+    def test_cutting_leaves_the_parent_as_it_was(self):
+        # row ranks are computed per call, so no cut caches them on the parent
         data = self.grouped_dataset()
-        data._subset(np.arange(3), {})
-        assert "_complete_rank" in data.__dict__
+        keys = list(data.__dict__)
         groups = group_by(data, "sign")
-        assert "_complete_rank" not in data.__dict__
-        assert sum(g.n_complete for _, g in groups) == data.n_complete
+        assert list(data.__dict__) == keys
+        data.subset(np.arange(3))
+        assert list(data.__dict__) == keys
+        y_full = np.full(data.n, np.nan)
+        y_full[data.d == 1] = data.y_complete
+        for label, sub in groups:
+            rows = np.array([i for i, v in enumerate(data.labels["sign"]) if v == label])
+            assert sub.y_complete.tobytes() == y_full[rows[data.d[rows] == 1]].tobytes()
 
     def test_every_kept_column_follows_its_rows(self):
         # interleaved groups, one of them a single row, and a second kept column

@@ -4,7 +4,10 @@ One line per (Monte Carlo design, seed) hashes every replication of
 ``run_single_replication(cfg, RngStream(seed, r))``: its six numbers (each
 test's statistic, σ² and z, as ``float.hex``), or ``"<Class>: <message>"`` for
 a replication that fails to fit. One line per ``marscore test`` report hashes
-the report's bytes, JSON and CSV, for the benchmark's ``cli_test_csv`` input.
+the report's bytes, JSON and CSV, for the benchmark's ``cli_test_csv`` input
+and for a fully quoted copy of it (``cli_test_csv_quoted``), which ``read_csv``
+reads by its exact ``csv`` route: the tool exits with an error unless the two
+inputs' reports are byte-identical.
 The benchmark's designs and the CLI input come from ``perfbench/workloads.py``.
 Two more designs fit an intercept-only log variance at sizes where some
 replications fail: Example 1 at n = 12, and Example 2 under the homoskedastic
@@ -19,6 +22,7 @@ the BLAS build, so two machines may print different lines for one commit.
 """
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import os
@@ -56,19 +60,22 @@ def study_digest(cfg, seed: int, replications: int) -> str:
     return digest.hexdigest()
 
 
-def report_digests(seed: int, work: Path) -> dict:
-    workload = wl.WORKLOADS["cli_test_csv"]
-    data = work / f"cli_test_csv_{seed}.csv"
-    wl.write_cli_csv(data, seed, workload.rows)
+def report_digests(data: Path) -> dict:
     digests = {}
     for fmt in ("json", "csv"):
-        out = work / f"report_{seed}.{fmt}"
+        out = data.with_suffix(f".report.{fmt}")
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             code = cli.main(["test", "--data", str(data), *wl.CLI_ARGS, "--format", fmt, "--output", str(out)])
         if code != 0:
-            raise SystemExit(f"marscore test exited {code} on seed {seed}, format {fmt}")
+            raise SystemExit(f"marscore test exited {code} on {data.name}, format {fmt}")
         digests[fmt] = hashlib.sha256(out.read_bytes()).hexdigest()
     return digests
+
+
+def write_quoted(source: Path, path: Path) -> None:
+    """A copy of a CSV file with every field quoted."""
+    with open(source, newline="", encoding="utf-8") as src, open(path, "w", newline="", encoding="utf-8") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
 
 
 class HomWorkingModel(sim.Example2Config):
@@ -89,8 +96,15 @@ def main() -> None:
             print(f"{name} seed={seed} reps={replications} {study_digest(cfg, seed, replications)}", flush=True)
     with tempfile.TemporaryDirectory() as work:
         for seed in CLI_SEEDS:
-            for fmt, digest in report_digests(seed, Path(work)).items():
-                print(f"cli_test_csv seed={seed} {fmt} {digest}", flush=True)
+            data, quoted = Path(work, f"plain_{seed}.csv"), Path(work, f"quoted_{seed}.csv")
+            wl.write_cli_csv(data, seed, wl.WORKLOADS["cli_test_csv"].rows)
+            write_quoted(data, quoted)
+            digests = {"cli_test_csv": report_digests(data), "cli_test_csv_quoted": report_digests(quoted)}
+            for name, by_format in digests.items():
+                for fmt, digest in by_format.items():
+                    print(f"{name} seed={seed} {fmt} {digest}", flush=True)
+            if len(set(map(str, digests.values()))) > 1:
+                raise SystemExit(f"the quoted copy of seed {seed}'s input gives other reports")
 
 
 if __name__ == "__main__":
