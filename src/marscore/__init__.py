@@ -21,6 +21,7 @@ from .exceptions import (
     MissingCovariate,
     NegativeVariance,
     NoConvergence,
+    NonFiniteDraw,
     NonNumericCell,
     RankDeficientDesign,
     Separation,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -143,7 +142,8 @@ class Dataset:
             x=_rows(self.x, rows),
             d=d,
             y_complete=self.y_complete[rank[rows[d == 1]]],
-            labels={k: labels[k] if k in labels else _gather(v, rows) for k, v in self.labels.items()},
+            labels={k: labels[k] if k in labels else tuple([v[i] for i in rows.tolist()])
+                    for k, v in self.labels.items()},
         )
 
 
@@ -154,10 +154,3 @@ def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     out.flags.writeable = False
     return out
 
-
-def _gather(values, rows: np.ndarray) -> tuple:
-    """``values`` at ``rows``, as a tuple, without a Python loop."""
-    index = rows.tolist()
-    if len(index) < 2:  # itemgetter needs an index, and of one it returns the bare item
-        return tuple([values[i] for i in index])
-    return itemgetter(*index)(values)

@@ -68,6 +68,10 @@ class NegativeVariance(MarscoreError):
         self.components = components
 
 
+class NonFiniteDraw(MarscoreError):
+    """A simulated outcome overflowed, or an observation probability is nan."""
+
+
 class InvalidAlpha(MarscoreError):
     """Significance level outside (0, 1)."""
 

@@ -2,8 +2,8 @@
 reproducible random streams.
 
 :func:`solve_spd` checks any SPD matrix with numpy reductions (finite entries,
-symmetry to 1e-10) and solves it; :func:`solve_gram` is its fast path for the weighted
-Gram matrices the fits solve, and hands it any matrix it cannot vouch for.
+symmetry to 1e-10) and solves it; :func:`solve_gram`, its fast path for the fits' weighted
+Gram matrices, checks one sum of Python floats and hands it any it cannot vouch for.
 
 Everything here is a pure function of its inputs. Streams are counter-based
 (Philox keyed by ``(seed, stream_id)``), so replication ``r`` of a Monte Carlo
@@ -29,13 +29,6 @@ from .exceptions import SingularMatrix
 _PIVOT_RTOL = 1e-12
 
 _SYM_RTOL = 1e-10
-
-# Largest order whose Gram matrix solve_gram checks for finiteness on Python floats. That
-# costs O(k²) interpreted steps: best of 7×2000 calls on a 2-core x86-64 host, the
-# check and the diagonal's extraction took 1.07 µs against 1.64 µs with np.isfinite at
-# k = 4, 1.57 against 1.70 at k = 7, 1.76 against 1.64 at k = 8, 2.05 against 1.71 at
-# k = 9 and 5.34 against 1.81 at k = 16.
-_PYTHON_CHECKS_MAX_K = 7
 
 # Rounding noise of a sum, in ulps of its terms' summed magnitude.
 _NOISE_ULPS = 256
@@ -92,19 +85,15 @@ def solve_gram(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Each entry of such a matrix sums n products, so rounding puts ``|a_ij − a_ji|`` within
     about ``2(n + 2)·2⁻⁵³·max a_ii``, inside solve_spd's 1e-10 symmetry bound for those
-    n, and the symmetry check is skipped. One sum over every entry checks finiteness,
-    above the diagonal too, which ``dposv`` never reads; above order 7, where Python
-    floats cost more, ``np.isfinite`` checks instead. Then come solve_spd's ``dposv``
-    call and pivot floor. A matrix with a non-finite entry or sum, or a diagonal entry
-    under 1e-200, goes to solve_spd itself.
+    n, and the symmetry check is skipped. One sum of Python floats over every entry checks
+    finiteness, above the diagonal too, which ``dposv`` never reads. Then come solve_spd's
+    ``dposv`` call and pivot floor. A matrix with a non-finite entry or sum, or a diagonal
+    entry under 1e-200, goes to solve_spd itself.
     """
     k = m.shape[0]
-    if k > _PYTHON_CHECKS_MAX_K:
-        finite, diagonal = np.isfinite(m).all(), m.diagonal().tolist()
-    else:
-        flat = m.ravel().tolist()
-        finite, diagonal = math.isfinite(sum(flat)), flat[:: k + 1]
-    if finite and k and min(diagonal) > _GRAM_MIN_DIAG:
+    flat = m.ravel().tolist()
+    diagonal = flat[:: k + 1]
+    if math.isfinite(sum(flat)) and k and min(diagonal) > _GRAM_MIN_DIAG:
         return _factor_and_solve(m, v, diagonal)
     return solve_spd(m, v)
 

@@ -33,7 +33,7 @@ from scipy.special import expit
 
 from .basis import intercept, raw, square
 from .data import Dataset
-from .exceptions import MarscoreError
+from .exceptions import MarscoreError, NonFiniteDraw
 from .model import (
     GaussianOutcomeFamily,
     fit_location,
@@ -98,6 +98,7 @@ class Example1Config:
             "w_variant": self.w_variant,
         }
 
+    @np.errstate(over="ignore", invalid="ignore")  # _observe checks the outcomes and probabilities
     def generate(self, stream: RngStream) -> Dataset:
         """Draw one dataset; covariate vector is (1, U, Z)."""
         rng = stream.generator()
@@ -105,9 +106,8 @@ class Example1Config:
         u = 1.0 - z + rng.standard_normal(self.n)
         y = 1.0 + u + self.b_z * z + rng.standard_normal(self.n)
         p_obs = normal_cdf(self.c0 + self.c1 * w_function(self.w_variant, y) + self.c2 * u)
-        d = (rng.random(self.n) < p_obs).astype(np.int8)
         x = np.array([np.ones(self.n), u, z]).T  # column-major, as Dataset stores it
-        return Dataset.from_generated(x, d, y)
+        return _observe(x, y, p_obs, rng)
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,7 @@ class Example2Config:
             "gamma": self.gamma,
         }
 
+    @np.errstate(over="ignore", invalid="ignore")  # _observe checks the outcomes and probabilities
     def generate(self, stream: RngStream) -> Dataset:
         """Draw one dataset; covariate vector is (1, X)."""
         rng = stream.generator()
@@ -152,9 +153,19 @@ class Example2Config:
         sd = np.exp(0.5 * (xi3 + xi4 * x))
         y = mean + sd * rng.standard_normal(self.n)
         p_obs = expit(self.beta0 + self.beta1 * x + self.gamma * y)
-        d = (rng.random(self.n) < p_obs).astype(np.int8)
         design = np.array([np.ones(self.n), x]).T  # column-major, as Dataset stores it
-        return Dataset.from_generated(design, d, y)
+        return _observe(design, y, p_obs, rng)
+
+
+def _observe(x: np.ndarray, y: np.ndarray, p_obs: np.ndarray, rng) -> Dataset:
+    """Covariates ``x`` and outcomes ``y``, each observed where ``rng``'s next uniform is below
+    ``p_obs``; ``NonFiniteDraw`` if an outcome, observed or not, or a ``p_obs`` is nan."""
+    if not np.isfinite(y).all() or np.isnan(p_obs).any():
+        row = int((~np.isfinite(y) | np.isnan(p_obs)).argmax())
+        raise NonFiniteDraw(f"row {row} drew outcome {float(y[row])} with observation "
+                            f"probability {float(p_obs[row])}")
+    d = (rng.random(y.size) < p_obs).astype(np.int8)
+    return Dataset.from_generated(x, d, y)
 
 
 generate_example1 = Example1Config.generate

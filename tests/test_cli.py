@@ -1,5 +1,6 @@
 import codecs
 import json
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -122,6 +123,33 @@ class TestSimulate:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert "variant" in header and "rate" in header
+
+
+class TestOverflowingDesigns:
+    """A design that overflows in floating point keeps the CLI contract: exit 0, or exit 1
+    with one ``error:`` line, and no traceback or warning."""
+
+    ALL_FAILED = "error: MarscoreError: every replication failed to fit; nothing to aggregate\n"
+
+    @pytest.mark.parametrize(
+        "flags, code, err",
+        [
+            # Z·1e308 overflows, so every draw holds an infinite outcome
+            (["--example", "1", "--bz", "1e308", "--c1", "1"], 1, ALL_FAILED),
+            (["--example", "2", "--xi", "1e308,0,0,0", "--gamma", "-1"], 1, ALL_FAILED),
+            # c1·w(Y) overflows to ±inf, and Φ(±inf) is an observation probability of 1 or 0
+            (["--example", "1", "--c1", "1e308"], 0, ""),
+            # the standard deviation overflows, and 0·inf makes an observation probability nan
+            (["--example", "2", "--xi", "0,0,0,1e3"], 1, ALL_FAILED),
+        ],
+        ids=["ex1-bz", "ex2-xi1", "ex1-c1", "ex2-xi4"],
+    )
+    def test_exit_code_and_stderr(self, capsys, flags, code, err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", *flags, "--n", "50", "--reps", "2"]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == err
 
 
 class TestTestSubcommand:

@@ -194,19 +194,28 @@ FAULT_CELLS = (
 )
 QUOTED_CELLS = ("1,5", "3\n", "x\ny")  # csv.writer quotes these
 FIELD_LIMIT = 40  # shrunk for the property, so a 50-character cell is oversized
+SHORT = 5  # six cells of this length, their commas and "\r\n" fit in FIELD_LIMIT
 
 
 @st.composite
 def faulty_csv(draw):
     """CSV text over columns y, u, z, g and w in any order, with faults.
 
-    Most texts hold no quote, so their blocks take numpy's route."""
+    Three texts in four hold only cells of at most ``SHORT`` characters, so every
+    line is within the field limit and, unless a cell is quoted or a line ends in
+    a lone ``\\r``, their blocks take numpy's route. The others draw any float's
+    ``repr`` and the oversized cell, and their long lines send the rest of the
+    text to the exact route."""
     header = draw(st.permutations(["y", "u", "z", "g", "w"]))
+    short = draw(st.sampled_from([True, True, True, False]))
     number = st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(-99.0, 99.0).map("{:.1f}".format) if short
+        else st.floats(allow_nan=False, allow_infinity=False).map(repr),
         st.integers(-999, 999).map(str),
     )
     faults = FAULT_CELLS + QUOTED_CELLS if draw(st.sampled_from([False, False, False, True])) else FAULT_CELLS
+    if short:
+        faults = tuple(c for c in faults if len(c) <= SHORT)
     cell = st.one_of(number, number, number, st.sampled_from(faults))
     width = st.sampled_from([5, 5, 5, 5, 0, 2, 4, 6])  # 0 is a blank line
     cells = width.flatmap(lambda k: st.lists(cell, min_size=k, max_size=k))

@@ -296,8 +296,8 @@ _WEIGHT_LOG10 = {"ordinary": (-1.0, 1.0), "tiny": (-322.0, -300.0), "huge": (280
 
 @st.composite
 def weighted_grams(draw):
-    """``(XᵀWX, v)`` with X of order n×k, 1 ≤ k ≤ 8, k − 1 ≤ n ≤ 50, and W ≥ 0 or NaN."""
-    k = draw(st.integers(1, 8))
+    """``(XᵀWX, v)`` with X of order n×k, 1 ≤ k ≤ 16, k − 1 ≤ n ≤ 50, and W ≥ 0 or NaN."""
+    k = draw(st.integers(1, 16))
     n = draw(st.integers(k - 1, 50))
     kinds = draw(st.lists(st.sampled_from(_WEIGHT_KINDS), min_size=1, max_size=2, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -336,10 +336,12 @@ class TestGramPath:
         monkeypatch.setattr(numerics, "solve_spd", recording)
         return handed
 
-    def test_the_fast_path_solves_an_ordinary_gram_matrix(self, handed_on):
+    # both sides of order 7, the largest that any benchmark design solves
+    @pytest.mark.parametrize("k", [2, 7, 8, 16])
+    def test_the_fast_path_solves_an_ordinary_gram_matrix(self, handed_on, k):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((20, 4))
-        m, v = x.T @ (x * rng.random(20)[:, None]), rng.standard_normal(4)
+        x = rng.standard_normal((20, k))
+        m, v = x.T @ (x * rng.random(20)[:, None]), rng.standard_normal(k)
         assert solve_gram(m, v).tobytes() == solve_spd(m, v).tobytes()
         assert handed_on == []
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from marscore import sim
 from marscore.basis import intercept, raw
 from marscore.data import Dataset
-from marscore.exceptions import DegenerateVariance, InvalidAlpha, MarscoreError
+from marscore.exceptions import DegenerateVariance, InvalidAlpha, MarscoreError, NonFiniteDraw
 from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
 from marscore.numerics import RngStream, normal_cdf
 from marscore.score import score_statistic_s1, score_statistic_s2, variance_s1, variance_s2
@@ -98,6 +98,14 @@ class TestExample2Generator:
         assert np.array_equal(a.d, b.d)
         assert np.array_equal(a.y_complete, b.y_complete)
 
+    def test_an_undefined_observation_probability_is_refused(self):
+        # exp(500·X) overflows where X > 1.42, and γ·y = 0·inf is nan
+        cfg = Example2Config(n=50, xi_true=(0.0, 0.0, 0.0, 1e3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDraw, match=r"^row \d+ drew outcome -?inf with observation probability nan$"):
+                cfg.generate(RngStream(0, 0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             Example2Config(n=0)
@@ -146,6 +154,30 @@ class TestRejectionStudy:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DegenerateVariance):
                 run_single_replication(Example2Config(n=15), RngStream(2, 1441))
+
+    def test_overflowing_draws_are_counted_as_failures(self):
+        class Overflowing(Example1Config):
+            """Even replications draw Z·1e308, which overflows where |Z| > 1.8: about 7% of
+            rows, so some row of every n = 1000 draw."""
+
+            def generate(self, stream):
+                cfg = dataclasses.replace(self, b_z=1e308) if stream.stream_id % 2 == 0 else self
+                return Example1Config.generate(cfg, stream)
+
+        cfg = Overflowing(n=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_rejection_study(cfg, 6, base_seed=5, keep_details=True)
+            for r in range(0, 6, 2):
+                with pytest.raises(NonFiniteDraw, match=r"^row \d+ drew outcome -?inf with observation"):
+                    run_single_replication(cfg, RngStream(5, r))
+            with pytest.raises(MarscoreError, match="^every replication failed to fit"):
+                run_rejection_study(Example1Config(n=1000, b_z=1e308), 3, base_seed=5)
+        assert report.details.failed.tolist() == [True, False] * 3
+        assert report.fit_failure_count == 3
+        assert report.details.z_s1[1::2].tolist() == [
+            run_single_replication(Example1Config(n=1000), RngStream(5, r))[0].z for r in (1, 3, 5)
+        ]
 
     def test_example1_null_z_rarely_outside_4(self):
         cfg = Example1Config(n=1000, b_z=0.5, c1=0.0, c2=0.25)
