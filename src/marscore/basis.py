@@ -36,8 +36,12 @@ class BasisTerm:
         object.__setattr__(self, "j", min(i, j))
 
 
+# one shared instance: a basis built from intercept() finds it by identity
+_INTERCEPT = BasisTerm(0, 0)
+
+
 def intercept() -> BasisTerm:
-    return BasisTerm(0, 0)
+    return _INTERCEPT
 
 
 def raw(i: int) -> BasisTerm:

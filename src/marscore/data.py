@@ -115,11 +115,6 @@ class Dataset:
     def _designs(self) -> dict:
         return {}
 
-    @cached_property
-    def _solutions(self) -> dict:
-        """Least-squares coefficients per complete-rows design, kept by ``marscore.model``."""
-        return {}
-
     @property
     def missing_fraction(self) -> float:
         return 1.0 - self.n_complete / self.n

@@ -63,19 +63,10 @@ def _solve(m, v, error, what: str):
 
 
 def _least_squares(data: Dataset, basis, what: str) -> np.ndarray:
-    """The complete-case least-squares coefficients of ``y`` on ``basis``, read-only. They
-    are solved once per dataset and basis, so the outcome fit's start and a location fit
-    on its mean basis share one solve. A rank-deficient design raises
-    ``RankDeficientDesign``, its message prefixed by ``what``, and is not kept, so each
-    fit names its own design."""
+    """The complete-case least-squares coefficients of ``y`` on ``basis``. A rank-deficient
+    design raises ``RankDeficientDesign``, its message prefixed by ``what``."""
     g = data.design(basis, complete=True)
-    # keyed by the design's identity: the dataset keeps its designs, so no id is reused
-    theta = data._solutions.get(id(g))
-    if theta is None:
-        theta = _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign, what)
-        theta.flags.writeable = False
-        data._solutions[id(g)] = theta
-    return theta
+    return _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign, what)
 
 
 def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: float):
@@ -248,12 +239,15 @@ class GaussianOutcomeFamily:
 
     mean_basis: tuple[BasisTerm, ...]
     logvar_basis: tuple[BasisTerm, ...]
+    # whether the log-variance basis is the intercept alone, so the MLE has a closed form
+    constant_variance: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean_basis", tuple(self.mean_basis))
         object.__setattr__(self, "logvar_basis", tuple(self.logvar_basis))
         if not self.mean_basis or not self.logvar_basis:
             raise ValueError("mean and log-variance bases must be nonempty")
+        object.__setattr__(self, "constant_variance", self.logvar_basis == (intercept(),))
 
     @property
     def dim_mean(self) -> int:
@@ -294,7 +288,7 @@ def _logvar_start(r, rss: float, bv, logvar_basis) -> np.ndarray:
     intercept then moved by ``log mean(r²·exp(−bv·ξ_v))`` to the likelihood's maximiser
     along the intercept. A basis without an intercept term starts at the projection of
     the constant ``log rss``. Each ``r²`` is floored at 1e-300."""
-    const = intercept()
+    const = intercept()  # the shared instance, found by identity
     if const in logvar_basis:
         target = np.log(np.maximum(r * r, 1e-300))
     else:
@@ -339,7 +333,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         )
     yc = data.y_complete
     bm = data.design(family.mean_basis, complete=True)
-    closed = family.logvar_basis == (intercept(),)
+    closed = family.constant_variance
     if not closed:  # the closed form needs no log-variance design
         bv = data.design(family.logvar_basis, complete=True)
         bv_all = data.design(family.logvar_basis)
@@ -376,7 +370,7 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
             xi_v = math.log(rss) if rss > 0.0 else -math.inf
             if xi_v < _LOG_VARIANCE_FLOOR:
                 raise DegenerateVariance("fitted conditional variance fell below 1e-12",
-                                         mean_coef=xi_m.copy(), row=0)
+                                         mean_coef=xi_m, row=0)
             return ParametricOutcomeFit(
                 family=family,
                 xi_hat=np.append(xi_m, xi_v),
@@ -452,7 +446,7 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
             f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
     with np.errstate(over="ignore"):  # an overflowing Gram matrix is solve_spd's non-finite verdict
-        theta = _least_squares(data, mean_basis, "location design is rank deficient").copy()
+        theta = _least_squares(data, mean_basis, "location design is rank deficient")
     mu = data.design(mean_basis) @ theta
     return LocationFit(
         theta_hat=theta,
@@ -470,11 +464,15 @@ def gaussian_information(bm, bv, var, grad_weights, info_weights):
     zeros for the log-variance coefficients; its Fisher information is block
     diagonal, ``bm bmᵀ / var`` and ``½ bv bvᵀ``. Returns the
     ``grad_weights``-weighted sum of the gradients and the
-    ``info_weights``-weighted sum of the informations.
+    ``info_weights``-weighted sum of the informations; with ``bv`` None, their
+    mean blocks alone.
     """
+    grad_m = bm.T @ grad_weights
+    info_m = bm.T @ (bm * (info_weights / var)[:, None])
+    if bv is None:
+        return grad_m, info_m
     qm, qv = bm.shape[1], bv.shape[1]
     info = np.zeros((qm + qv, qm + qv))
-    info[:qm, :qm] = bm.T @ (bm * (info_weights / var)[:, None])
+    info[:qm, :qm] = info_m
     info[qm:, qm:] = 0.5 * bv.T @ (bv * info_weights[:, None])
-    return np.concatenate([bm.T @ grad_weights, np.zeros(qv)]), info
-
+    return np.concatenate([grad_m, np.zeros(qv)]), info

@@ -3,7 +3,8 @@ reproducible random streams.
 
 :func:`solve_spd` checks any SPD matrix with numpy reductions (finite entries,
 symmetry to 1e-10) and solves it; :func:`solve_gram`, its fast path for the fits' weighted
-Gram matrices, checks one sum of Python floats and hands it any it cannot vouch for.
+Gram matrices, solves first, checks the factor and one sum of Python floats, and hands
+solve_spd any matrix it cannot vouch for.
 
 Everything here is a pure function of its inputs. Streams are counter-based
 (Philox keyed by ``(seed, stream_id)``), so replication ``r`` of a Monte Carlo
@@ -55,14 +56,8 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"non-finite entry at column {np.argmin(np.isfinite(a).all(axis=0))}")
     if abs(a - a.T).max() > _SYM_RTOL * scale:
         raise SingularMatrix("matrix is not symmetric")
-    return _factor_and_solve(a, v, a.diagonal().tolist())
-
-
-def _factor_and_solve(a: np.ndarray, v: np.ndarray, diagonal: list) -> np.ndarray:
-    """One ``dposv`` call on ``a``, a finite symmetric matrix whose diagonal is ``diagonal``,
-    then :func:`solve_spd`'s per-pivot floor."""
     lower, u, info = dposv(a, v, lower=True)
-    for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), diagonal)):
+    for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), a.diagonal().tolist())):
         # LAPACK stops at the first non-positive pivot and leaves it on the diagonal
         pivot = l_jj if j == info - 1 else l_jj * l_jj
         floor = _PIVOT_RTOL * a_jj
@@ -85,16 +80,25 @@ def solve_gram(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Each entry of such a matrix sums n products, so rounding puts ``|a_ij − a_ji|`` within
     about ``2(n + 2)·2⁻⁵³·max a_ii``, inside solve_spd's 1e-10 symmetry bound for those
-    n, and the symmetry check is skipped. One sum of Python floats over every entry checks
-    finiteness, above the diagonal too, which ``dposv`` never reads. Then come solve_spd's
-    ``dposv`` call and pivot floor. A matrix with a non-finite entry or sum, or a diagonal
-    entry under 1e-200, goes to solve_spd itself.
+    n, and the symmetry check is skipped. solve_spd's ``dposv`` call comes first; its
+    solution is taken if LAPACK factored the matrix, every pivot clears solve_spd's floor,
+    every diagonal entry exceeds 1e-200 and one sum of Python floats over every entry is
+    finite, above the diagonal too, which ``dposv`` never reads. Any other matrix goes to
+    solve_spd itself, which gives the refusal and its message.
     """
     k = m.shape[0]
-    flat = m.ravel().tolist()
-    diagonal = flat[:: k + 1]
-    if math.isfinite(sum(flat)) and k and min(diagonal) > _GRAM_MIN_DIAG:
-        return _factor_and_solve(m, v, diagonal)
+    if k:
+        # lower=True, passed by position: f2py's keyword parsing would cost a quarter µs
+        lower, u, info = dposv(m, v, 1)
+        if not info:
+            flat = m.ravel().tolist()
+            diagonal = flat[:: k + 1]
+            if min(diagonal) > _GRAM_MIN_DIAG and math.isfinite(sum(flat)):
+                for l_jj, a_jj in zip(lower.diagonal().tolist(), diagonal):
+                    if not l_jj * l_jj > _PIVOT_RTOL * a_jj:
+                        break
+                else:
+                    return u
     return solve_spd(m, v)
 
 

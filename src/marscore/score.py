@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc
 
 from .data import Dataset
 from .exceptions import FitMismatch, InvalidAlpha, NegativeVariance
@@ -26,6 +27,9 @@ from .model import LocationFit, ParametricOutcomeFit, PropensityFit, _solve, gau
 from .numerics import _NOISE_ULPS, normal_cdf, normal_quantile, solve_spd
 # unused here; perfbench/tracing.py looks the name up in this module and wraps it
 from .numerics import quad_form_inv  # noqa: F401
+
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _check_same_data(data: Dataset, *fits) -> None:
@@ -51,9 +55,36 @@ def _components_dict(components) -> dict:
     return out
 
 
+def _deferred(cls, terms, **values):
+    """Components of class ``cls`` with the fields ``values``; its other fields, terms that
+    no σ² reads, come from the dict ``terms()``, called on the first read of any of them."""
+    components = object.__new__(cls)
+    components.__dict__.update(values, _terms=terms)
+    return components
+
+
+def _resolved(components):
+    """``components`` with its deferred terms computed, so that it no longer holds the
+    arrays they read."""
+    terms = components.__dict__.pop("_terms", None)
+    if terms is not None:
+        # an overflowing term reads inf, as the σ² terms beside it do
+        with np.errstate(over="ignore", invalid="ignore"):
+            components.__dict__.update(terms())
+    return components
+
+
+def _read_deferred(components, name: str):
+    """``__getattr__`` of the components classes: a deferred term is computed when first read."""
+    if "_terms" not in components.__dict__:
+        raise AttributeError(f"{type(components).__name__!r} object has no attribute {name!r}")
+    return getattr(_resolved(components), name)
+
+
 @dataclass(frozen=True)
 class VarianceComponentsS1:
-    """Plug-in components of the S1 asymptotic variance."""
+    """Plug-in components of the S1 asymptotic variance. From :func:`variance_s1`,
+    ``B_hat``, ``B1_hat`` and ``B2_hat`` are computed when first read."""
 
     A_hat: np.ndarray
     B_hat: np.ndarray
@@ -66,11 +97,13 @@ class VarianceComponentsS1:
     variant = "S1"
 
     to_dict = _components_dict
+    __getattr__ = _read_deferred
 
 
 @dataclass(frozen=True)
 class VarianceComponentsS2:
-    """Plug-in components of the S2 asymptotic variance (robust form)."""
+    """Plug-in components of the S2 asymptotic variance (robust form). From
+    :func:`variance_s2`, ``B4_hat``, ``C2_hat`` and ``C3_hat`` are computed when first read."""
 
     A_hat: np.ndarray
     A1_hat: np.ndarray
@@ -91,6 +124,7 @@ class VarianceComponentsS2:
         return float(self.sigma_sq_hat + z @ (self.C3_hat - self.C2_hat @ z))
 
     to_dict = _components_dict
+    __getattr__ = _read_deferred
 
 
 @dataclass(frozen=True)
@@ -171,7 +205,8 @@ def _checked(components):
         return components
     problem = ("is zero within rounding; model misuse or violated regularity conditions"
                if math.isfinite(sigma_sq) else "is not finite: a plug-in term overflowed")
-    raise NegativeVariance(f"{components.variant} variance {sigma_sq:.6e} {problem}", components=components)
+    raise NegativeVariance(f"{components.variant} variance {sigma_sq:.6e} {problem}",
+                           components=_resolved(components))
 
 
 def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> VarianceComponentsS1:
@@ -192,21 +227,26 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     bm = data.design(of.family.mean_basis)
     # an overflow (an outcome near the double range) ends as a non-finite σ², which _checked names
     with np.errstate(over="ignore", invalid="ignore"):
-        b1_hat, b_hat = gaussian_information(bm, data.design(of.family.logvar_basis), of.var, pf.weights, pi)
-        b1_hat, b_hat = b1_hat / n, b_hat / n
+        # B_hat is block diagonal and B1_hat is zero in the log-variance block, so σ² reads
+        # their mean blocks alone
+        b1_mean, b_mean = gaussian_information(bm, None, of.var, pf.weights, pi)
         a1_hat, e = _unexplained(pf, of, m1)
-        # B_hat is block diagonal and B1_hat is zero in the log-variance block
-        qm = bm.shape[1]
-        c = _solve(b_hat[:qm, :qm], b1_hat[:qm], NegativeVariance,
+        c = _solve(b_mean / n, b1_mean / n, NegativeVariance,
                    "S1 variance: mean information block is singular")
         u = q - bm @ c / of.var
-        return _checked(VarianceComponentsS1(
+
+        def report_terms():
+            b1_hat, b_hat = gaussian_information(bm, data.design(of.family.logvar_basis), of.var,
+                                                 pf.weights, pi)
+            return {"B_hat": b_hat / n, "B1_hat": b1_hat / n,
+                    "B2_hat": float((pi**2 * q * m1**2).sum() / n)}
+
+        return _checked(_deferred(
+            VarianceComponentsS1,
+            report_terms,
             A_hat=pf.info_matrix,
-            B_hat=b_hat,
             A1_hat=a1_hat,
-            B1_hat=b1_hat,
             A2_hat=float((pi * q**2 * of.m2).sum() / n),
-            B2_hat=float((pi**2 * q * m1**2).sum() / n),
             sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
         ))
 
@@ -231,16 +271,17 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
         b3_hat = g.T @ pf.weights / n
         c1_hat = g.T @ (g * pi[:, None]) / n
         u = q_c - gc @ _solve(c1_hat, b3_hat, NegativeVariance, "S2 variance: C1_hat is singular")
-        return _checked(VarianceComponentsS2(
+        return _checked(_deferred(
+            VarianceComponentsS2,
+            lambda: {"B4_hat": float((pi**2 * q * mu**2).sum() / n),
+                     "C2_hat": gc.T @ (gc * r2[:, None]) / n,
+                     "C3_hat": gc.T @ (q_c * r2) / n},
             A_hat=pf.info_matrix,
             A1_hat=a1_hat,
             # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
             A2_hat=float(((pi * mu**2 * q**2).sum() + (q_c**2 * r2).sum()) / n),
             B3_hat=b3_hat,
-            B4_hat=float((pi**2 * q * mu**2).sum() / n),
             C1_hat=c1_hat,
-            C2_hat=gc.T @ (gc * r2[:, None]) / n,
-            C3_hat=gc.T @ (q_c * r2) / n,
             sigma_sq_hat=_sigma_sq(pf, e, u, r2),
         ))
 
@@ -255,7 +296,9 @@ def test_report(statistic: float, components, n: int) -> ScoreTestResult:
             f"variance estimate {sigma_sq:.6e} is not positive", components=components
         )
     z = statistic / (math.sqrt(n) * math.sqrt(sigma_sq))
-    p_value = 2.0 * normal_cdf(-abs(z))  # the upper tail, free of cancellation for large |z|
+    # 2 Φ(−|z|) as normal_cdf computes it, on a Python float: the upper tail, free of
+    # cancellation for large |z|
+    p_value = 2.0 * (0.5 * erfc(abs(z) / _SQRT2))
     return ScoreTestResult(
         statistic=float(statistic),
         sigma_sq_hat=float(sigma_sq),

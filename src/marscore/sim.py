@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,19 +288,26 @@ def run_rejection_study(
 
     traces = np.full((6, replications), np.nan)  # the six StudyDetails traces, in field order
     failed = np.zeros(replications, dtype=bool)
+    classes, first = Counter(), None  # failures per class; the first one's "<Class>: <message>"
     for r in range(replications):
         try:
             r1, r2 = run_single_replication(cfg, RngStream(base_seed, r))
-        except MarscoreError:
+        except MarscoreError as exc:
             failed[r] = True
+            classes[type(exc).__name__] += 1
+            if first is None:
+                first = f"replication {r}: {type(exc).__name__}: {exc}"
             continue
         traces[:, r] = (r1.statistic, r1.sigma_sq_hat, r1.z, r2.statistic, r2.sigma_sq_hat, r2.z)
+        del r1, r2  # their components hold the replication's arrays for the report terms
 
     details = StudyDetails(*traces, failed=failed)
     ok = details.ok()
     n_ok = int(ok.sum())
     if n_ok == 0:
-        raise MarscoreError("every replication failed to fit; nothing to aggregate")
+        counts = ", ".join(f"{count} {name}" for name, count in classes.most_common())
+        raise MarscoreError(f"every replication failed to fit; nothing to aggregate ({counts}); "
+                            f"first, {first}")
     # p < alpha is exactly |z| > z_crit for the two-sided normal p-value
     z_crit = normal_quantile(1.0 - alpha / 2.0)
     rate1 = float((np.abs(details.z_s1[ok]) > z_crit).mean())

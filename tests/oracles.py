@@ -10,7 +10,9 @@ Cholesky solves that the LAPACK ones in ``marscore.numerics`` must agree with,
 and ``solve_spd_numpy_checks`` is ``solve_spd`` with its input checks made by
 numpy reductions, whose verdicts and messages ``solve_spd`` must keep giving.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
-variance components, which ``marscore.score``'s per-row kernel must agree with.
+variance components, which ``marscore.score``'s per-row kernel must agree with;
+``eager_components`` and ``eager_noncentrality_base`` compute every component at
+once, which the terms ``marscore.score`` computes when read must equal bit for bit.
 ``split`` cuts an outcome family's ``xi`` into its mean and log-variance parts.
 ``outcome_fit_at`` and ``location_fit_at`` plug a known parameter into an
 outcome family or a location basis, the first with its log-likelihood from
@@ -122,6 +124,49 @@ def assemble(comp):
         return projected + comp.B2_hat - quad_form_inv_loop(comp.B_hat, comp.B1_hat)
     z = solve_spd_loop(comp.C1_hat, comp.B3_hat)
     return projected + comp.B4_hat + float(z @ comp.C2_hat @ z) - 2.0 * float(z @ comp.C3_hat)
+
+
+def eager_components(data, pf, fit) -> dict:
+    """The variance components of S1 (an outcome fit) or S2 (a location fit) in report form,
+    every term computed at once with ``marscore.score``'s expressions, in its field order:
+    the reference for the terms that ``variance_s1`` and ``variance_s2`` compute when read."""
+    n, pi, q = data.n, pf.pi, pf.q
+    plug_in = fit.m1 if isinstance(fit, ParametricOutcomeFit) else fit.mu
+    a1_hat = pf.design.T @ (pf.weights * plug_in) / pf.n
+    e = plug_in - pf.design @ dposv(pf.info_matrix, a1_hat, lower=True)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(fit, ParametricOutcomeFit):
+            bm = data.design(fit.family.mean_basis)
+            b1_hat, b_hat = gaussian_information(bm, data.design(fit.family.logvar_basis), fit.var,
+                                                 pf.weights, pi)
+            b1_hat, b_hat = b1_hat / n, b_hat / n
+            qm = bm.shape[1]
+            u = q - bm @ dposv(b_hat[:qm, :qm], b1_hat[:qm], lower=True)[1] / fit.var
+            weights = pi * fit.var
+            out = {"A_hat": pf.info_matrix, "B_hat": b_hat, "A1_hat": a1_hat, "B1_hat": b1_hat,
+                   "A2_hat": float((pi * q**2 * fit.m2).sum() / n),
+                   "B2_hat": float((pi**2 * q * fit.m1**2).sum() / n)}
+        else:
+            mu, g = fit.mu, data.design(fit.mean_basis)
+            gc = data.design(fit.mean_basis, complete=True)
+            q_c = q[data.complete_idx]
+            weights = r2 = fit.residuals**2
+            b3_hat = g.T @ pf.weights / n
+            c1_hat = g.T @ (g * pi[:, None]) / n
+            u = q_c - gc @ dposv(c1_hat, b3_hat, lower=True)[1]
+            out = {"A_hat": pf.info_matrix, "A1_hat": a1_hat,
+                   "A2_hat": float(((pi * mu**2 * q**2).sum() + (q_c**2 * r2).sum()) / n),
+                   "B3_hat": b3_hat, "B4_hat": float((pi**2 * q * mu**2).sum() / n),
+                   "C1_hat": c1_hat, "C2_hat": gc.T @ (gc * r2[:, None]) / n, "C3_hat": gc.T @ (q_c * r2) / n}
+        out["sigma_sq_hat"] = float((pf.weights @ (e * e) + weights @ (u * u)) / pf.n)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+
+
+def eager_noncentrality_base(comp: dict) -> float:
+    """``VarianceComponentsS2.noncentrality_base`` of S2 components in report form."""
+    c1, b3, c2, c3 = (np.array(comp[k]) for k in ("C1_hat", "B3_hat", "C2_hat", "C3_hat"))
+    z = dposv(c1, b3, lower=True)[1]
+    return float(comp["sigma_sq_hat"] + z @ (c3 - c2 @ z))
 
 
 def reduced_sigma_sq(comp, residual_variance):

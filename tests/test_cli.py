@@ -129,18 +129,23 @@ class TestOverflowingDesigns:
     """A design that overflows in floating point keeps the CLI contract: exit 0, or exit 1
     with one ``error:`` line, and no traceback or warning."""
 
-    ALL_FAILED = "error: MarscoreError: every replication failed to fit; nothing to aggregate\n"
+    # the error names the failures per class and the first failed replication's own error
+    ALL_FAILED = ("error: MarscoreError: every replication failed to fit; nothing to aggregate "
+                  "(2 NonFiniteDraw); first, replication 0: NonFiniteDraw: row 8 drew outcome {}\n")
 
     @pytest.mark.parametrize(
         "flags, code, err",
         [
             # Z·1e308 overflows, so every draw holds an infinite outcome
-            (["--example", "1", "--bz", "1e308", "--c1", "1"], 1, ALL_FAILED),
-            (["--example", "2", "--xi", "1e308,0,0,0", "--gamma", "-1"], 1, ALL_FAILED),
+            (["--example", "1", "--bz", "1e308", "--c1", "1"], 1,
+             ALL_FAILED.format("inf with observation probability 1.0")),
+            (["--example", "2", "--xi", "1e308,0,0,0", "--gamma", "-1"], 1,
+             ALL_FAILED.format("inf with observation probability 0.0")),
             # c1·w(Y) overflows to ±inf, and Φ(±inf) is an observation probability of 1 or 0
             (["--example", "1", "--c1", "1e308"], 0, ""),
             # the standard deviation overflows, and 0·inf makes an observation probability nan
-            (["--example", "2", "--xi", "0,0,0,1e3"], 1, ALL_FAILED),
+            (["--example", "2", "--xi", "0,0,0,1e3"], 1,
+             ALL_FAILED.format("-inf with observation probability nan")),
         ],
         ids=["ex1-bz", "ex2-xi1", "ex1-c1", "ex2-xi4"],
     )

@@ -75,15 +75,17 @@ class TestDataset:
         assert complete.flags["F_CONTIGUOUS"] and complete is data.design(terms, complete=True)
 
     def test_complete_rows_are_gathered_only_on_request(self):
-        # Example 1's closed-form outcome fit needs no log-variance design; S1's variance reads
-        # that design over all rows only
+        # Example 1's closed-form outcome fit needs no log-variance design; S1's report term
+        # B_hat reads that design over all rows only
         cfg = sim.Example1Config(n=300)
         data = cfg.generate(RngStream(3, 0))
         pf = fit_propensity_null(data, columns=cfg.propensity_columns)
         of, lf = fit_outcome_parametric(data, cfg.family), fit_location(data, cfg.location_basis)
-        variance_s1(data, pf, of)
+        components = variance_s1(data, pf, of)
         variance_s2(data, pf, lf)
         mean, logvar = cfg.family.mean_basis, (intercept(),)
+        assert set(data._designs) == {(mean, False), (mean, True)}
+        components.B_hat
         assert set(data._designs) == {(mean, False), (mean, True), (logvar, False)}
         for terms, complete in list(data._designs):
             if complete:

@@ -623,6 +623,9 @@ class TestRunConfiguredTests:
         for r in records:
             assert 0.0 <= r.result.p_value <= 1.0
             assert r.result.n == 600
+            # each record's report terms were computed while its group lived, so no record
+            # keeps a released group's arrays alive until the report is written
+            assert "_terms" not in r.result.components.__dict__
 
     def test_diagnostics_keys_in_order(self, tmp_path):
         path = self.build_csv(tmp_path)

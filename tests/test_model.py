@@ -14,7 +14,7 @@ from scipy.special import expit, logit
 
 import marscore
 from marscore import model
-from marscore.basis import intercept, raw, square
+from marscore.basis import BasisTerm, intercept, raw, square
 from marscore.data import Dataset
 from marscore.exceptions import (
     DegenerateVariance,
@@ -549,6 +549,17 @@ class TestClosedFormOutcomeFit:
                                                 r"is not finite$"):
             fit_outcome_parametric(scaled, Example1Config.family)
 
+    @pytest.mark.parametrize("family", [
+        Example1Config.family, HOM_FAMILY, Example2Config.family,
+        GaussianOutcomeFamily((intercept(),), (BasisTerm(0, 0),)),
+        GaussianOutcomeFamily((intercept(),), (raw(1),)),
+        GaussianOutcomeFamily((intercept(),), (intercept(), intercept())),
+    ], ids=["ex1", "hom", "het", "built-intercept", "slope-only", "two-intercepts"])
+    def test_the_constant_variance_flag_is_an_intercept_only_log_variance_basis(self, family):
+        assert family.constant_variance == (family.logvar_basis == (intercept(),))
+        assert dataclasses.replace(family, logvar_basis=(intercept(),)).constant_variance
+        assert not dataclasses.replace(family, logvar_basis=(intercept(), raw(1))).constant_variance
+
     def test_a_duplicated_mean_column_is_rank_deficient(self):
         x = np.array([-1.0, -0.5, 0.2, 0.7, 1.1, 1.6, 0.4, -0.3])
         data = dataset_from_full([x, x], [1] * 6 + [0, 0], np.arange(8.0))
@@ -593,19 +604,6 @@ class TestFitLocation:
         data = dataset_from_full([x], [1, 1, 1, 0], x)
         with pytest.raises(RankDeficientDesign):
             fit_location(data, (intercept(), raw(1)))
-
-    def test_the_outcome_start_and_the_location_fit_share_one_solve(self, monkeypatch):
-        cfg = Example2Config(n=200)
-        data = cfg.generate(RngStream(5, 0))
-        fresh = Dataset(x=data.x, d=data.d, y_complete=data.y_complete)
-        want = fit_location(fresh, cfg.location_basis).theta_hat
-        fit_outcome_parametric(data, cfg.family)
-        solves = []
-        monkeypatch.setattr(model, "solve_gram", lambda m, v: solves.append(m))
-        got = fit_location(data, cfg.location_basis).theta_hat
-        assert solves == []
-        assert got.tobytes() == want.tobytes()
-        assert got.flags.writeable  # the fit's own copy, not the dataset's
 
     def test_a_rank_deficient_basis_is_named_by_each_fit(self):
         # x is 1 on every complete row, so x and x² are one column there

@@ -201,10 +201,12 @@ def test_lapack_kernel_matches_the_column_loop_in_studies(monkeypatch, cfg):
     checked = []
 
     def recording(m, v):
+        u = solve_spd(m, v)
         checked.append(m)
-        return solve_spd(m, v)
+        return u
 
-    # every fit and variance solve takes solve_gram's fast path: none pays for solve_spd's checks
+    # every fit and variance solve that succeeds takes solve_gram's fast path: none pays for
+    # solve_spd's checks, which only a refusal reaches
     with monkeypatch.context() as patch:
         for module in (numerics, model, score):
             patch.setattr(module, "solve_spd", recording)
@@ -309,6 +311,37 @@ def weighted_grams(draw):
         return x.T @ (x * w[:, None]), rng.standard_normal(k)
 
 
+def _gram_refusals():
+    """``(k, case)`` pairs of the refusal table: a non-finite entry below, on or above the
+    diagonal, a diagonal entry under 1e-200, and a failing first or later pivot."""
+    for k in range(1, 8):
+        places = ("on",) if k == 1 else ("below", "on", "above")
+        for place in places:
+            for value in ("nan", "inf", "-inf"):
+                yield k, f"{value}-{place}"
+        yield k, "diagonal-1e-250"
+        yield k, "negative-first-pivot"
+        if k > 1:
+            yield k, "singular-last-pivot"
+
+
+def _gram_refusal(k: int, case: str) -> np.ndarray:
+    """A weighted Gram matrix of order ``k`` made into the table's ``case``."""
+    x = np.random.default_rng(k).standard_normal((20, k))
+    m = x.T @ (x * np.random.default_rng(k + 7).random(20)[:, None])
+    if case == "diagonal-1e-250":
+        m[-1, :] = m[:, -1] = 0.0
+        m[-1, -1] = 1e-250
+    elif case == "negative-first-pivot":
+        m[0, 0] = -1.0
+    elif case == "singular-last-pivot":
+        m[-1, :], m[:, -1] = m[0, :], m[:, 0]
+    else:
+        value, place = case.rsplit("-", 1)
+        m[{"below": (k - 1, 0), "on": (k - 1, k - 1), "above": (0, k - 1)}[place]] = float(value)
+    return m
+
+
 class TestGramPath:
     """``solve_gram`` takes a checked fast path for the fits' weighted Gram matrices and
     hands any matrix it cannot vouch for to solve_spd: either way the verdict is solve_spd's."""
@@ -351,7 +384,8 @@ class TestGramPath:
         m, v = x.T @ x, np.ones(4)
         self.assert_as_solve_spd(m, v)
         assert verdict(solve_gram, m, v)[0] == "raised"
-        assert handed_on == []
+        # each of the two solve_gram calls hands the refused matrix to solve_spd for its message
+        assert len(handed_on) == 2
 
     def test_a_non_finite_entry_above_the_diagonal_only_is_refused(self, handed_on):
         # dposv reads the lower triangle alone, so it would solve this matrix
@@ -362,6 +396,15 @@ class TestGramPath:
         with pytest.raises(SingularMatrix, match="^non-finite entry at column 2$"):
             solve_gram(m, v)
         assert len(handed_on) == 1
+
+    @pytest.mark.parametrize("k, case", list(_gram_refusals()))
+    def test_each_matrix_it_cannot_vouch_for_gets_solve_spds_verdict(self, handed_on, k, case):
+        m, v = _gram_refusal(k, case), np.linspace(1.0, 2.0, k)
+        kind, out = verdict(solve_gram, m, v)
+        assert len(handed_on) == 1
+        # every case but the tiny diagonal entry is a refusal, with solve_spd's message
+        assert kind == ("solved" if case == "diagonal-1e-250" else "raised")
+        self.assert_as_solve_spd(m, v)
 
     def test_a_matrix_of_subnormal_entries_goes_to_solve_spd(self, handed_on):
         # XᵀWX of three rows with weights near 1e-310: subnormal rounding is absolute, so

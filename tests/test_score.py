@@ -43,6 +43,8 @@ from marscore.sim import (
 )
 from tests.oracles import (
     assemble,
+    eager_components,
+    eager_noncentrality_base,
     fd_gamma_score,
     location_fit_at,
     outcome_fit_at,
@@ -370,7 +372,8 @@ class TestSharedWork:
                              ids=["example1", "example2"])
     def test_a_replication_evaluates_each_basis_once(self, monkeypatch, cfg):
         # the location basis is the outcome mean basis, and complete rows are gathered
-        # from the all-row design, so two evaluations serve all three fits and both tests
+        # from the all-row design, so two evaluations serve all three fits and both tests;
+        # under a constant variance only the report reads the log-variance design, so one does
         calls = Counter()
         evaluate = data_module.design_matrix
 
@@ -379,8 +382,72 @@ class TestSharedWork:
             return evaluate(terms, x)
 
         monkeypatch.setattr(data_module, "design_matrix", counted)
-        run_single_replication(cfg, RngStream(4, 1))
+        r1, _ = run_single_replication(cfg, RngStream(4, 1))
+        want = {(cfg.family.mean_basis, cfg.n): 1, (cfg.family.logvar_basis, cfg.n): 1}
+        if cfg.family.constant_variance:
+            del want[cfg.family.logvar_basis, cfg.n]
+        assert calls == want
+        r1.components.to_dict()
         assert calls == {(cfg.family.mean_basis, cfg.n): 1, (cfg.family.logvar_basis, cfg.n): 1}
+
+
+def _bits(value):
+    """``value`` with every float as its hex string, so that ``==`` compares bits."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return float.hex(value)
+
+
+class TestDeferredTerms:
+    """The report terms that no σ² reads are computed on their first read, with the bits
+    that computing them at once gives."""
+
+    DESIGNS = {
+        "het-n200": Example2Config(n=200, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25),
+        "ex1-n300": Example1Config(n=300),
+        "hom-n15": Example2Config(n=15),
+    }
+
+    @pytest.mark.parametrize("cfg", DESIGNS.values(), ids=DESIGNS.keys())
+    def test_reports_equal_the_eager_oracle_bit_for_bit(self, cfg):
+        compared = 0
+        for r in range(12):
+            data = cfg.generate(RngStream(11, r))
+            try:
+                pf = fit_propensity_null(data, columns=cfg.propensity_columns)
+                fits = [(variance_s1, fit_outcome_parametric(data, cfg.family)),
+                        (variance_s2, fit_location(data, cfg.location_basis))]
+                components = [variance(data, pf, fit) for variance, fit in fits]
+            except MarscoreError:
+                continue
+            for comp, (_, fit) in zip(components, fits):
+                want = eager_components(data, pf, fit)
+                got = comp.to_dict()
+                assert list(got) == list(want)
+                assert _bits(got) == _bits(want)
+            assert float.hex(components[1].noncentrality_base()) == float.hex(eager_noncentrality_base(want))
+            compared += 1
+        assert compared >= 8
+
+    def test_the_first_read_computes_every_deferred_term_and_drops_the_data(self):
+        cfg = self.DESIGNS["het-n200"]
+        data = cfg.generate(RngStream(11, 0))
+        pf = fit_propensity_null(data)
+        comp = variance_s2(data, pf, fit_location(data, cfg.location_basis))
+        assert "_terms" in comp.__dict__ and "C2_hat" not in comp.__dict__
+        comp.B4_hat
+        assert "_terms" not in comp.__dict__
+        assert {"B4_hat", "C2_hat", "C3_hat"} <= comp.__dict__.keys()
+        with pytest.raises(AttributeError, match="no attribute 'D_hat'"):
+            comp.D_hat
+
+    def test_explicit_components_need_no_deferred_terms(self):
+        comp = _s1_components(2.0)
+        assert comp.B2_hat == 1.0 and comp.to_dict()["B2_hat"] == 1.0
+        with pytest.raises(AttributeError):
+            comp.C2_hat
 
 
 class TestTestReport:

@@ -171,8 +171,17 @@ class TestRejectionStudy:
             for r in range(0, 6, 2):
                 with pytest.raises(NonFiniteDraw, match=r"^row \d+ drew outcome -?inf with observation"):
                     run_single_replication(cfg, RngStream(5, r))
-            with pytest.raises(MarscoreError, match="^every replication failed to fit"):
+            with pytest.raises(MarscoreError, match=r"^every replication failed to fit; nothing to "
+                               r"aggregate \(3 NonFiniteDraw\); first, replication 0: NonFiniteDraw: "
+                               r"row \d+ drew outcome -?inf with observation probability nan$"):
                 run_rejection_study(Example1Config(n=1000, b_z=1e308), 3, base_seed=5)
+            # counts by class, most frequent first and ties in order of first failure
+            with pytest.raises(MarscoreError) as caught:
+                run_rejection_study(Overflowing(n=5), 6, base_seed=5)
+        assert str(caught.value) == (
+            "every replication failed to fit; nothing to aggregate (2 NonFiniteDraw, 2 Separation, "
+            "2 RankDeficientDesign); first, replication 0: NonFiniteDraw: row 4 drew outcome inf "
+            "with observation probability nan")
         assert report.details.failed.tolist() == [True, False] * 3
         assert report.fit_failure_count == 3
         assert report.details.z_s1[1::2].tolist() == [
