@@ -62,6 +62,7 @@ from .score import (
     test_report,
     variance_s1,
     variance_s2,
+    with_report_terms,
 )
 from .sim import (
     Example1Config,

@@ -56,7 +56,8 @@ class NegativeVariance(MarscoreError):
     The estimate is a sum of squares, never negative; zero means violated
     regularity conditions or model misuse, and a non-finite value an
     overflowing term. The offending component set is attached as
-    ``components`` for diagnosis. For a singular matrix it is None, the
+    ``components`` for diagnosis, with the report-only terms filled in by
+    ``score.with_report_terms``. For a singular matrix it is None, the
     ``SingularMatrix`` is the ``__cause__``, and the message starts
     ``propensity information A_hat is singular: ``, ``S1 variance: mean
     information block is singular: `` or ``S2 variance: C1_hat is

@@ -39,12 +39,12 @@ from .exceptions import (
 from .model import GaussianOutcomeFamily, fit_location, fit_outcome_parametric, fit_propensity_null
 from .score import (
     ScoreTestResult,
-    _resolved,
     score_statistic_s1,
     score_statistic_s2,
     test_report,
     variance_s1,
     variance_s2,
+    with_report_terms,
 )
 
 SCHEMA_VERSION = 1
@@ -479,8 +479,8 @@ def _test_cell(label, subset: Dataset, variant: str, pf, spec: ColumnSpec) -> Gr
         fit = fit_location(subset, spec.mean_basis())
         statistic, variance = score_statistic_s2, variance_s2
         diagnostics["theta_hat"] = fit.theta_hat.tolist()
-    # the report reads every component: its deferred terms are computed while the group lives
-    result = test_report(statistic(subset, pf, fit), _resolved(variance(subset, pf, fit)), subset.n)
+    result = test_report(statistic(subset, pf, fit),
+                         with_report_terms(variance(subset, pf, fit), subset, pf, fit), subset.n)
     return GroupTestRecord(label, result, subset.missing_fraction, diagnostics)
 
 

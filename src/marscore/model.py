@@ -66,7 +66,9 @@ def _least_squares(data: Dataset, basis, what: str) -> np.ndarray:
     """The complete-case least-squares coefficients of ``y`` on ``basis``. A rank-deficient
     design raises ``RankDeficientDesign``, its message prefixed by ``what``."""
     g = data.design(basis, complete=True)
-    return _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign, what)
+    # an overflowing Gram matrix, inf or nan, is solve_spd's non-finite verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve(g.T @ g, g.T @ data.y_complete, RankDeficientDesign, what)
 
 
 def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: float):
@@ -445,8 +447,7 @@ def fit_location(data: Dataset, mean_basis) -> LocationFit:
         raise RankDeficientDesign(
             f"need at least {len(mean_basis) + 1} complete cases, have {data.n_complete}"
         )
-    with np.errstate(over="ignore"):  # an overflowing Gram matrix is solve_spd's non-finite verdict
-        theta = _least_squares(data, mean_basis, "location design is rank deficient")
+    theta = _least_squares(data, mean_basis, "location design is rank deficient")
     mu = data.design(mean_basis) @ theta
     return LocationFit(
         theta_hat=theta,

@@ -55,64 +55,37 @@ def _components_dict(components) -> dict:
     return out
 
 
-def _deferred(cls, terms, **values):
-    """Components of class ``cls`` with the fields ``values``; its other fields, terms that
-    no σ² reads, come from the dict ``terms()``, called on the first read of any of them."""
-    components = object.__new__(cls)
-    components.__dict__.update(values, _terms=terms)
-    return components
-
-
-def _resolved(components):
-    """``components`` with its deferred terms computed, so that it no longer holds the
-    arrays they read."""
-    terms = components.__dict__.pop("_terms", None)
-    if terms is not None:
-        # an overflowing term reads inf, as the σ² terms beside it do
-        with np.errstate(over="ignore", invalid="ignore"):
-            components.__dict__.update(terms())
-    return components
-
-
-def _read_deferred(components, name: str):
-    """``__getattr__`` of the components classes: a deferred term is computed when first read."""
-    if "_terms" not in components.__dict__:
-        raise AttributeError(f"{type(components).__name__!r} object has no attribute {name!r}")
-    return getattr(_resolved(components), name)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VarianceComponentsS1:
-    """Plug-in components of the S1 asymptotic variance. From :func:`variance_s1`,
-    ``B_hat``, ``B1_hat`` and ``B2_hat`` are computed when first read."""
+    """Plug-in components of the S1 asymptotic variance. No σ² reads ``B_hat``, ``B1_hat``
+    or ``B2_hat``: :func:`variance_s1` leaves them None, :func:`with_report_terms` fills them in."""
 
     A_hat: np.ndarray
-    B_hat: np.ndarray
+    B_hat: np.ndarray | None = None
     A1_hat: np.ndarray
-    B1_hat: np.ndarray
+    B1_hat: np.ndarray | None = None
     A2_hat: float
-    B2_hat: float
+    B2_hat: float | None = None
     sigma_sq_hat: float
 
     variant = "S1"
 
     to_dict = _components_dict
-    __getattr__ = _read_deferred
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VarianceComponentsS2:
-    """Plug-in components of the S2 asymptotic variance (robust form). From
-    :func:`variance_s2`, ``B4_hat``, ``C2_hat`` and ``C3_hat`` are computed when first read."""
+    """Plug-in components of the S2 asymptotic variance (robust form). No σ² reads ``B4_hat``,
+    ``C2_hat`` or ``C3_hat``: :func:`variance_s2` leaves them None, :func:`with_report_terms` fills them in."""
 
     A_hat: np.ndarray
     A1_hat: np.ndarray
     A2_hat: float
     B3_hat: np.ndarray
-    B4_hat: float
+    B4_hat: float | None = None
     C1_hat: np.ndarray
-    C2_hat: np.ndarray
-    C3_hat: np.ndarray
+    C2_hat: np.ndarray | None = None
+    C3_hat: np.ndarray | None = None
     sigma_sq_hat: float
 
     variant = "S2"
@@ -120,11 +93,12 @@ class VarianceComponentsS2:
     def noncentrality_base(self) -> float:
         """Local-alternative mean shift per unit gamma0, ``A2 + B4 - A1ᵀA⁻¹A1 - zᵀC3`` with
         ``z = C1⁻¹B3``, as ``σ² + zᵀ(C3 - C2 z)``, which cancels no large sums."""
+        if self.C2_hat is None or self.C3_hat is None:
+            raise ValueError("noncentrality_base reads C2_hat and C3_hat: call with_report_terms first")
         z = solve_spd(self.C1_hat, self.B3_hat)
         return float(self.sigma_sq_hat + z @ (self.C3_hat - self.C2_hat @ z))
 
     to_dict = _components_dict
-    __getattr__ = _read_deferred
 
 
 @dataclass(frozen=True)
@@ -197,16 +171,16 @@ def score_statistic_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> flo
     return _score_statistic(data, pf, lf, lf.mu)
 
 
-def _checked(components):
-    """Return ``components``; raise unless their σ² is finite and exceeds the rounding
-    noise of ``A2_hat``."""
+def _checked(components, data: Dataset, pf: PropensityFit, fit):
+    """Return ``components``; raise unless their σ² is finite and exceeds the rounding noise of
+    ``A2_hat``, with every term in the error, the report terms filled in from ``(data, pf, fit)``."""
     sigma_sq = components.sigma_sq_hat
     if math.isfinite(sigma_sq) and sigma_sq > _NOISE_ULPS * math.ulp(components.A2_hat):
         return components
     problem = ("is zero within rounding; model misuse or violated regularity conditions"
                if math.isfinite(sigma_sq) else "is not finite: a plug-in term overflowed")
     raise NegativeVariance(f"{components.variant} variance {sigma_sq:.6e} {problem}",
-                           components=_resolved(components))
+                           components=with_report_terms(components, data, pf, fit))
 
 
 def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> VarianceComponentsS1:
@@ -223,32 +197,22 @@ def variance_s1(data: Dataset, pf: PropensityFit, of: ParametricOutcomeFit) -> V
     _check_same_data(data, pf, of)
     n = data.n
     pi, q = pf.pi, pf.q
-    m1 = of.m1
     bm = data.design(of.family.mean_basis)
     # an overflow (an outcome near the double range) ends as a non-finite σ², which _checked names
     with np.errstate(over="ignore", invalid="ignore"):
         # B_hat is block diagonal and B1_hat is zero in the log-variance block, so σ² reads
         # their mean blocks alone
         b1_mean, b_mean = gaussian_information(bm, None, of.var, pf.weights, pi)
-        a1_hat, e = _unexplained(pf, of, m1)
+        a1_hat, e = _unexplained(pf, of, of.m1)
         c = _solve(b_mean / n, b1_mean / n, NegativeVariance,
                    "S1 variance: mean information block is singular")
         u = q - bm @ c / of.var
-
-        def report_terms():
-            b1_hat, b_hat = gaussian_information(bm, data.design(of.family.logvar_basis), of.var,
-                                                 pf.weights, pi)
-            return {"B_hat": b_hat / n, "B1_hat": b1_hat / n,
-                    "B2_hat": float((pi**2 * q * m1**2).sum() / n)}
-
-        return _checked(_deferred(
-            VarianceComponentsS1,
-            report_terms,
+        return _checked(VarianceComponentsS1(
             A_hat=pf.info_matrix,
             A1_hat=a1_hat,
             A2_hat=float((pi * q**2 * of.m2).sum() / n),
             sigma_sq_hat=_sigma_sq(pf, e, u, pi * of.var),
-        ))
+        ), data, pf, of)
 
 
 def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceComponentsS2:
@@ -271,11 +235,7 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
         b3_hat = g.T @ pf.weights / n
         c1_hat = g.T @ (g * pi[:, None]) / n
         u = q_c - gc @ _solve(c1_hat, b3_hat, NegativeVariance, "S2 variance: C1_hat is singular")
-        return _checked(_deferred(
-            VarianceComponentsS2,
-            lambda: {"B4_hat": float((pi**2 * q * mu**2).sum() / n),
-                     "C2_hat": gc.T @ (gc * r2[:, None]) / n,
-                     "C3_hat": gc.T @ (q_c * r2) / n},
+        return _checked(VarianceComponentsS2(
             A_hat=pf.info_matrix,
             A1_hat=a1_hat,
             # (1-pi)^2 [d r^2 + pi mu^2]: mu^2 part over all rows, r^2 over complete
@@ -283,7 +243,27 @@ def variance_s2(data: Dataset, pf: PropensityFit, lf: LocationFit) -> VarianceCo
             B3_hat=b3_hat,
             C1_hat=c1_hat,
             sigma_sq_hat=_sigma_sq(pf, e, u, r2),
-        ))
+        ), data, pf, lf)
+
+
+def with_report_terms(components, data: Dataset, pf: PropensityFit, fit):
+    """``components``, from :func:`variance_s1` or :func:`variance_s2` on ``(data, pf, fit)``,
+    with the terms that no σ² reads filled in: S1's ``B_hat``, ``B1_hat`` and ``B2_hat``, or
+    S2's ``B4_hat``, ``C2_hat`` and ``C3_hat``. A report and ``noncentrality_base`` read them."""
+    _check_same_data(data, pf, fit)
+    n, pi, q = data.n, pf.pi, pf.q
+    # an overflowing term reads inf, as the σ² terms beside it do
+    with np.errstate(over="ignore", invalid="ignore"):
+        if components.variant == "S1":
+            b1_hat, b_hat = gaussian_information(data.design(fit.family.mean_basis),
+                                                 data.design(fit.family.logvar_basis), fit.var,
+                                                 pf.weights, pi)
+            return dataclasses.replace(components, B_hat=b_hat / n, B1_hat=b1_hat / n,
+                                       B2_hat=float((pi**2 * q * fit.m1**2).sum() / n))
+        gc, r2 = data.design(fit.mean_basis, complete=True), fit.residuals**2
+        q_c = q[data.complete_idx]
+        return dataclasses.replace(components, B4_hat=float((pi**2 * q * fit.mu**2).sum() / n),
+                                   C2_hat=gc.T @ (gc * r2[:, None]) / n, C3_hat=gc.T @ (q_c * r2) / n)
 
 
 def test_report(statistic: float, components, n: int) -> ScoreTestResult:

@@ -299,7 +299,6 @@ def run_rejection_study(
                 first = f"replication {r}: {type(exc).__name__}: {exc}"
             continue
         traces[:, r] = (r1.statistic, r1.sigma_sq_hat, r1.z, r2.statistic, r2.sigma_sq_hat, r2.z)
-        del r1, r2  # their components hold the replication's arrays for the report terms
 
     details = StudyDetails(*traces, failed=failed)
     ok = details.ok()

@@ -12,7 +12,7 @@ numpy reductions, whose verdicts and messages ``solve_spd`` must keep giving.
 ``assemble`` and ``reduced_sigma_sq`` are the paper's σ² formulas over the
 variance components, which ``marscore.score``'s per-row kernel must agree with;
 ``eager_components`` and ``eager_noncentrality_base`` compute every component at
-once, which the terms ``marscore.score`` computes when read must equal bit for bit.
+once, which ``marscore.score``'s variances with ``with_report_terms`` must equal bit for bit.
 ``split`` cuts an outcome family's ``xi`` into its mean and log-variance parts.
 ``outcome_fit_at`` and ``location_fit_at`` plug a known parameter into an
 outcome family or a location basis, the first with its log-likelihood from
@@ -129,7 +129,7 @@ def assemble(comp):
 def eager_components(data, pf, fit) -> dict:
     """The variance components of S1 (an outcome fit) or S2 (a location fit) in report form,
     every term computed at once with ``marscore.score``'s expressions, in its field order:
-    the reference for the terms that ``variance_s1`` and ``variance_s2`` compute when read."""
+    the reference for ``variance_s1`` and ``variance_s2`` with ``with_report_terms``."""
     n, pi, q = data.n, pf.pi, pf.q
     plug_in = fit.m1 if isinstance(fit, ParametricOutcomeFit) else fit.mu
     a1_hat = pf.design.T @ (pf.weights * plug_in) / pf.n

@@ -33,6 +33,7 @@ from marscore.score import (
     score_statistic_s1,
     variance_s1,
     variance_s2,
+    with_report_terms,
 )
 from marscore.sim import (
     Example1Config,
@@ -122,8 +123,9 @@ def _null_components(big_cfg):
     one large null draw ``big_cfg`` of an Example-2 design."""
     data = generate_example2(big_cfg, RngStream(SEED, 0))
     pf = fit_propensity_null(data)
+    lf = fit_location(data, Example2Config.location_basis)
     comp1 = variance_s1(data, pf, fit_outcome_parametric(data, Example2Config.family))
-    comp2 = variance_s2(data, pf, fit_location(data, Example2Config.location_basis))
+    comp2 = with_report_terms(variance_s2(data, pf, lf), data, pf, lf)
     return comp1.sigma_sq_hat, comp2.sigma_sq_hat, comp2.noncentrality_base()
 
 
@@ -293,7 +295,7 @@ def test_criterion_09_homoskedastic_reduction():
         data = generate_example1(cfg, RngStream(SEED, 0))
         pf = fit_propensity_null(data, columns=Example1Config.propensity_columns)
         lf = fit_location(data, Example1Config.location_basis)
-        comp = variance_s2(data, pf, lf)
+        comp = with_report_terms(variance_s2(data, pf, lf), data, pf, lf)
         reduced = reduced_sigma_sq(comp, float(np.mean(lf.residuals**2)))
         rel = abs(comp.sigma_sq_hat - reduced) / comp.sigma_sq_hat
         print(f"  robust {comp.sigma_sq_hat:.6f} vs reduced {reduced:.6f} ({100 * rel:.3f}%)")

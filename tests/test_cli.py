@@ -1,5 +1,6 @@
 import codecs
 import json
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -328,6 +329,29 @@ class TestTestSubcommand:
         assert main(["test", "--data", str(only_b), "--outcome", "y", "--covariates", "x",
                      "--group-by", "g"]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_a_nan_gram_matrix_is_one_line_error(self, tmp_path, capsys):
+        # the outcome fit's Gram matrix sums inf − inf; no numpy warning may join the error line
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(21) * 3e126
+        d = np.array([1] * 11 + [0] * 10, dtype=np.int8)
+        rng.shuffle(d)
+        data = Dataset(x=np.column_stack([np.ones(21), x]), d=d, y_complete=rng.standard_normal(11) * 7e136)
+        path = tmp_path / "huge.csv"
+        write_dataset_csv(data, path, outcome_column="y", covariate_columns=("x",))
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        # a leaked warning prints to stderr, as it does outside the suite
+        with warnings.catch_warnings(), mock.patch.object(warnings, "showwarning", show):
+            warnings.simplefilter("default")
+            code = main(["test", "--data", str(path), "--outcome", "y", "--covariates", "x",
+                         "--mean-basis", "1,x,x^2"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: RankDeficientDesign: outcome mean design is rank deficient: "
+                       "non-finite entry at column 1"]
 
     def test_bad_column_exits_1(self, tmp_path, capsys):
         data_path = make_trial_csv(tmp_path)

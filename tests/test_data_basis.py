@@ -7,7 +7,7 @@ from marscore.data import Dataset
 from marscore.exceptions import RankDeficientDesign
 from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
 from marscore.numerics import RngStream
-from marscore.score import variance_s1, variance_s2
+from marscore.score import variance_s1, variance_s2, with_report_terms
 
 
 def small_dataset():
@@ -85,7 +85,7 @@ class TestDataset:
         variance_s2(data, pf, lf)
         mean, logvar = cfg.family.mean_basis, (intercept(),)
         assert set(data._designs) == {(mean, False), (mean, True)}
-        components.B_hat
+        with_report_terms(components, data, pf, of)
         assert set(data._designs) == {(mean, False), (mean, True), (logvar, False)}
         for terms, complete in list(data._designs):
             if complete:

@@ -639,6 +639,23 @@ class TestOverflowOutsideTheLoops:
             with pytest.raises(RankDeficientDesign, match=match):
                 fit_location(data, Example2Config.location_basis)
 
+    def test_a_gram_matrix_with_nan_entries(self):
+        # x⁴ overflows to inf in the Gram matrix and y·x² in its moments, so their sums meet
+        # inf − inf: nan, not just inf, which solve_spd names the same way
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(21) * 3e126
+        d = np.array([1] * 11 + [0] * 10, dtype=np.int8)
+        rng.shuffle(d)
+        data = Dataset(x=np.column_stack([np.ones(21), x]), d=d, y_complete=rng.standard_normal(11) * 7e136)
+        mean = (intercept(), raw(1), square(1))
+        match = "design is rank deficient: non-finite entry at column 1$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficientDesign, match=f"^outcome mean {match}"):
+                fit_outcome_parametric(data, GaussianOutcomeFamily(mean, (intercept(),)))
+            with pytest.raises(RankDeficientDesign, match=f"^location {match}"):
+                fit_location(data, mean)
+
     def test_an_outcome_scale(self):
         # the start's mean residual square, about 1e320, overflows
         with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import warnings
 from collections import Counter
 
@@ -18,6 +19,7 @@ from marscore.exceptions import (
     NegativeVariance,
     SingularMatrix,
 )
+from marscore.io import ColumnSpec, RunConfig, run_configured_tests
 from marscore.model import (
     GaussianOutcomeFamily,
     PropensityFit,
@@ -33,6 +35,7 @@ from marscore.score import (
     score_statistic_s2,
     variance_s1,
     variance_s2,
+    with_report_terms,
 )
 from marscore.score import test_report as score_report
 from marscore.sim import (
@@ -198,7 +201,7 @@ class TestVarianceS1:
         data = generate_example2(cfg, RngStream(23, 0))
         pf = fit_propensity_null(data)
         of = fit_outcome_parametric(data, Example2Config.family)
-        comp = variance_s1(data, pf, of)
+        comp = with_report_terms(variance_s1(data, pf, of), data, pf, of)
         assert assemble(comp) == pytest.approx(comp.sigma_sq_hat, rel=1e-12)
         assert comp.sigma_sq_hat > 0
 
@@ -209,7 +212,7 @@ class TestVarianceS1:
         data = generate_example2(cfg, RngStream(24, 0))
         pf = fit_propensity_null(data)
         of = fit_outcome_parametric(data, Example2Config.family)
-        comp = variance_s1(data, pf, of)
+        comp = with_report_terms(variance_s1(data, pf, of), data, pf, of)
         b_sum = np.zeros_like(comp.B_hat)
         b1_sum = np.zeros_like(comp.B1_hat)
         for x, pi in zip(data.x, pf.pi):
@@ -241,7 +244,7 @@ class TestVarianceS2:
         data = generate_example2(cfg, RngStream(24, 0))
         pf = fit_propensity_null(data)
         lf = fit_location(data, Example2Config.location_basis)
-        comp = variance_s2(data, pf, lf)
+        comp = with_report_terms(variance_s2(data, pf, lf), data, pf, lf)
         assert assemble(comp) == pytest.approx(comp.sigma_sq_hat, rel=1e-12)
         assert comp.sigma_sq_hat > 0
 
@@ -344,10 +347,11 @@ class TestSharedWork:
         for statistic, variance, fit in ((score_statistic_s1, variance_s1, of),
                                          (score_statistic_s2, variance_s2, lf)):
             if variance_first:
-                components = variance(data, pf, fit).to_dict()
+                components = with_report_terms(variance(data, pf, fit), data, pf, fit).to_dict()
                 out += [statistic(data, pf, fit), components]
             else:
-                out += [statistic(data, pf, fit), variance(data, pf, fit).to_dict()]
+                out += [statistic(data, pf, fit),
+                        with_report_terms(variance(data, pf, fit), data, pf, fit).to_dict()]
         return out
 
     def test_the_projection_follows_the_propensity_fit(self):
@@ -373,7 +377,8 @@ class TestSharedWork:
     def test_a_replication_evaluates_each_basis_once(self, monkeypatch, cfg):
         # the location basis is the outcome mean basis, and complete rows are gathered
         # from the all-row design, so two evaluations serve all three fits and both tests;
-        # under a constant variance only the report reads the log-variance design, so one does
+        # under a constant variance only the report terms read the log-variance design, and a
+        # replication leaves them out, so one does
         calls = Counter()
         evaluate = data_module.design_matrix
 
@@ -387,8 +392,8 @@ class TestSharedWork:
         if cfg.family.constant_variance:
             del want[cfg.family.logvar_basis, cfg.n]
         assert calls == want
-        r1.components.to_dict()
-        assert calls == {(cfg.family.mean_basis, cfg.n): 1, (cfg.family.logvar_basis, cfg.n): 1}
+        assert r1.components.B_hat is None and r1.components.to_dict()["B_hat"] is None
+        assert calls == want
 
 
 def _bits(value):
@@ -400,9 +405,9 @@ def _bits(value):
     return float.hex(value)
 
 
-class TestDeferredTerms:
-    """The report terms that no σ² reads are computed on their first read, with the bits
-    that computing them at once gives."""
+class TestReportTerms:
+    """``with_report_terms`` fills in the report terms that no σ² reads with the bits that
+    computing every term at once gives."""
 
     DESIGNS = {
         "het-n200": Example2Config(n=200, xi_true=(1.0, 1.0, 0.5, 1.0), beta0=0.5, beta1=0.5, gamma=0.25),
@@ -419,7 +424,8 @@ class TestDeferredTerms:
                 pf = fit_propensity_null(data, columns=cfg.propensity_columns)
                 fits = [(variance_s1, fit_outcome_parametric(data, cfg.family)),
                         (variance_s2, fit_location(data, cfg.location_basis))]
-                components = [variance(data, pf, fit) for variance, fit in fits]
+                components = [with_report_terms(variance(data, pf, fit), data, pf, fit)
+                              for variance, fit in fits]
             except MarscoreError:
                 continue
             for comp, (_, fit) in zip(components, fits):
@@ -431,23 +437,70 @@ class TestDeferredTerms:
             compared += 1
         assert compared >= 8
 
-    def test_the_first_read_computes_every_deferred_term_and_drops_the_data(self):
+    def test_the_variance_leaves_the_report_terms_out(self):
         cfg = self.DESIGNS["het-n200"]
         data = cfg.generate(RngStream(11, 0))
         pf = fit_propensity_null(data)
-        comp = variance_s2(data, pf, fit_location(data, cfg.location_basis))
-        assert "_terms" in comp.__dict__ and "C2_hat" not in comp.__dict__
-        comp.B4_hat
-        assert "_terms" not in comp.__dict__
-        assert {"B4_hat", "C2_hat", "C3_hat"} <= comp.__dict__.keys()
-        with pytest.raises(AttributeError, match="no attribute 'D_hat'"):
-            comp.D_hat
+        lf = fit_location(data, cfg.location_basis)
+        comp = variance_s2(data, pf, lf)
+        assert comp.B4_hat is None and comp.C2_hat is None and comp.C3_hat is None
+        with pytest.raises(ValueError, match="^noncentrality_base reads C2_hat and C3_hat: call with_report_terms"):
+            comp.noncentrality_base()
+        full = with_report_terms(comp, data, pf, lf)
+        assert comp.C2_hat is None  # a new value; the components it came from are unchanged
+        assert None not in full.to_dict().values()
+        assert dataclasses.replace(full, B4_hat=None, C2_hat=None, C3_hat=None).to_dict() == comp.to_dict()
 
-    def test_explicit_components_need_no_deferred_terms(self):
+    def test_explicit_components_keep_their_terms(self):
         comp = _s1_components(2.0)
         assert comp.B2_hat == 1.0 and comp.to_dict()["B2_hat"] == 1.0
         with pytest.raises(AttributeError):
             comp.C2_hat
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestPickle:
+    """Results, components and errors are plain data, so each pickles and comes back equal."""
+
+    def test_replication_results(self):
+        for result in run_single_replication(Example2Config(n=200), RngStream(1, 0)):
+            back = _round_trip(result)
+            assert type(back.components) is type(result.components)
+            assert back.to_dict() == result.to_dict()  # floats and lists of floats, compared exactly
+
+    def test_configured_test_records(self):
+        data = Example2Config(n=300).generate(RngStream(4, 0))
+        spec = ColumnSpec(outcome_column="y", covariate_columns=("x",), mean_basis_spec=("x", "x^2"))
+        records = run_configured_tests(data, RunConfig(columns=spec))
+        assert [r.result.variant for r in records] == ["S1", "S2"]
+        for record in records:
+            assert _round_trip(record).to_dict() == record.to_dict()
+
+    def test_variance_components(self):
+        cfg = Example2Config(n=200)
+        data = cfg.generate(RngStream(1, 0))
+        pf = fit_propensity_null(data)
+        for variance, fit in ((variance_s1, fit_outcome_parametric(data, cfg.family)),
+                              (variance_s2, fit_location(data, cfg.location_basis))):
+            comp = variance(data, pf, fit)
+            for value in (comp, with_report_terms(comp, data, pf, fit)):
+                back = _round_trip(value)
+                assert type(back) is type(value) and back.to_dict() == value.to_dict()
+
+    def test_negative_variance_with_its_components(self):
+        y = np.array([0.7, -0.4, 1.9, 0.3])
+        data = dataset_from_full([], [1, 1, 1, 1, 0, 0, 0, 0], np.concatenate([y, np.zeros(4)]))
+        of = fit_outcome_parametric(data, GaussianOutcomeFamily((intercept(),), (intercept(),)))
+        with pytest.raises(NegativeVariance) as excinfo:
+            variance_s1(data, fit_propensity_null(data), of)
+        error = excinfo.value
+        back = _round_trip(error)
+        assert type(back) is NegativeVariance and str(back) == str(error)
+        assert back.components.to_dict() == error.components.to_dict()
+        assert None not in back.components.to_dict().values()
 
 
 class TestTestReport:
@@ -602,7 +655,8 @@ class TestNoncentralityBase:
     @staticmethod
     def s2_components(data):
         pf = fit_propensity_null(data)
-        return variance_s2(data, pf, fit_location(data, INTERCEPT_LOCATION))
+        lf = fit_location(data, INTERCEPT_LOCATION)
+        return with_report_terms(variance_s2(data, pf, lf), data, pf, lf)
 
     def test_scales_with_the_outcome(self):
         data, _ = heteroskedastic_draw(84, 84)

@@ -1,9 +1,9 @@
 """Print SHA-256 fingerprints of marscore's outputs, to show that a change leaves them bitwise equal.
 
 One line per (Monte Carlo design, seed) hashes every replication of
-``run_single_replication(cfg, RngStream(seed, r))``: its six numbers (each
-test's statistic, σ² and z, as ``float.hex``), or ``"<Class>: <message>"`` for
-a replication that fails to fit. One line per ``marscore test`` report hashes
+``run_single_replication(cfg, RngStream(seed, r))``: its eight numbers (each
+test's statistic, σ², z and p-value, as ``float.hex``), or ``"<Class>: <message>"``
+for a replication that fails to fit. One line per ``marscore test`` report hashes
 the report's bytes, JSON and CSV, for the benchmark's ``cli_test_csv`` input
 and for a fully quoted copy of it (``cli_test_csv_quoted``), which ``read_csv``
 reads by its exact ``csv`` route: the tool exits with an error unless the two
@@ -54,7 +54,7 @@ def study_digest(cfg, seed: int, replications: int) -> str:
         except MarscoreError as exc:
             line = f"{type(exc).__name__}: {exc}"
         else:
-            values = (r1.statistic, r1.sigma_sq_hat, r1.z, r2.statistic, r2.sigma_sq_hat, r2.z)
+            values = [v for res in (r1, r2) for v in (res.statistic, res.sigma_sq_hat, res.z, res.p_value)]
             line = " ".join(float.hex(float(v)) for v in values)
         digest.update(f"{r} {line}\n".encode())
     return digest.hexdigest()
