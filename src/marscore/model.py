@@ -359,9 +359,9 @@ def fit_outcome_parametric(data: Dataset, family: GaussianOutcomeFamily) -> Para
         u_sum = _sum(u_cand)
         return float(-0.5 * (nc * _LOG_2PI + _sum(s_cand) + u_sum)), (r_cand, s_cand, w_cand, u_cand, u_sum)
 
-    # an overflow ends as solve_spd's non-finite verdict, a rejected -inf trial, or the
-    # start's classified error
-    with np.errstate(over="ignore"):
+    # an overflow, or the nan of inf·0 or inf − inf it leads to, ends as solve_spd's
+    # non-finite verdict, a rejected -inf or nan trial, or the start's classified error
+    with np.errstate(over="ignore", invalid="ignore"):
         xi_m = _least_squares(data, family.mean_basis, "outcome mean design is rank deficient")
         r = yc - bm @ xi_m
         rss = float((r * r).sum() / r.size)

@@ -65,11 +65,15 @@ def solve_spd(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _low_pivot(lower: np.ndarray, diagonal: list, info: int) -> str | None:
     """Why the first pivot of ``dposv``'s factor ``lower`` not above ``_PIVOT_RTOL`` times its
     entry of the matrix's ``diagonal`` fails, or None if every pivot clears that floor. LAPACK
-    stops at the first non-positive pivot, column ``info - 1``, and leaves it on the diagonal."""
+    stops at the first non-positive pivot, column ``info - 1``, and leaves it on the diagonal.
+    A failing column whose diagonal entry is not positive is named by that entry: it has no floor."""
     j, last = 0, info - 1  # counted by hand: enumerate would cost solve_gram 0.1 µs a call
     for l_jj, a_jj in zip(lower.diagonal().tolist(), diagonal):
         pivot = l_jj if j == last else l_jj * l_jj
         if not pivot > _PIVOT_RTOL * a_jj:
+            if not a_jj > 0.0:
+                return (f"diagonal entry {a_jj:.3e} at column {j} is not positive; "
+                        "matrix is not positive definite")
             return (f"pivot {pivot:.3e} below {_PIVOT_RTOL * a_jj:.3e} at column {j}; "
                     "matrix is not positive definite")
         j += 1

@@ -258,12 +258,17 @@ class RejectionRateReport:
         ]
 
 
-def run_single_replication(cfg, stream: RngStream):
-    """Generate one dataset, fit the config's models and run both tests; returns the two reports."""
-    data = generate(cfg, stream)
-    pf = fit_propensity_null(data, columns=cfg.propensity_columns)
-    of = fit_outcome_parametric(data, cfg.family)
-    lf = fit_location(data, cfg.location_basis)
+def run_single_replication(cfg, stream: RngStream, *, held: list | None = None):
+    """Generate one dataset, fit the config's models and run both tests; returns the two reports.
+
+    ``held``, if given, gets the dataset and each fit appended as it is built, so that the
+    caller can keep them alive after the replication returns or raises.
+    """
+    held = [] if held is None else held
+    held.append(data := generate(cfg, stream))
+    held.append(pf := fit_propensity_null(data, columns=cfg.propensity_columns))
+    held.append(of := fit_outcome_parametric(data, cfg.family))
+    held.append(lf := fit_location(data, cfg.location_basis))
     r1 = test_report(score_statistic_s1(data, pf, of), variance_s1(data, pf, of), data.n)
     r2 = test_report(score_statistic_s2(data, pf, lf), variance_s2(data, pf, lf), data.n)
     return r1, r2
@@ -281,6 +286,11 @@ def run_rejection_study(
     Replication ``r`` owns stream ``(base_seed, r)``; failed fits are counted
     and excluded from the denominator. The models are the config's
     (``cfg.family``, ``cfg.location_basis``, ``cfg.propensity_columns``).
+
+    While replication ``r`` runs, the study holds replication ``r - 1``'s dataset
+    and fits, one extra replication's arrays, so that ``r`` reuses their memory
+    instead of faulting in pages the allocator gave back; it holds none once it
+    returns or raises.
     """
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
@@ -290,15 +300,19 @@ def run_rejection_study(
     failed = np.zeros(replications, dtype=bool)
     classes, first = Counter(), None  # failures per class; the first one's "<Class>: <message>"
     for r in range(replications):
+        current = []
         try:
-            r1, r2 = run_single_replication(cfg, RngStream(base_seed, r))
+            r1, r2 = run_single_replication(cfg, RngStream(base_seed, r), held=current)
         except MarscoreError as exc:
             failed[r] = True
             classes[type(exc).__name__] += 1
             if first is None:
                 first = f"replication {r}: {type(exc).__name__}: {exc}"
-            continue
-        traces[:, r] = (r1.statistic, r1.sigma_sq_hat, r1.z, r2.statistic, r2.sigma_sq_hat, r2.z)
+        else:
+            traces[:, r] = (r1.statistic, r1.sigma_sq_hat, r1.z, r2.statistic, r2.sigma_sq_hat, r2.z)
+        # never read: it keeps this replication's dataset and fits alive until the next returns
+        previous = current
+    del previous, current  # a raised error's traceback would otherwise keep them
 
     details = StudyDetails(*traces, failed=failed)
     ok = details.ok()

@@ -55,6 +55,14 @@ from marscore.model import LocationFit, ParametricOutcomeFit, gaussian_informati
 from marscore.numerics import _PIVOT_RTOL, _SYM_RTOL
 
 
+def pivot_refusal(pivot, a_jj, j):
+    """``solve_spd``'s message for a pivot at column ``j`` not above ``_PIVOT_RTOL * a_jj``:
+    a diagonal entry ``a_jj`` that is not positive gives the pivot no floor, so it is named."""
+    if not a_jj > 0.0:
+        return f"diagonal entry {a_jj:.3e} at column {j} is not positive; matrix is not positive definite"
+    return f"pivot {pivot:.3e} below {_PIVOT_RTOL * a_jj:.3e} at column {j}; matrix is not positive definite"
+
+
 def cholesky_loop(m):
     """Lower Cholesky factor, one column at a time, with ``solve_spd``'s
     symmetry check and pivot floor relative to each diagonal entry."""
@@ -66,12 +74,8 @@ def cholesky_loop(m):
     lower = np.zeros_like(a)
     for j in range(k):
         pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        floor = _PIVOT_RTOL * a[j, j]
-        if not pivot > floor:
-            raise SingularMatrix(
-                f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
-                "matrix is not positive definite"
-            )
+        if not pivot > _PIVOT_RTOL * a[j, j]:
+            raise SingularMatrix(pivot_refusal(pivot, a[j, j], j))
         lower[j, j] = np.sqrt(pivot)
         if j + 1 < k:
             lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
@@ -99,12 +103,8 @@ def solve_spd_numpy_checks(m, v):
     lower, u, info = dposv(a, v, lower=True)
     for j, (l_jj, a_jj) in enumerate(zip(lower.diagonal().tolist(), a.diagonal().tolist())):
         pivot = l_jj if j == info - 1 else l_jj * l_jj
-        floor = _PIVOT_RTOL * a_jj
-        if not pivot > floor:
-            raise SingularMatrix(
-                f"pivot {pivot:.3e} below {floor:.3e} at column {j}; "
-                "matrix is not positive definite"
-            )
+        if not pivot > _PIVOT_RTOL * a_jj:
+            raise SingularMatrix(pivot_refusal(pivot, a_jj, j))
     return u
 
 

@@ -353,6 +353,30 @@ class TestTestSubcommand:
         assert err == ["error: RankDeficientDesign: outcome mean design is rank deficient: "
                        "non-finite entry at column 1"]
 
+    def test_a_nan_outcome_trial_is_one_line_error(self, tmp_path, capsys):
+        # a trial of the outcome fit multiplies an inf squared residual by a zero weight; no
+        # numpy warning may join the error line
+        rng = np.random.default_rng(0)
+        x1 = rng.standard_normal(16) * 1e64
+        d = np.array([1] * 14 + [0] * 2, dtype=np.int8)
+        data = Dataset(x=np.column_stack([np.ones(16), x1]), d=d,
+                       y_complete=-1e100 + 1e84 * rng.standard_normal(14))
+        path = tmp_path / "huge.csv"
+        write_dataset_csv(data, path, outcome_column="y", covariate_columns=("x1",))
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        # a leaked warning prints to stderr, as it does outside the suite
+        with warnings.catch_warnings(), mock.patch.object(warnings, "showwarning", show):
+            warnings.simplefilter("default")
+            code = main(["test", "--data", str(path), "--outcome", "y", "--covariates", "x1",
+                         "--mean-basis", "1,x1,x1^2", "--logvar-basis", "1,x1", "--variants", "s1"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: NoConvergence: outcome information block is singular: ")
+
     def test_bad_column_exits_1(self, tmp_path, capsys):
         data_path = make_trial_csv(tmp_path)
         code = main([

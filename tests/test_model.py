@@ -664,6 +664,24 @@ class TestOverflowOutsideTheLoops:
                 fit_outcome_parametric(self.scaled(y_scale=1e160), Example2Config.family)
 
 
+def test_a_trial_of_inf_times_zero_is_rejected_silently():
+    # a halving search's trial squares a residual past 1e154 to inf where its weight
+    # exp(−s) underflows to 0: inf·0 is nan, a rejected trial and not a warning, and the
+    # fit ends at the block solve's verdict
+    rng = np.random.default_rng(0)
+    x1 = rng.standard_normal(16) * 1e64
+    d = np.array([1] * 14 + [0] * 2, dtype=np.int8)
+    data = Dataset(x=np.column_stack([np.ones(16), x1]), d=d,
+                   y_complete=-1e100 + 1e84 * rng.standard_normal(14))
+    family = GaussianOutcomeFamily((intercept(), raw(1), square(1)), (intercept(), raw(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence) as caught:
+            fit_outcome_parametric(data, family)
+    assert str(caught.value) == ("outcome information block is singular: pivot 5.340e+95 below "
+                                 "9.374e+98 at column 2; matrix is not positive definite")
+
+
 def synthetic_fit(xi, family=None, x_value=0.7):
     family = family or GaussianOutcomeFamily((intercept(),), (intercept(),))
     data = dataset_from_full([[x_value]], [1], [0.0]) if family.mean_basis[0] != intercept() else dataset_from_full([], [1], [0.0])

@@ -134,16 +134,26 @@ class TestSolveSpd:
     @pytest.mark.parametrize("m, column, pivot, floor", [
         ([[1.0, 2.0], [2.0, 1.0]], 1, "-3.000e+00", "1.000e-12"),
         ([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 1, "0.000e+00", "1.000e-12"),
-        ([[-1.0, 0.0], [0.0, 1.0]], 0, "-1.000e+00", "-1.000e-12"),
         ([[1.0, 1.0], [1.0, 1.0]], 1, "0.000e+00", "1.000e-12"),
-        ([[1.0, 0.0], [0.0, -1.0]], 1, "-1.000e+00", "-1.000e-12"),
         ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], 1, "9.992e-15", "1.000e-12"),
-    ], ids=["indefinite", "singular", "negative-first", "singular-2x2", "negative-last",
-            "under-the-floor"])
+    ], ids=["indefinite", "singular", "singular-2x2", "under-the-floor"])
     def test_message_names_the_failing_pivot_and_column(self, m, column, pivot, floor):
         with pytest.raises(SingularMatrix) as caught:
             solve_spd(np.array(m), np.ones(len(m)))
         assert str(caught.value) == (f"pivot {pivot} below {floor} at column {column}; "
+                                     "matrix is not positive definite")
+
+    @pytest.mark.parametrize("m, column, entry", [
+        ([[-1.0, 0.0], [0.0, 1.0]], 0, "-1.000e+00"),
+        ([[1.0, 0.0], [0.0, -1.0]], 1, "-1.000e+00"),
+        ([[1.0, 0.0], [0.0, 0.0]], 1, "0.000e+00"),
+    ], ids=["negative-first", "negative-last", "zero-last"])
+    @pytest.mark.parametrize("solve", [solve_spd, solve_gram], ids=["solve_spd", "solve_gram"])
+    def test_a_diagonal_entry_that_is_not_positive_is_named(self, solve, m, column, entry):
+        # a pivot floor relative to such an entry is zero or negative: no floor at all
+        with pytest.raises(SingularMatrix) as caught:
+            solve(np.array(m), np.ones(len(m)))
+        assert str(caught.value) == (f"diagonal entry {entry} at column {column} is not positive; "
                                      "matrix is not positive definite")
 
     def test_one_call_equals_factor_then_solve_bitwise(self):
@@ -184,10 +194,11 @@ class TestSolveSpd:
             assert_allclose(got[:q1], solve_spd(m1, g[:q1]), rtol=1e-12)
             assert_allclose(got[q1:], solve_spd(m2, g[q1:]), rtol=1e-12)
         # a second block of rank q2 - 1 first fails its last pivot, column q2 - 1 on its own
+        # (a 1×1 block of rank 0 is a zero diagonal entry, named as such)
         singular = spd(q2, q2 - 1)
-        with pytest.raises(SingularMatrix, match=f"at column {q2 - 1};"):
+        with pytest.raises(SingularMatrix, match=f"at column {q2 - 1}( is not positive)?;"):
             solve_spd(singular, np.ones(q2))
-        with pytest.raises(SingularMatrix, match=f"at column {q1 + q2 - 1};"):
+        with pytest.raises(SingularMatrix, match=f"at column {q1 + q2 - 1}( is not positive)?;"):
             solve_spd(block_diag(spd(q1, q1), singular), np.ones(q1 + q2))
 
 
@@ -262,6 +273,7 @@ VERDICT_CASES = {
     "negative-first": [[-1.0, 0.0], [0.0, 1.0]],
     "singular-2x2": [[1.0, 1.0], [1.0, 1.0]],
     "negative-last": [[1.0, 0.0], [0.0, -1.0]],
+    "zero-last": [[1.0, 0.0], [0.0, 0.0]],
     "under-the-floor": [[1.0, 1.0], [1.0, 1.0 + 1e-14]],
     "asymmetric": [[1.0, 0.5], [0.0, 1.0]],
     "nan-diagonal": [[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
@@ -313,13 +325,14 @@ def weighted_grams(draw):
 
 def _gram_refusals():
     """``(k, case)`` pairs of the refusal table: a non-finite entry below, on or above the
-    diagonal, a diagonal entry under 1e-200, and a failing first or later pivot."""
+    diagonal, a diagonal entry under 1e-200 or of zero, and a failing first or later pivot."""
     for k in range(1, 8):
         places = ("on",) if k == 1 else ("below", "on", "above")
         for place in places:
             for value in ("nan", "inf", "-inf"):
                 yield k, f"{value}-{place}"
         yield k, "diagonal-1e-250"
+        yield k, "diagonal-0"
         yield k, "negative-first-pivot"
         if k > 1:
             yield k, "singular-last-pivot"
@@ -329,9 +342,9 @@ def _gram_refusal(k: int, case: str) -> np.ndarray:
     """A weighted Gram matrix of order ``k`` made into the table's ``case``."""
     x = np.random.default_rng(k).standard_normal((20, k))
     m = x.T @ (x * np.random.default_rng(k + 7).random(20)[:, None])
-    if case == "diagonal-1e-250":
+    if case.startswith("diagonal-"):
         m[-1, :] = m[:, -1] = 0.0
-        m[-1, -1] = 1e-250
+        m[-1, -1] = float(case.removeprefix("diagonal-"))
     elif case == "negative-first-pivot":
         m[0, 0] = -1.0
     elif case == "singular-last-pivot":

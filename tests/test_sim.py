@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +196,44 @@ class TestRejectionStudy:
         ok = det.ok()
         inside = np.abs(det.z_s2[ok]) < 4.0
         assert inside.mean() >= 0.999
+
+
+class TestHeldReplication:
+    """A study keeps the last replication's dataset alive while the next one runs, so that
+    the next one reuses its memory; it keeps none once it returns or raises."""
+
+    @staticmethod
+    def track(monkeypatch):
+        """Weak references to each dataset the study draws, and per draw, the indices of the
+        earlier draws still alive just before it."""
+        drawn, alive = [], []
+        draw = sim.generate
+
+        def tracked(cfg, stream):
+            alive.append([i for i, ref in enumerate(drawn) if ref() is not None])
+            data = draw(cfg, stream)
+            drawn.append(weakref.ref(data))
+            return data
+
+        monkeypatch.setattr(sim, "generate", tracked)
+        return drawn, alive
+
+    def test_only_the_previous_dataset_is_alive(self, monkeypatch):
+        drawn, alive = self.track(monkeypatch)
+        # replications 5 and 8 fail to fit: a failed one is held as a fitted one is
+        report = run_rejection_study(Example2Config(n=15), 12, base_seed=2, keep_details=True)
+        assert report.details.failed.nonzero()[0].tolist() == [5, 8]
+        assert alive == [[]] + [[r - 1] for r in range(1, 12)]
+        assert [ref() for ref in drawn] == [None] * 12
+
+    def test_no_dataset_is_alive_after_every_replication_failed(self, monkeypatch):
+        drawn, alive = self.track(monkeypatch)
+        # n = 3 leaves too few complete cases for any fit
+        with pytest.raises(MarscoreError, match="^every replication failed to fit") as caught:
+            run_rejection_study(Example2Config(n=3), 5, base_seed=0)
+        assert caught.value.__traceback__ is not None
+        assert alive == [[]] + [[r - 1] for r in range(1, 5)]
+        assert [ref() for ref in drawn] == [None] * 5
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.2, float("nan")])

@@ -3,7 +3,10 @@
 One line per (Monte Carlo design, seed) hashes every replication of
 ``run_single_replication(cfg, RngStream(seed, r))``: its eight numbers (each
 test's statistic, σ², z and p-value, as ``float.hex``), or ``"<Class>: <message>"``
-for a replication that fails to fit. One line per ``marscore test`` report hashes
+for a replication that fails to fit. A second line, marked ``study``, hashes
+``run_rejection_study`` over the same replications: the bytes of its
+``StudyDetails`` arrays and its report's ``to_dict()`` as JSON, so that a change
+to the study's own loop shows too. One line per ``marscore test`` report hashes
 the report's bytes, JSON and CSV, for the benchmark's ``cli_test_csv`` input
 and for a fully quoted copy of it (``cli_test_csv_quoted``), which ``read_csv``
 reads by its exact ``csv`` route: the tool exits with an error unless the two
@@ -25,6 +28,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -46,7 +50,7 @@ MC_SEEDS = (1, 2, wl.HELD_OUT_SEED)
 CLI_SEEDS = (1, wl.HELD_OUT_SEED)
 
 
-def study_digest(cfg, seed: int, replications: int) -> str:
+def replication_digest(cfg, seed: int, replications: int) -> str:
     digest = hashlib.sha256()
     for r in range(replications):
         try:
@@ -57,6 +61,14 @@ def study_digest(cfg, seed: int, replications: int) -> str:
             values = [v for res in (r1, r2) for v in (res.statistic, res.sigma_sq_hat, res.z, res.p_value)]
             line = " ".join(float.hex(float(v)) for v in values)
         digest.update(f"{r} {line}\n".encode())
+    return digest.hexdigest()
+
+
+def study_digest(cfg, seed: int, replications: int) -> str:
+    report = sim.run_rejection_study(cfg, replications, base_seed=seed, keep_details=True)
+    digest = hashlib.sha256(json.dumps(report.to_dict()).encode())
+    for field in dataclasses.fields(report.details):
+        digest.update(getattr(report.details, field.name).tobytes())
     return digest.hexdigest()
 
 
@@ -93,7 +105,9 @@ def designs() -> list:
 def main() -> None:
     for name, cfg, replications in designs():
         for seed in MC_SEEDS:
-            print(f"{name} seed={seed} reps={replications} {study_digest(cfg, seed, replications)}", flush=True)
+            head = f"{name} seed={seed} reps={replications}"
+            print(f"{head} {replication_digest(cfg, seed, replications)}", flush=True)
+            print(f"{head} study {study_digest(cfg, seed, replications)}", flush=True)
     with tempfile.TemporaryDirectory() as work:
         for seed in CLI_SEEDS:
             data, quoted = Path(work, f"plain_{seed}.csv"), Path(work, f"quoted_{seed}.csv")
