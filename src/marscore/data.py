@@ -46,7 +46,7 @@ class Dataset:
         if not ((d == 0) | (d == 1)).all():
             raise ValueError("d must be 0/1")
         d = d.astype(np.int8, copy=False)
-        if y.shape != (int(d.sum()),):
+        if y.shape != (np.count_nonzero(d),):
             raise ValueError("y_complete must have one entry per d == 1 row")
         if not np.isfinite(x).all() or not np.isfinite(y).all():
             raise ValueError("all stored values must be finite")
@@ -64,9 +64,15 @@ class Dataset:
 
     @classmethod
     def from_generated(cls, x: np.ndarray, d: np.ndarray, y_full: np.ndarray) -> "Dataset":
-        """Build from a simulated full outcome vector, erasing y where d == 0."""
+        """Build from a simulated full outcome vector, erasing y where d == 0; the complete rows,
+        found once (from an int8 ``d``'s bool view), are kept as ``complete_idx``."""
         d = np.asarray(d)
-        return cls(x=x, d=d, y_complete=np.asarray(y_full, dtype=float)[d == 1])
+        rows = (d.view(np.bool_) if d.dtype == np.int8 else d == 1).nonzero()[0]
+        # reshape refuses a y_full with another number of entries than d
+        data = cls(x=x, d=d, y_complete=np.asarray(y_full, dtype=float).reshape(d.shape).take(rows))
+        rows.flags.writeable = False
+        data.__dict__["complete_idx"] = rows
+        return data
 
     @property
     def n(self) -> int:
@@ -78,7 +84,8 @@ class Dataset:
 
     @cached_property
     def complete_idx(self) -> np.ndarray:
-        idx = self.d.nonzero()[0]
+        # nonzero reads d's bool view several times faster than d itself
+        idx = self.d.view(np.bool_).nonzero()[0]
         idx.flags.writeable = False
         return idx
 

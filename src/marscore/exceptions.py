@@ -57,11 +57,12 @@ class NegativeVariance(MarscoreError):
     regularity conditions or model misuse, and a non-finite value an
     overflowing term. The offending component set is attached as
     ``components`` for diagnosis, with the report-only terms filled in by
-    ``score.with_report_terms``. For a singular matrix it is None, the
-    ``SingularMatrix`` is the ``__cause__``, and the message starts
-    ``propensity information A_hat is singular: ``, ``S1 variance: mean
-    information block is singular: `` or ``S2 variance: C1_hat is
-    singular: `` and names the failing pivot.
+    ``score.with_report_terms``; from ``score.test_report`` (only hand-built
+    components reach it) it is the set as given, report terms maybe None.
+    For a singular matrix it is None, the ``SingularMatrix`` is the
+    ``__cause__``, and the message starts ``propensity information A_hat is
+    singular: ``, ``S1 variance: mean information block is singular: `` or
+    ``S2 variance: C1_hat is singular: `` and names the failing pivot.
     """
 
     def __init__(self, message, components=None):

@@ -94,9 +94,14 @@ def _halving_search(what: str, x, step, grad, loglik: float, evaluate, size: flo
 def _bernoulli(eta: np.ndarray, d: np.ndarray):
     """The logistic log-likelihood ``Σ d·η − log(1 + exp η)`` and the probabilities
     ``π = 1 / (1 + exp −η)``, both from one ``exp(−|η|)`` per row, which never overflows."""
-    e = np.exp(-np.abs(eta))
-    loglik = float(d.dot(eta) - _sum(np.maximum(eta, 0.0) + np.log1p(e)))
-    return loglik, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+    e = np.abs(eta)
+    np.exp(np.negative(e, out=e), out=e)
+    # e ≤ 1, so this is where(η ≥ 0, 1, e) bit for bit, at about two thirds of where's cost
+    pi = np.maximum(e, eta >= 0.0)
+    terms = np.log1p(e)
+    pi /= np.add(1.0, e, out=e)
+    terms += np.maximum(eta, 0.0, out=e)
+    return float(d.dot(eta) - _sum(terms)), pi
 
 
 @dataclass(frozen=True)

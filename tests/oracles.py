@@ -22,7 +22,10 @@ the Gaussian density, and
 ``write_dataset_csv`` writes a dataset as the CSV that ``read_csv`` reads back.
 ``former_starts`` runs both null fits from their earlier starts, β = 0 and the
 projection of the constant ``log mean(r²)``, which the closed-form starts must
-reach the same optimum as.
+reach the same optimum as. ``bernoulli_where`` and ``from_generated_mask`` are
+the logistic kernel and ``Dataset.from_generated`` in their former forms
+(π's numerator chosen by ``np.where``, ``y`` gathered by a boolean mask),
+whose bytes the current ones must keep.
 """
 
 from __future__ import annotations
@@ -236,6 +239,19 @@ def logvar_start_constant(r, rss, bv, logvar_basis):
     target = np.log(max(rss, 1e-300))
     return model._solve(bv.T @ bv, bv.T @ np.full(r.size, target), RankDeficientDesign,
                         "outcome log-variance design is rank deficient")
+
+
+def bernoulli_where(eta, d):
+    """``marscore.model._bernoulli`` as it was: π's numerator is ``where(η ≥ 0, 1, e)``."""
+    e = np.exp(-np.abs(eta))
+    loglik = float(d.dot(eta) - np.add.reduce(np.maximum(eta, 0.0) + np.log1p(e)))
+    return loglik, np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def from_generated_mask(x, d, y_full):
+    """``Dataset.from_generated`` as it was: ``y`` gathered by the boolean mask ``d == 1``."""
+    d = np.asarray(d)
+    return Dataset(x=x, d=d, y_complete=np.asarray(y_full, dtype=float)[d == 1])
 
 
 @contextmanager

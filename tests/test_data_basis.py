@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marscore import io, sim
 from marscore.basis import design_matrix, intercept, product, raw, square
@@ -8,6 +10,7 @@ from marscore.exceptions import RankDeficientDesign
 from marscore.model import fit_location, fit_outcome_parametric, fit_propensity_null
 from marscore.numerics import RngStream
 from marscore.score import variance_s1, variance_s2, with_report_terms
+from tests.oracles import from_generated_mask
 
 
 def small_dataset():
@@ -28,6 +31,51 @@ class TestDataset:
         x = np.column_stack([np.ones(3), np.arange(3.0)])
         data = Dataset.from_generated(x, np.array([0, 1, 0]), np.array([9.0, 4.0, 9.0]))
         assert data.y_complete.tolist() == [4.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+           st.sampled_from([np.int8, np.int64, np.bool_, float]))
+    @example([(False, 1.0), (False, 2.0)], np.int8)  # no complete row
+    @example([(True, 1.0), (True, 2.0)], np.int8)  # every row complete
+    def test_from_generated_keeps_the_mask_gather_bytes(self, rows, dtype):
+        d = np.array([obs for obs, _ in rows], dtype=dtype)
+        y = np.array([v for _, v in rows])
+        x = np.column_stack([np.ones(len(rows)), y[::-1]])
+        got, want = Dataset.from_generated(x, d, y), from_generated_mask(x, d, y)
+        for name in ("x", "d", "y_complete"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(got.complete_idx, want.complete_idx)
+
+    @pytest.mark.parametrize("d, y", [([1, 0, 1], [1.0, 2.0]), ([1, 0], [1.0, 2.0, 3.0])],
+                             ids=["short", "long"])
+    def test_from_generated_refuses_an_outcome_vector_of_another_length(self, d, y):
+        with pytest.raises(ValueError, match="cannot reshape"):
+            Dataset.from_generated(np.ones((len(d), 1)), np.array(d, dtype=np.int8), np.array(y))
+
+    @pytest.mark.parametrize("build", ["constructor", "from_generated", "subset", "group_by",
+                                       "no-complete-row", "example1"])
+    def test_complete_idx_is_the_read_only_intp_index_of_the_complete_rows(self, build):
+        base = Dataset(x=np.column_stack([np.ones(6), np.arange(6.0)]), d=np.array([1, 0, 0, 1, 1, 0]),
+                       y_complete=np.array([1.0, 2.0, 3.0]), labels={"g": ("a", "b", "a", "b", "a", "b")})
+        if build == "constructor":
+            built = [base]
+        elif build == "from_generated":
+            built = [Dataset.from_generated(base.x, base.d, np.arange(6.0))]
+        elif build == "subset":
+            built = [base.subset(np.array([5, 0, 3])), base.subset(np.array([2, 1]))]
+        elif build == "group_by":
+            built = [group for _, group in io.group_by(base, "g")]
+        elif build == "no-complete-row":
+            built = [Dataset(x=np.ones((3, 1)), d=np.zeros(3, dtype=int), y_complete=np.array([])),
+                     Dataset.from_generated(np.ones((3, 1)), np.zeros(3, dtype=np.int8), np.ones(3))]
+        else:
+            built = [sim.Example1Config(n=50).generate(RngStream(2, 0))]
+        for data in built:
+            idx = data.complete_idx
+            assert np.array_equal(idx, np.flatnonzero(data.d == 1))
+            assert idx.dtype == np.intp and not idx.flags.writeable
+            assert idx.size == data.y_complete.size == data.n_complete
 
     def test_immutable(self):
         data = small_dataset()

@@ -38,6 +38,7 @@ from marscore.sim import (
     run_single_replication,
 )
 from tests.oracles import (
+    bernoulli_where,
     fd_integrated_hessian,
     fd_mean_gradient,
     former_starts,
@@ -128,6 +129,57 @@ class TestLogisticKernel:
         # measured: at most 2 ulps of the terms' summed magnitude apart, over the same arrays
         size = np.abs(d * eta).sum() + softplus.sum()
         assert abs(loglik - (d @ eta - softplus.sum())) <= 4 * np.spacing(size)
+
+
+def _bernoulli_bytes(kernel, eta, d):
+    """``kernel(eta, d)`` as bytes, with the messages of the floating-point warnings it raised."""
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        loglik, pi = kernel(eta, d)
+    return np.float64(loglik).tobytes(), pi.tobytes(), [str(w.message) for w in raised]
+
+
+# ±0, ±1e-300, either side of exp's underflow at -745.13, ±inf, nan and subnormals
+_ETA_EDGES = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 750.0, -750.0, np.inf, -np.inf, np.nan,
+              5e-324, -5e-324, 2.2e-308, -2.2e-308]
+
+
+class TestLogisticKernelAsBefore:
+    """``_bernoulli`` keeps the bytes, and the warnings, of its former ``np.where`` form."""
+
+    @pytest.mark.parametrize("obs", [0.0, 1.0])
+    @pytest.mark.parametrize("eta", _ETA_EDGES)
+    def test_edges(self, eta, obs):
+        eta, d = np.array([eta]), np.array([obs])
+        got = _bernoulli_bytes(model._bernoulli, eta, d)
+        assert got == _bernoulli_bytes(bernoulli_where, eta, d)
+        # only ±inf or nan make the log-likelihood's own sum invalid
+        assert got[2] == [] or not np.isfinite(eta).all()
+
+    def test_edges_in_one_array(self):
+        eta = np.array(_ETA_EDGES)
+        for d in (np.zeros(eta.size), np.ones(eta.size), np.arange(eta.size) % 2.0):
+            assert _bernoulli_bytes(model._bernoulli, eta, d) == _bernoulli_bytes(bernoulli_where, eta, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(_ETA_EDGES), st.floats(-800.0, 800.0), st.floats()),
+                              st.booleans()), min_size=1, max_size=60))
+    @example([(-0.5, False), (0.0, False), (2.0, False)])  # every row missing
+    @example([(-0.5, True), (0.0, True), (2.0, True)])  # every row observed
+    def test_draws(self, rows):
+        eta = np.array([e for e, _ in rows])
+        d = np.array([float(obs) for _, obs in rows])
+        assert _bernoulli_bytes(model._bernoulli, eta, d) == _bernoulli_bytes(bernoulli_where, eta, d)
+
+    @pytest.mark.parametrize("cfg", [Example1Config(n=2000), Example2Config(n=200)], ids=["ex1", "ex2"])
+    def test_propensity_fit_is_unchanged(self, cfg, monkeypatch):
+        data = cfg.generate(RngStream(11, 4))
+        got = fit_propensity_null(data, columns=cfg.propensity_columns)
+        monkeypatch.setattr(model, "_bernoulli", bernoulli_where)
+        want = fit_propensity_null(data, columns=cfg.propensity_columns)
+        assert got.iterations == want.iterations and got.loglik == want.loglik
+        for name in ("beta_hat", "info_matrix", "pi"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestFitPropensityNull:

@@ -530,8 +530,9 @@ class TestTestReport:
 
     def test_negative_variance_propagates(self):
         comp = dataclasses.replace(_s1_components(1.0), sigma_sq_hat=-0.5)
-        with pytest.raises(NegativeVariance):
+        with pytest.raises(NegativeVariance) as caught:
             score_report(1.0, comp, 10)
+        assert caught.value.components is comp
 
     def test_reject(self):
         res = score_report(1.959964, _s1_components(1.0), 1)

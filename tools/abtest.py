@@ -1,13 +1,15 @@
 """Paired A/B timing of ``run_rejection_study`` between a git revision and the working tree.
 
 The ``marscore`` package under ``src/`` at revision ``--base`` (default ``HEAD``)
-is exported into a temporary directory as package ``marscore_base``; its
-imports are relative, so the renamed copy loads beside the working tree's
-``marscore`` in one process. Each round then runs one block of replications
-of a Monte Carlo workload from ``perfbench/workloads.py`` (its config, block
-size and block seeds) through both packages, switching which side goes first
-from round to round, so that drift in the machine's speed falls on both sides
-of a pair alike. Run it from any directory::
+is exported into a temporary directory as package ``marscore_base``, and the
+working tree's as ``marscore_change`` beside it; their imports are relative,
+so both renamed copies load in one process. Neither side is the importable
+``marscore``: on a 2-core x86-64 host, the working tree timed as ``marscore``
+against an exported copy of itself read 1-2% slower. Each round then runs one
+block of replications of a Monte Carlo workload from ``perfbench/workloads.py``
+(its config, block size and block seeds) through both packages, switching
+which side goes first from round to round, so that drift in the machine's
+speed falls on both sides of a pair alike. Run it from any directory::
 
     python3 tools/abtest.py --base HEAD --workload mc_ex2_het_n1000 --rounds 30
 
@@ -24,6 +26,7 @@ import argparse
 import importlib
 import io
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,23 +38,25 @@ from time import perf_counter
 # before numpy loads: its BLAS reads the thread count once
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
-import marscore  # noqa: E402
 from perfbench import workloads as wl  # noqa: E402
 
 
-def export_base(revision: str, into: Path):
-    """Import ``src/marscore`` at ``revision`` as package ``marscore_base``."""
+def export_sides(revision: str, into: Path) -> dict:
+    """Import ``src/marscore`` at ``revision`` as package ``marscore_base`` and the working
+    tree's as ``marscore_change``, both from ``into``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src/marscore"],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     (into / "src" / "marscore").rename(into / "marscore_base")
+    shutil.copytree(ROOT / "src" / "marscore", into / "marscore_change",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(into))
-    return importlib.import_module("marscore_base")
+    return {name: importlib.import_module(f"marscore_{name}") for name in ("base", "change")}
 
 
 def run_block(package, workload, cfg, base_seed: int):
@@ -86,7 +91,7 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 2")
     workload = wl.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as work:
-        sides = {"base": export_base(args.base, Path(work)), "change": marscore}
+        sides = export_sides(args.base, Path(work))
         configs = {name: workload.config(package.sim) for name, package in sides.items()}
         times = {name: [] for name in sides}
         equal = True
